@@ -1,9 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Covers exactly the operations the attention architecture needs: matmul,
-broadcast arithmetic, softmax, the usual activations, layer normalization,
-slicing/concatenation, stop_gradient, and a finite-difference gradient
-checker. Tensors are immutable during an active forward/backward pass;
+broadcast arithmetic, softmax, the usual activations, slicing/concatenation,
+stop_gradient, and a finite-difference gradient checker. Composites that run
+many times per training step are single nodes with closed-form backwards:
+the affine map, layer normalization, head split/merge with batched matmul,
+the two reconstruction error terms, and the running product of survival. Tensors are immutable during an active forward/backward pass;
 the optimizer mutates leaf values between passes via `assign_`.
 """
 
@@ -106,17 +108,11 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def tensor(values, requires_grad: bool = False) -> Tensor:
@@ -207,17 +203,6 @@ def mul(a, b) -> Tensor:
     return _make(out_values, (a, b), backward_fn, "mul")
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_values = a.values / b.values
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g / b.values, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.values / (b.values * b.values), b.shape))
-
-    return _make(out_values, (a, b), backward_fn, "div")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2:
@@ -244,28 +229,86 @@ def transpose(x: Tensor) -> Tensor:
     return _make(x.values.T.copy(), (x,), backward_fn, "transpose")
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map x @ weight + bias as one node; bias has shape (fan_out,)."""
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.values.ndim != 2 or weight.values.ndim != 2:
+        raise ShapeError(f"linear needs 2-d operands, got {x.shape} and {weight.shape}")
+    if x.shape[1] != weight.shape[0] or bias.shape != (weight.shape[1],):
+        raise ShapeError(f"linear shapes do not chain: {x.shape} @ {weight.shape} "
+                         f"+ {bias.shape}")
+    out_values = x.values @ weight.values + bias.values
+
+    def backward_fn(g):
+        if x.requires_grad:     # skips the product for a constant input bag
+            _accumulate(x, g @ weight.values.T)
+        _accumulate(weight, x.values.T @ g)
+        _accumulate(bias, g.sum(axis=0))
+
+    return _make(out_values, (x, weight, bias), backward_fn, "linear")
+
+
+def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
+                   scale: float = 1.0) -> Tensor:
+    """scale * (a[i] @ b[i]) for each i of two stacks of matrices.
+
+    Both operands are 3-d with equal leading extents; `transpose_b` uses
+    each b[i].T instead of b[i].
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.values.ndim != 3 or b.values.ndim != 3 or a.shape[0] != b.shape[0]:
+        raise ShapeError(f"batched_matmul needs 3-d operands with equal leading "
+                         f"extents, got {a.shape} and {b.shape}")
+    # A transposed operand is copied first: BLAS can round a product with a
+    # transposed view differently, and the copy keeps each slice bit-equal
+    # to `matmul` on the same two matrices.
+    b_mat = (np.ascontiguousarray(b.values.transpose(0, 2, 1)) if transpose_b
+             else b.values)
+    if a.shape[2] != b_mat.shape[1]:
+        raise ShapeError(f"batched_matmul inner extents differ: {a.shape} vs "
+                         f"{b.shape} (transpose_b={transpose_b})")
+    out_values = (a.values @ b_mat) * scale
+
+    def backward_fn(g):
+        g = g * scale
+        _accumulate(a, g @ b_mat.transpose(0, 2, 1))
+        grad_b = a.values.transpose(0, 2, 1) @ g
+        _accumulate(b, grad_b.transpose(0, 2, 1) if transpose_b else grad_b)
+
+    return _make(out_values, (a, b), backward_fn, "batched_matmul")
+
+
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------------
+
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None,
+            keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a reduction back over the reduced input."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
 
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     out_values = x.values.sum(axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.shape))
-        else:
-            g_expanded = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(g_expanded, x.shape))
+        _accumulate(x, _spread(g, x.shape, axis, keepdims))
 
     return _make(out_values, (x,), backward_fn, "sum")
 
 
 def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
-    n = x.values.size if axis is None else x.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
+    scale = 1.0 / (x.values.size if axis is None else x.shape[axis])
+    out_values = x.values.sum(axis=axis, keepdims=keepdims) * scale
+
+    def backward_fn(g):
+        _accumulate(x, _spread(g * scale, x.shape, axis, keepdims))
+
+    return _make(out_values, (x,), backward_fn, "mean")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -314,6 +357,34 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(out_values, (x,), backward_fn, "narrow")
 
 
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(n, heads * d) -> (heads, n, d): column block h becomes slice h."""
+    x = _as_tensor(x)
+    if x.values.ndim != 2 or heads < 1 or x.shape[1] % heads != 0:
+        raise ShapeError(f"cannot split shape {x.shape} into {heads} heads")
+    n, width = x.shape
+    out_values = x.values.reshape(n, heads, width // heads).transpose(1, 0, 2)
+
+    def backward_fn(g):
+        _accumulate(x, g.transpose(1, 0, 2).reshape(n, width))
+
+    return _make(out_values, (x,), backward_fn, "split_heads")
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(heads, n, d) -> (n, heads * d); the inverse of split_heads."""
+    x = _as_tensor(x)
+    if x.values.ndim != 3:
+        raise ShapeError(f"merge_heads needs a 3-d tensor, got {x.shape}")
+    heads, n, d = x.shape
+    out_values = x.values.transpose(1, 0, 2).reshape(n, heads * d)
+
+    def backward_fn(g):
+        _accumulate(x, g.reshape(n, heads, d).transpose(1, 0, 2))
+
+    return _make(out_values, (x,), backward_fn, "merge_heads")
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -334,16 +405,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _make(y, (x,), backward_fn, "softmax")
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    y = np.exp(x.values)
-
-    def backward_fn(g):
-        _accumulate(x, g * y)
-
-    return _make(y, (x,), backward_fn, "exp")
-
-
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     y = np.log(x.values)
@@ -352,20 +413,6 @@ def log(x: Tensor) -> Tensor:
         _accumulate(x, g / x.values)
 
     return _make(y, (x,), backward_fn, "log")
-
-
-def power(x: Tensor, exponent: float) -> Tensor:
-    x = _as_tensor(x)
-    y = x.values ** exponent
-
-    def backward_fn(g):
-        _accumulate(x, g * exponent * x.values ** (exponent - 1.0))
-
-    return _make(y, (x,), backward_fn, "power")
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return power(x, 0.5)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -430,16 +477,102 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} "
                          f"do not match last extent {d}")
-    centered = sub(x, mean(x, axis=-1, keepdims=True))
-    variance = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normalized = mul(centered, power(add(variance, eps), -0.5))
-    return add(mul(normalized, gain), bias)
+    inv_d = 1.0 / d
+    centered = x.values - x.values.sum(axis=-1, keepdims=True) * inv_d
+    variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    inv_std = (variance + eps) ** -0.5
+    normalized = centered * inv_std
+    out_values = normalized * gain.values + bias.values
+
+    def backward_fn(g):
+        rows = tuple(range(g.ndim - 1))
+        _accumulate(gain, (g * normalized).sum(axis=rows))
+        _accumulate(bias, g.sum(axis=rows))
+        g_norm = g * gain.values
+        _accumulate(x, inv_std * (
+            g_norm - g_norm.sum(axis=-1, keepdims=True) * inv_d
+            - normalized * (g_norm * normalized).sum(axis=-1, keepdims=True) * inv_d))
+
+    return _make(out_values, (x, gain, bias), backward_fn, "layer_norm")
 
 
 def stop_gradient(x: Tensor) -> Tensor:
     """Identity on values; backward contributes nothing upstream."""
     x = _as_tensor(x)
     return Tensor(x.values.copy())
+
+
+# ---------------------------------------------------------------------------
+# survival and reconstruction loss terms
+# ---------------------------------------------------------------------------
+
+def cumprod(x: Tensor) -> Tensor:
+    """Running product along the last axis."""
+    x = _as_tensor(x)
+    if x.values.ndim < 1:
+        raise ShapeError("cumprod needs at least one axis")
+    y = np.cumprod(x.values, axis=-1)
+
+    def backward_fn(g):
+        # dy_j/dx_i = prod_{k<i} x_k * prod_{i<k<=j} x_k for j >= i. The
+        # suffix sums run right to left, so no x is ever divided out (an x
+        # of exactly 0 is legal: a hazard of 1).
+        suffix = np.array(g, dtype=np.float64, copy=True)
+        for i in range(x.shape[-1] - 2, -1, -1):
+            suffix[..., i] += x.values[..., i + 1] * suffix[..., i + 1]
+        prefix = np.ones_like(y)
+        prefix[..., 1:] = y[..., :-1]
+        _accumulate(x, prefix * suffix)
+
+    return _make(y, (x,), backward_fn, "cumprod")
+
+
+def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean of (pred - target)^2 over all entries; `target` is a constant."""
+    pred = _as_tensor(pred)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"squared_error operands differ: {pred.shape} vs {target.shape}")
+    err = pred.values - target
+    scale = 1.0 / err.size
+    out_values = (err * err).sum() * scale
+
+    def backward_fn(g):
+        _accumulate(pred, 2.0 * ((g * scale) * err))
+
+    return _make(out_values, (pred,), backward_fn, "squared_error")
+
+
+NORM_FLOOR = 1e-12
+
+
+def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
+    """(1 - cos(pred, target))^gamma; `target` is a constant.
+
+    Both norms are clamped below at NORM_FLOOR, so a zero vector scores
+    cos = 0; no gradient flows through a clamped prediction norm.
+    """
+    pred = _as_tensor(pred)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ShapeError(f"cosine_error operands differ: {pred.shape} vs {target.shape}")
+    p = pred.values
+    target_norm = max(float(np.linalg.norm(target)), NORM_FLOOR)
+    pred_norm = float(np.sqrt((p * p).sum()))
+    denom = max(pred_norm, NORM_FLOOR) * target_norm
+    dot = float((p * target).sum())
+    gap = 1.0 - dot / denom
+    out_values = gap ** gamma
+
+    def backward_fn(g):
+        g_cos = -g * gamma * gap ** (gamma - 1.0)
+        grad = (g_cos / denom) * target
+        if pred_norm > NORM_FLOOR:
+            g_norm = -g_cos * dot / (denom * denom) * target_norm
+            grad = grad + (g_norm / pred_norm) * p
+        _accumulate(pred, grad)
+
+    return _make(out_values, (pred,), backward_fn, "cosine_error")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def linear_params(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, weight), bias)
+    return ad.linear(x, weight, bias)
 
 
 @dataclass
@@ -53,44 +53,25 @@ class MhcaParams:
             yield f"{prefix}.{field}", getattr(self, field)
 
 
-MhsaParams = MhcaParams
+def _attend(params: MhcaParams, queries: Tensor,
+            keys_values: Tensor) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over all heads at once.
 
-
-def _attend(params: MhcaParams, queries: Tensor, keys_values: Tensor,
-            score_head: int | None) -> tuple[Tensor, Tensor]:
-    """Shared scaled-dot-product machinery; returns (output, merged scores)."""
+    Returns the projected output and the pre-softmax scores, shape
+    (heads, n_queries, n_keys).
+    """
     width = params.wq.shape[0]
     if queries.shape[1] != width or keys_values.shape[1] != width:
         raise ShapeError(f"attention width {width} does not match inputs "
                          f"{queries.shape} / {keys_values.shape}")
-    n = params.heads
-    dk = width // n
-    scale = 1.0 / math.sqrt(dk)
-    q = linear(queries, params.wq, params.bq)
-    k = linear(keys_values, params.wk, params.bk)
-    v = linear(keys_values, params.wv, params.bv)
-    head_outputs = []
-    head_scores = []
-    for h in range(n):
-        qh = ad.narrow(q, 1, h * dk, dk)
-        kh = ad.narrow(k, 1, h * dk, dk)
-        vh = ad.narrow(v, 1, h * dk, dk)
-        scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-        head_scores.append(scores)
-        attn = ad.softmax(scores, axis=1)
-        head_outputs.append(ad.matmul(attn, vh))
-    merged = ad.concat(head_outputs, axis=1)
-    out = linear(merged, params.wo, params.bo)
-    if score_head is None:
-        total = head_scores[0]
-        for s in head_scores[1:]:
-            total = ad.add(total, s)
-        scores_out = ad.mul(total, 1.0 / n)
-    else:
-        if not 0 <= score_head < n:
-            raise ShapeError(f"score head {score_head} out of range for {n} heads")
-        scores_out = head_scores[score_head]
-    return out, scores_out
+    heads = params.heads
+    q = ad.split_heads(linear(queries, params.wq, params.bq), heads)
+    k = ad.split_heads(linear(keys_values, params.wk, params.bk), heads)
+    v = ad.split_heads(linear(keys_values, params.wv, params.bv), heads)
+    scores = ad.batched_matmul(q, k, transpose_b=True,
+                               scale=1.0 / math.sqrt(width // heads))
+    attended = ad.batched_matmul(ad.softmax(scores, axis=-1), v)
+    return linear(ad.merge_heads(attended), params.wo, params.bo), scores
 
 
 def mhca_forward(params: MhcaParams, queries: Tensor, bag: Tensor,
@@ -102,12 +83,18 @@ def mhca_forward(params: MhcaParams, queries: Tensor, bag: Tensor,
     """
     if bag.shape[0] < 1:
         raise ShapeError("cross-attention needs at least one patch")
-    return _attend(params, queries, bag, score_head)
+    if score_head is not None and not 0 <= score_head < params.heads:
+        raise ShapeError(f"score head {score_head} out of range for "
+                         f"{params.heads} heads")
+    out, scores = _attend(params, queries, bag)
+    if score_head is None:
+        return out, ad.mean(scores, axis=0)
+    return out, ad.reshape(ad.narrow(scores, 0, score_head, 1), scores.shape[1:])
 
 
-def mhsa_forward(params: MhsaParams, x: Tensor) -> Tensor:
+def mhsa_forward(params: MhcaParams, x: Tensor) -> Tensor:
     """Self-attention with a residual connection: x + attn(x)."""
-    out, _ = _attend(params, x, x, None)
+    out, _ = _attend(params, x, x)
     return ad.add(x, out)
 
 

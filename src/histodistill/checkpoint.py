@@ -103,26 +103,34 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: unreadable header: {err}") from None
 
-    config = _config_from_dict(header["model_config"])
+    try:
+        config = _config_from_dict(header["model_config"])
+        entries = [(str(entry["name"]), tuple(int(n) for n in entry["shape"]))
+                   for entry in header["entries"]]
+        bin_boundaries = np.asarray(header["bin_boundaries"], dtype=np.float64)
+    except KeyError as err:
+        raise CheckpointError(f"{path}: header lacks key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: malformed header: {err}") from None
+
     model = build_model(config, seed=0)
     offset = header_end
     by_name = dict(model.named_tensors())
-    stored = [entry["name"] for entry in header["entries"]]
+    stored = [name for name, _ in entries]
     if sorted(stored) != sorted(by_name):
         missing = sorted(set(by_name) - set(stored))
         extra = sorted(set(stored) - set(by_name))
         raise CheckpointError(f"{path}: weight names do not match the "
                               f"configuration (missing {missing}, extra {extra})")
-    for entry in header["entries"]:
-        tensor = by_name[entry["name"]]
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
+        tensor = by_name[name]
         if shape != tensor.shape:
-            raise CheckpointError(f"{path}: entry '{entry['name']}' has shape "
+            raise CheckpointError(f"{path}: entry '{name}' has shape "
                                   f"{shape}, model expects {tensor.shape}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > len(raw):
-            raise CheckpointError(f"{path}: truncated data for '{entry['name']}'")
+            raise CheckpointError(f"{path}: truncated data for '{name}'")
         values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         tensor.assign_(values.astype(np.float64).reshape(shape))
         offset = end
@@ -131,7 +139,7 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
 
     return CheckpointData(
         model=model,
-        bin_boundaries=np.asarray(header["bin_boundaries"], dtype=np.float64),
+        bin_boundaries=bin_boundaries,
         standardization=header.get("standardization"),
         selected_genes=header.get("selected_genes"),
         category_names=list(header.get("category_names") or ()),

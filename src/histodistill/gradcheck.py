@@ -49,12 +49,12 @@ def _exact_zero_error(f, params: dict[str, Tensor], names: tuple[str, ...]) -> f
 
 def _check_linear(eps: float) -> float:
     rng = np.random.default_rng(11)
-    x = np.asarray(rng.normal(size=(5, 3)))
+    x = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
     probe = rng.normal(size=(5, 4))
     w, b = blocks.linear_params(rng, 3, 4)
-    params = {"w": w, "b": b}
+    params = {"x": x, "w": w, "b": b}
     return grad_check(
-        lambda p: _scalarize(blocks.linear(ad.tensor(x), p["w"], p["b"]), probe),
+        lambda p: _scalarize(blocks.linear(p["x"], p["w"], p["b"]), probe),
         params, eps)
 
 
@@ -69,6 +69,53 @@ def _check_layer_norm(eps: float) -> float:
     return grad_check(
         lambda p: _scalarize(ad.layer_norm(p["x"], p["gain"], p["bias"]), probe),
         params, eps)
+
+
+def _check_mean(eps: float) -> float:
+    rng = np.random.default_rng(23)
+    probe = rng.normal(size=(3, 4))
+    params = {"x": ad.tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)}
+
+    def f(p):
+        return ad.add(_scalarize(ad.mean(p["x"], axis=0), probe),
+                      ad.mean(ad.mul(p["x"], p["x"])))
+
+    return grad_check(f, params, eps)
+
+
+def _check_split_heads(eps: float) -> float:
+    rng = np.random.default_rng(24)
+    probe = rng.normal(size=(3, 5, 2))
+    params = {"x": ad.tensor(rng.normal(size=(5, 6)), requires_grad=True)}
+    return grad_check(
+        lambda p: _scalarize(ad.split_heads(p["x"], 3), probe), params, eps)
+
+
+def _check_merge_heads(eps: float) -> float:
+    rng = np.random.default_rng(25)
+    probe = rng.normal(size=(5, 6))
+    params = {"x": ad.tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)}
+    return grad_check(
+        lambda p: _scalarize(ad.merge_heads(p["x"]), probe), params, eps)
+
+
+def _check_batched_matmul(eps: float) -> float:
+    rng = np.random.default_rng(26)
+    params = {
+        "a": ad.tensor(rng.normal(size=(2, 3, 4)), requires_grad=True),
+        "b": ad.tensor(rng.normal(size=(2, 4, 5)), requires_grad=True),
+        "c": ad.tensor(rng.normal(size=(2, 5, 4)), requires_grad=True),
+    }
+    plain_probe = rng.normal(size=(2, 3, 5))
+    transposed_probe = rng.normal(size=(2, 3, 5))
+
+    def f(p):
+        plain = ad.batched_matmul(p["a"], p["b"])
+        transposed = ad.batched_matmul(p["a"], p["c"], transpose_b=True, scale=0.7)
+        return ad.add(_scalarize(plain, plain_probe),
+                      _scalarize(transposed, transposed_probe))
+
+    return grad_check(f, params, eps)
 
 
 def _check_mhca(eps: float) -> float:
@@ -91,7 +138,7 @@ def _check_mhca(eps: float) -> float:
 def _check_mhsa(eps: float) -> float:
     rng = np.random.default_rng(14)
     x = ad.tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    mhsa = blocks.MhsaParams.init(rng, 8, 2)
+    mhsa = blocks.MhcaParams.init(rng, 8, 2)
     probe = rng.normal(size=(4, 8))
     params = dict(mhsa.named_tensors("mhsa"))
     params["x"] = x
@@ -162,6 +209,29 @@ def _check_sce_loss(eps: float) -> float:
         lambda p: sce_loss([p["p0"], p["p1"]], targets, gamma=2.0), params, eps)
 
 
+def _check_squared_error(eps: float) -> float:
+    rng = np.random.default_rng(27)
+    target = rng.normal(size=(1, 5))
+    params = {"pred": ad.tensor(rng.normal(size=(1, 5)), requires_grad=True)}
+    return grad_check(lambda p: ad.squared_error(p["pred"], target), params, eps)
+
+
+def _check_cosine_error(eps: float) -> float:
+    rng = np.random.default_rng(28)
+    target = rng.normal(size=(1, 5))
+    params = {"pred": ad.tensor(rng.normal(size=(1, 5)), requires_grad=True)}
+    return grad_check(lambda p: ad.cosine_error(p["pred"], target, 2.5), params, eps)
+
+
+def _check_cumprod(eps: float) -> float:
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(2, 4))
+    x[0, 1] = 0.0   # an exact zero factor, as a hazard of 1 gives
+    probe = rng.normal(size=(2, 4))
+    params = {"x": ad.tensor(x, requires_grad=True)}
+    return grad_check(lambda p: _scalarize(ad.cumprod(p["x"]), probe), params, eps)
+
+
 def _check_nll_loss(eps: float) -> float:
     rng = np.random.default_rng(20)
     params = {"raw": ad.tensor(rng.normal(size=(1, 4)), requires_grad=True)}
@@ -223,6 +293,10 @@ def _check_end_to_end(eps: float) -> float:
 _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("linear", _check_linear),
     ("layer_norm", _check_layer_norm),
+    ("mean", _check_mean),
+    ("split_heads", _check_split_heads),
+    ("merge_heads", _check_merge_heads),
+    ("batched_matmul", _check_batched_matmul),
     ("mhca", _check_mhca),
     ("mhsa", _check_mhsa),
     ("ffn", _check_ffn),
@@ -230,6 +304,9 @@ _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("snn_head", _check_snn_head),
     ("mse_loss", _check_mse_loss),
     ("sce_loss", _check_sce_loss),
+    ("squared_error", _check_squared_error),
+    ("cosine_error", _check_cosine_error),
+    ("cumprod", _check_cumprod),
     ("nll_loss", _check_nll_loss),
     ("end_to_end", _check_end_to_end),
 )

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import ShapeError, Tensor
-from .blocks import (FfnParams, GatedAttentionParams, MhcaParams, MhsaParams,
+from .blocks import (FfnParams, GatedAttentionParams, MhcaParams,
                      SnnHeadParams, linear)
 from .errors import ConfigError
 
@@ -177,7 +177,7 @@ class SurvivalBranchParams:
     value_w: Tensor
     value_b: Tensor
     gate: GatedAttentionParams
-    mhsa: MhsaParams
+    mhsa: MhcaParams
     ffn: FfnParams
     comp_w: Tensor
     comp_b: Tensor
@@ -191,7 +191,7 @@ class SurvivalBranchParams:
         value_w, value_b = blocks.linear_params(rng, cfg.feature_dim, cfg.width)
         gate = GatedAttentionParams.init(rng, cfg.width)
         wide = cfg.survival_width
-        mhsa = MhsaParams.init(rng, wide, cfg.heads)
+        mhsa = MhcaParams.init(rng, wide, cfg.heads)
         ffn = FfnParams.init(rng, wide)
         comp_w, comp_b = blocks.linear_params(rng, wide, cfg.compress_width)
         comp_gain = ad.tensor(np.ones(cfg.compress_width), requires_grad=True)
@@ -425,22 +425,18 @@ def nll_loss(hazards: Tensor, interval: int, censor: int) -> Tensor:
     if censor not in (0, 1):
         raise ValueError(f"censor flag must be 0 or 1, got {censor}")
 
-    def log_at(t: Tensor) -> Tensor:
-        return ad.log(ad.clip_min(t, _CLAMP))
+    def log_at(t: Tensor, j: int) -> Tensor:
+        return ad.log(ad.clip_min(ad.narrow(t, 1, j, 1), _CLAMP))
 
-    def survival_to(j: int) -> Tensor:
-        prob = None
-        for t in range(j + 1):
-            keep = ad.sub(1.0, ad.narrow(hazards, 1, t, 1))
-            prob = keep if prob is None else ad.mul(prob, keep)
-        return prob
+    def log_survival(j: int) -> Tensor:
+        return log_at(ad.cumprod(ad.sub(1.0, hazards)), j)
 
     if censor == 1:
-        loss = ad.mul(log_at(survival_to(interval)), -1.0)
+        loss = ad.mul(log_survival(interval), -1.0)
     else:
-        loss = ad.mul(log_at(ad.narrow(hazards, 1, interval, 1)), -1.0)
+        loss = ad.mul(log_at(hazards, interval), -1.0)
         if interval > 0:
-            loss = ad.sub(loss, log_at(survival_to(interval - 1)))
+            loss = ad.sub(loss, log_survival(interval - 1))
     return ad.sum_(loss)
 
 
@@ -450,11 +446,7 @@ def mse_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray]) -> Tensor:
         raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
     total = None
     for pred, target in zip(recon, targets):
-        target = np.asarray(target, dtype=np.float64).reshape(1, -1)
-        if pred.shape != target.shape:
-            raise ShapeError(f"reconstruction {pred.shape} vs target {target.shape}")
-        err = ad.sub(pred, target)
-        term = ad.mean(ad.mul(err, err))
+        term = ad.squared_error(pred, np.reshape(target, (1, -1)))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, 1.0 / len(recon))
 
@@ -463,9 +455,9 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
              gamma: float = 2.0, diagnostics: dict | None = None) -> Tensor:
     """Scaled cosine error: mean over categories of (1 - cos)^gamma.
 
-    Zero-norm vectors are evaluated with the norm clamped at 1e-12; the
-    occurrence count lands in diagnostics["clamped_norms"] when a dict is
-    supplied.
+    Zero-norm vectors are evaluated with the norm clamped at 1e-12
+    (`autodiff.NORM_FLOOR`); the occurrence count lands in
+    diagnostics["clamped_norms"] when a dict is supplied.
     """
     if len(recon) != len(targets):
         raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
@@ -473,17 +465,10 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
     total = None
     for pred, target in zip(recon, targets):
         target = np.asarray(target, dtype=np.float64).reshape(1, -1)
-        target_norm = float(np.linalg.norm(target))
-        if target_norm < 1e-12:
-            target_norm = 1e-12
-            clamped += 1
-        pred_norm = ad.sqrt(ad.sum_(ad.mul(pred, pred)))
-        if float(pred_norm.values) < 1e-12:
-            clamped += 1
-        pred_norm = ad.clip_min(pred_norm, 1e-12)
-        cos = ad.div(ad.sum_(ad.mul(pred, target)),
-                     ad.mul(pred_norm, target_norm))
-        term = ad.power(ad.sub(1.0, cos), gamma)
+        for vector in (target, pred.values):
+            if np.linalg.norm(vector) < ad.NORM_FLOOR:
+                clamped += 1
+        term = ad.cosine_error(pred, target, gamma)
         total = term if total is None else ad.add(total, term)
     if diagnostics is not None:
         diagnostics["clamped_norms"] = diagnostics.get("clamped_norms", 0) + clamped

@@ -60,6 +60,71 @@ def test_matmul_rejects_non_2d():
 
 
 # ---------------------------------------------------------------------------
+# fused linear and batched heads
+# ---------------------------------------------------------------------------
+
+def test_linear_is_one_node_matching_matmul_plus_bias():
+    rng = np.random.default_rng(30)
+    x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+    out = ad.linear(tensor(x), tensor(w, requires_grad=True), tensor(b))
+    np.testing.assert_array_equal(out.values, x @ w + b)
+    assert all(parent._op == "leaf" for parent in out._parents)
+
+
+def test_linear_rejects_mismatched_bias():
+    with pytest.raises(ShapeError):
+        ad.linear(tensor(np.zeros((2, 3))), tensor(np.zeros((3, 4))),
+                  tensor(np.zeros(3)))
+
+
+def test_split_heads_takes_column_blocks_and_merge_inverts():
+    x = np.arange(12.0).reshape(2, 6)
+    split = ad.split_heads(tensor(x), 3)
+    assert split.shape == (3, 2, 2)
+    np.testing.assert_array_equal(split.values[1], x[:, 2:4])
+    np.testing.assert_array_equal(ad.merge_heads(split).values, x)
+    with pytest.raises(ShapeError):
+        ad.split_heads(tensor(x), 4)
+
+
+def test_batched_matmul_matches_per_slice_products():
+    rng = np.random.default_rng(31)
+    a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 5, 4))
+    out = ad.batched_matmul(tensor(a), tensor(b), transpose_b=True, scale=0.5)
+    for i in range(3):
+        np.testing.assert_allclose(out.values[i], 0.5 * a[i] @ b[i].T, rtol=1e-14)
+    with pytest.raises(ShapeError):
+        ad.batched_matmul(tensor(a), tensor(b))
+    with pytest.raises(ShapeError):
+        ad.batched_matmul(tensor(a[0]), tensor(b[0]), transpose_b=True)
+
+
+# ---------------------------------------------------------------------------
+# loss terms
+# ---------------------------------------------------------------------------
+
+def test_cumprod_gradient_through_an_exact_zero():
+    x0 = np.array([[0.5, 0.0, 2.0, 3.0]])
+    probe = np.array([[1.0, -2.0, 0.5, 0.25]])
+    x = tensor(x0, requires_grad=True)
+    np.testing.assert_array_equal(ad.cumprod(x).values, [[0.5, 0.0, 0.0, 0.0]])
+    grads = backward(ad.sum_(ad.mul(ad.cumprod(x), probe)))
+    numeric = fd_gradient(
+        lambda v: float((np.cumprod(v, axis=-1) * probe).sum()), x0.copy())
+    np.testing.assert_allclose(grads[x], numeric, atol=1e-8)
+
+
+def test_squared_and_cosine_error_values():
+    pred = tensor([[3.0, 4.0]])
+    np.testing.assert_allclose(ad.squared_error(pred, [[0.0, 4.0]]).values, 4.5)
+    np.testing.assert_allclose(ad.cosine_error(pred, [[4.0, -3.0]], 2.0).values, 1.0)
+    np.testing.assert_allclose(ad.cosine_error(pred, [[6.0, 8.0]], 2.0).values, 0.0,
+                               atol=1e-15)
+    with pytest.raises(ShapeError):
+        ad.squared_error(pred, [[1.0]])
+
+
+# ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
 

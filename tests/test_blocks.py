@@ -90,6 +90,41 @@ def test_mhca_score_head_selection():
         blocks.mhca_forward(params, queries, bag, score_head=2)
 
 
+def per_head_reference(params, queries, bag, score_head):
+    """Attention one head at a time in plain numpy."""
+    val = lambda t: t.values
+    heads = params.heads
+    dk = val(params.wq).shape[0] // heads
+    q = queries @ val(params.wq) + val(params.bq)
+    k = bag @ val(params.wk) + val(params.bk)
+    v = bag @ val(params.wv) + val(params.bv)
+    outputs, scores = [], []
+    for h in range(heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        s = q[:, cols] @ k[:, cols].T / np.sqrt(dk)
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        outputs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+        scores.append(s)
+    out = np.concatenate(outputs, axis=1) @ val(params.wo) + val(params.bo)
+    merged = np.mean(scores, axis=0) if score_head is None else scores[score_head]
+    return out, merged
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("pick_head", [False, True])
+def test_mhca_batched_heads_match_per_head_reference(heads, pick_head):
+    rng = np.random.default_rng(40 + heads)
+    params = make_mhca(rng, 8, heads)
+    queries = rng.normal(size=(3, 8))
+    bag = rng.normal(size=(7, 8))
+    score_head = heads - 1 if pick_head else None
+    out, scores = blocks.mhca_forward(params, tensor(queries), tensor(bag),
+                                      score_head=score_head)
+    ref_out, ref_scores = per_head_reference(params, queries, bag, score_head)
+    np.testing.assert_allclose(out.values, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores.values, ref_scores, rtol=0, atol=1e-12)
+
+
 def test_mhca_purity():
     rng = np.random.default_rng(5)
     params = make_mhca(rng, 8, 2)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -69,21 +72,53 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_rejects_unknown_config_key(tmp_path):
-    import json
-    import struct
-    model = toy_model()
-    path = tmp_path / "m.ghck"
-    save_checkpoint(path, model, np.array([1.0]))
+def rewrite_header(path, edit):
+    """Apply `edit` to the checkpoint's JSON header in place."""
     raw = path.read_bytes()
     prefix = struct.Struct("<4sII")
     magic, version, header_len = prefix.unpack_from(raw)
     header = json.loads(raw[prefix.size:prefix.size + header_len])
-    header["model_config"]["mystery_knob"] = 3
+    edit(header)
     new_header = json.dumps(header, sort_keys=True).encode()
     path.write_bytes(prefix.pack(magic, version, len(new_header))
                      + new_header + raw[prefix.size + header_len:])
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    model = toy_model()
+    path = tmp_path / "m.ghck"
+    save_checkpoint(path, model, np.array([1.0]))
+    rewrite_header(path, lambda h: h["model_config"].update(mystery_knob=3))
     with pytest.raises(CheckpointError, match="unknown model config keys"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop", [
+    lambda h: h.pop("model_config"),
+    lambda h: h.pop("entries"),
+    lambda h: h.pop("bin_boundaries"),
+    lambda h: h["entries"][0].pop("name"),
+    lambda h: h["entries"][0].pop("shape"),
+], ids=["model_config", "entries", "bin_boundaries", "entry.name", "entry.shape"])
+def test_checkpoint_missing_header_key_names_the_file(tmp_path, drop):
+    path = tmp_path / "m.ghck"
+    save_checkpoint(path, toy_model(), np.array([1.0]))
+    rewrite_header(path, drop)
+    with pytest.raises(CheckpointError, match="m.ghck"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda h: h.update(model_config=[1, 2]),
+    lambda h: h.update(entries=7),
+    lambda h: h["entries"][0].update(shape="wide"),
+    lambda h: h.update(bin_boundaries=["soon"]),
+], ids=["model_config", "entries", "entry.shape", "bin_boundaries"])
+def test_checkpoint_mistyped_header_value_names_the_file(tmp_path, corrupt):
+    path = tmp_path / "m.ghck"
+    save_checkpoint(path, toy_model(), np.array([1.0]))
+    rewrite_header(path, corrupt)
+    with pytest.raises(CheckpointError, match="m.ghck"):
         load_checkpoint(path)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from histodistill import autodiff as ad
 from histodistill import training as tr
 from histodistill.autodiff import tensor
 from histodistill.checkpoint import load_checkpoint
@@ -242,6 +243,33 @@ def test_train_model_full_model_rejects_missing_genes():
     with pytest.raises(ConfigError, match="no genomics"):
         train_model(model, stripped, np.arange(4), bins, config, None, None,
                     np.random.default_rng(0))
+
+
+def test_default_training_step_builds_at_most_192_tape_nodes(monkeypatch):
+    # One patient with a 64-patch bag under the default TrainConfig: forward,
+    # both losses, backward and the Adam step. Per-head attention loops and
+    # composite layer norms built 383 nodes here; fused primitives build 141.
+    cohort, _ = synth_generate(SynthConfig(n_patients=16, patch_range=(64, 64)),
+                               seed=0)
+    config = TrainConfig(epochs=1)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(),
+                                  config.n_bins)
+    every = np.arange(len(cohort))
+    scaler = GeneStandardizer.fit(tr._selected_expression(cohort, every, None))
+    model = build_model(config.model_config(cohort.feature_dim,
+                                            SynthConfig().gene_counts), seed=0)
+    made = []
+    make = ad._make
+
+    def counting_make(*args):
+        made.append(args[-1])
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    train_model(model, cohort, every[:1], bins, config, scaler, None,
+                np.random.default_rng(0))
+    assert cohort[0].bag.n_patches == 64
+    assert 0 < len(made) <= 192, sorted(set(made))
 
 
 # ---------------------------------------------------------------------------
