@@ -54,7 +54,7 @@ v = tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
 scores = ad.matmul(A, v)             # (3, 2)
 probs = ad.softmax(scores, axis=1)   # rows sum to one
-loss = ad.mean(ad.mul(probs, probs))
+loss = ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)   # mean
 
 print("\nloss:", loss.values)
 grads = backward(loss)
@@ -73,7 +73,7 @@ print("grad shapes:", grads[A].shape, grads[v].shape)
 def rebuild(params):
     scores = ad.matmul(params["A"], params["v"])
     probs = ad.softmax(scores, axis=1)
-    return ad.mean(ad.mul(probs, probs))
+    return ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)
 
 
 worst = ad.grad_check(rebuild, {"A": A, "v": v})
@@ -81,16 +81,18 @@ print("worst relative error across A and v:", worst)
 assert worst < 1e-6
 
 # ---------------------------------------------------------------------------
-# stop_gradient
+# detaching a value
 # ---------------------------------------------------------------------------
 
-# stop_gradient passes values through untouched but cuts the tape. The
-# survival branch uses the same trick for its top-k attention mask.
+# Re-wrapping `.values` gives a fresh leaf with the same numbers and no
+# tape behind it, so no gradient can flow back through it. The model's
+# association scores leave cross-attention as a plain array in the same
+# way, and the survival branch builds its top-k mask from that array.
 
 ad.zero_grads([A, v])
-frozen = ad.stop_gradient(ad.matmul(A, v))
+frozen = tensor(ad.matmul(A, v).values)
 leaked = backward(ad.sum_(ad.mul(frozen, frozen)))
-print("\ngrad reaching A through stop_gradient:", leaked.get(A))
+print("\ngrad reaching A through the detached copy:", leaked.get(A))
 
 with ad.no_grad():
     silent = ad.matmul(A, v)

@@ -55,12 +55,12 @@ print("token self-attention output:", mixed.shape)
 # over the survivors; everything else becomes an exact zero.
 
 for k in (20.0, 50.0, 100.0):
-    masked = topk_masked_softmax(scores.values, k)
+    masked = topk_masked_softmax(scores, k)
     kept = np.count_nonzero(masked, axis=1)
     print(f"k = {k:5.1f}%  ->  {kept[0]} of {n_patches} patches per row, "
           f"row sums {masked.sum(axis=1)}")
 
-masked = topk_masked_softmax(scores.values, 50.0)
+masked = topk_masked_softmax(scores, 50.0)
 print("\nmasked matrix at k=50 (zeros are structural):")
 print(np.round(masked, 3))
 

@@ -5,91 +5,4 @@ the bag, and the resulting token/patch association scores steer a
 hyper-attention survival head. Inference needs only the bag.
 """
 
-from . import autodiff, blocks, gradcheck, stats
-from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
-from .datasets import (CATEGORY_NAMES, Cohort, GenomicProfile, PatchBag,
-                       Patient, PlantedTruth, SurvivalLabel, SynthConfig,
-                       assign_bins, discretize_survival, make_folds,
-                       synth_generate)
-from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     TrainingError, UndefinedResultError)
-from .geneselect import (GeneSelection, RiskGroups, bh_adjust,
-                         differential_select, split_risk_groups, welch_t)
-from .io import load_cohort, read_bag, write_bag, write_cohort
-from .model import (ForwardResult, HazardOutput, ModelConfig, ModelParams,
-                    build_model, model_forward, mse_loss, nll_loss, predict,
-                    reconstruction_loss, risk_score, sce_loss, survival_curve,
-                    topk_masked_softmax, total_loss)
-from .stats import (KmCurve, SpearmanReport, c_index, km_curve, log_rank,
-                    spearman, spearman_report, split_by_median_risk)
-from .training import (TrainConfig, cross_validate, evaluate,
-                       export_associations, run_fold, sweep_k, train_model)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CATEGORY_NAMES",
-    "CheckpointData",
-    "CheckpointError",
-    "Cohort",
-    "ConfigError",
-    "DataFormatError",
-    "ForwardResult",
-    "GeneSelection",
-    "GenomicProfile",
-    "HazardOutput",
-    "KmCurve",
-    "ModelConfig",
-    "ModelParams",
-    "PatchBag",
-    "Patient",
-    "PlantedTruth",
-    "RiskGroups",
-    "SpearmanReport",
-    "SurvivalLabel",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainingError",
-    "UndefinedResultError",
-    "assign_bins",
-    "autodiff",
-    "bh_adjust",
-    "blocks",
-    "build_model",
-    "c_index",
-    "cross_validate",
-    "differential_select",
-    "discretize_survival",
-    "evaluate",
-    "export_associations",
-    "gradcheck",
-    "km_curve",
-    "load_checkpoint",
-    "load_cohort",
-    "log_rank",
-    "make_folds",
-    "model_forward",
-    "mse_loss",
-    "nll_loss",
-    "predict",
-    "read_bag",
-    "reconstruction_loss",
-    "risk_score",
-    "run_fold",
-    "save_checkpoint",
-    "sce_loss",
-    "spearman",
-    "spearman_report",
-    "split_by_median_risk",
-    "split_risk_groups",
-    "stats",
-    "survival_curve",
-    "sweep_k",
-    "synth_generate",
-    "topk_masked_softmax",
-    "total_loss",
-    "train_model",
-    "welch_t",
-    "write_bag",
-    "write_cohort",
-]

@@ -2,11 +2,13 @@
 
 Covers exactly the operations the attention architecture needs: matmul,
 broadcast arithmetic, softmax, the usual activations, slicing/concatenation,
-stop_gradient, and a finite-difference gradient checker. Composites that run
-many times per training step are single nodes with closed-form backwards:
-the affine map, layer normalization, head split/merge with batched matmul,
-the two reconstruction error terms, and the running product of survival. Tensors are immutable during an active forward/backward pass;
-the optimizer mutates leaf values between passes via `assign_`.
+and a finite-difference gradient checker. Composites that run many times
+per training step are single nodes with closed-form backwards: the affine
+map, layer normalization, head split/merge with batched matmul, the two
+reconstruction error terms, and the running product of survival. A value
+that must not carry gradient leaves the tape as a plain array. Tensors are
+immutable during an active forward/backward pass; the optimizer mutates
+leaf values between passes via `assign_`.
 """
 
 from __future__ import annotations
@@ -282,33 +284,16 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
 # reductions and shape ops
 # ---------------------------------------------------------------------------
 
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None,
-            keepdims: bool) -> np.ndarray:
-    """Broadcast the gradient of a reduction back over the reduced input."""
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
 def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     out_values = x.values.sum(axis=axis, keepdims=keepdims)
 
     def backward_fn(g):
-        _accumulate(x, _spread(g, x.shape, axis, keepdims))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _make(out_values, (x,), backward_fn, "sum")
-
-
-def mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    scale = 1.0 / (x.values.size if axis is None else x.shape[axis])
-    out_values = x.values.sum(axis=axis, keepdims=keepdims) * scale
-
-    def backward_fn(g):
-        _accumulate(x, _spread(g * scale, x.shape, axis, keepdims))
-
-    return _make(out_values, (x,), backward_fn, "mean")
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -496,12 +481,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out_values, (x, gain, bias), backward_fn, "layer_norm")
 
 
-def stop_gradient(x: Tensor) -> Tensor:
-    """Identity on values; backward contributes nothing upstream."""
-    x = _as_tensor(x)
-    return Tensor(x.values.copy())
-
-
 # ---------------------------------------------------------------------------
 # survival and reconstruction loss terms
 # ---------------------------------------------------------------------------
@@ -550,7 +529,8 @@ def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
     """(1 - cos(pred, target))^gamma; `target` is a constant.
 
     Both norms are clamped below at NORM_FLOOR, so a zero vector scores
-    cos = 0; no gradient flows through a clamped prediction norm.
+    cos = 0. While the prediction norm is clamped the term contributes no
+    gradient at all; its forward value is unchanged.
     """
     pred = _as_tensor(pred)
     target = np.asarray(target, dtype=np.float64)
@@ -565,12 +545,12 @@ def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
     out_values = gap ** gamma
 
     def backward_fn(g):
+        # Below the floor, 1/denom would scale the gradient by 1/NORM_FLOOR.
+        if pred_norm <= NORM_FLOOR:
+            return
         g_cos = -g * gamma * gap ** (gamma - 1.0)
-        grad = (g_cos / denom) * target
-        if pred_norm > NORM_FLOOR:
-            g_norm = -g_cos * dot / (denom * denom) * target_norm
-            grad = grad + (g_norm / pred_norm) * p
-        _accumulate(pred, grad)
+        g_norm = -g_cos * dot / (denom * denom) * target_norm
+        _accumulate(pred, (g_cos / denom) * target + (g_norm / pred_norm) * p)
 
     return _make(out_values, (pred,), backward_fn, "cosine_error")
 

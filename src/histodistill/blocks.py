@@ -75,11 +75,12 @@ def _attend(params: MhcaParams, queries: Tensor,
 
 
 def mhca_forward(params: MhcaParams, queries: Tensor, bag: Tensor,
-                 score_head: int | None = None) -> tuple[Tensor, Tensor]:
+                 score_head: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Cross-attention of query rows over the patch bag.
 
     Returns the attended-and-projected output together with the pre-softmax
-    score matrix (head-averaged unless `score_head` picks one head).
+    score matrix (head-averaged unless `score_head` picks one head). The
+    scores are a plain array: no gradient can flow back through them.
     """
     if bag.shape[0] < 1:
         raise ShapeError("cross-attention needs at least one patch")
@@ -88,8 +89,8 @@ def mhca_forward(params: MhcaParams, queries: Tensor, bag: Tensor,
                          f"{params.heads} heads")
     out, scores = _attend(params, queries, bag)
     if score_head is None:
-        return out, ad.mean(scores, axis=0)
-    return out, ad.reshape(ad.narrow(scores, 0, score_head, 1), scores.shape[1:])
+        return out, scores.values.sum(axis=0) * (1.0 / params.heads)
+    return out, scores.values[score_head].copy()
 
 
 def mhsa_forward(params: MhcaParams, x: Tensor) -> Tensor:

@@ -9,8 +9,8 @@ truth is returned alongside the cohort so tests can score recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class GenomicProfile:
 class SurvivalLabel:
     time_months: float
     censor: int                 # 0 = event observed, 1 = censored
-    bin_index: int | None = None
 
     def __post_init__(self):
         self.time_months = float(self.time_months)
@@ -186,12 +185,6 @@ def assign_bins(times: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Right-open interval index per time; boundary times go right."""
     return np.searchsorted(boundaries, np.asarray(times, dtype=np.float64),
                            side="right").astype(np.int64)
-
-
-def apply_bins(cohort: Cohort, boundaries: np.ndarray) -> None:
-    bins = assign_bins(cohort.times(), boundaries)
-    for patient, b in zip(cohort.patients, bins):
-        patient.label.bin_index = int(b)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,6 @@ class GeneSelection:
     def retained_sizes(self) -> tuple[int, ...]:
         return tuple(len(c.retained) for c in self.categories)
 
-    def retained_indices(self) -> tuple[np.ndarray, ...]:
-        return tuple(c.retained for c in self.categories)
-
 
 def _retain_all(sizes: Sequence[int], midpoint: float) -> GeneSelection:
     cats = tuple(

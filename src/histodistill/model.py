@@ -10,7 +10,7 @@ the training losses; inference consumes the bag alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -130,7 +130,7 @@ class GatedAssocBranchParams:
 class AssocOutput:
     first_pass: Tensor | None     # token features after round one
     features: Tensor              # final per-category features (N_g, width)
-    scores: Tensor                # pre-softmax association scores (N_g, N_p)
+    scores: np.ndarray            # pre-softmax association scores (N_g, N_p)
     recon: tuple[Tensor, ...]     # per-category reconstructions, each (1, len)
 
 
@@ -160,9 +160,9 @@ def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor) -> AssocOut
         raw = blocks.gated_attention_scores(gate, proj)      # (N_p, 1)
         weights = ad.softmax(raw, axis=0)
         feature_rows.append(ad.matmul(ad.transpose(weights), proj))
-        score_rows.append(ad.transpose(raw))
+        score_rows.append(raw.values.T)
     features = ad.concat(feature_rows, axis=0)
-    scores = ad.concat(score_rows, axis=0)
+    scores = np.concatenate(score_rows, axis=0)
     recon = tuple(blocks.snn_forward(head, ad.narrow(features, 0, i, 1))
                   for i, head in enumerate(params.heads))
     return AssocOutput(None, features, scores, recon)
@@ -271,7 +271,7 @@ class SurvivalDiagnostics:
     fused: np.ndarray
 
 
-def survival_forward(params: SurvivalBranchParams, bag: Tensor, scores: Tensor,
+def survival_forward(params: SurvivalBranchParams, bag: Tensor, scores: np.ndarray,
                      features: Tensor | None, cfg: ModelConfig,
                      masked_assoc: np.ndarray | None = None,
                      ) -> tuple[Tensor, SurvivalDiagnostics]:
@@ -283,7 +283,7 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, scores: Tensor,
     """
     proj = linear(bag, params.value_w, params.value_b)
     if masked_assoc is None:
-        masked_assoc = topk_masked_softmax(scores.values, cfg.k_percent)
+        masked_assoc = topk_masked_softmax(scores, cfg.k_percent)
     if cfg.assoc_only:
         morph = None
         fused = ad.tensor(masked_assoc)
@@ -353,7 +353,7 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
 class ForwardResult:
     hazards: Tensor                        # (1, B)
     recon: tuple[Tensor, ...] | None
-    assoc_scores: Tensor | None
+    assoc_scores: np.ndarray | None
     diagnostics: SurvivalDiagnostics | None
 
 
@@ -456,7 +456,8 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
     """Scaled cosine error: mean over categories of (1 - cos)^gamma.
 
     Zero-norm vectors are evaluated with the norm clamped at 1e-12
-    (`autodiff.NORM_FLOOR`); the occurrence count lands in
+    (`autodiff.NORM_FLOOR`), and a category whose prediction is clamped
+    adds no gradient; the occurrence count lands in
     diagnostics["clamped_norms"] when a dict is supplied.
     """
     if len(recon) != len(targets):

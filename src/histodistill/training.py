@@ -36,7 +36,6 @@ SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 class TrainConfig:
     lr: float = 2e-4
     epochs: int = 20
-    batch_size: int = 1
     accumulation: int = 32
     alpha: float = 0.3
     k_percent: float = 20.0
@@ -59,9 +58,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.epochs < 1 or self.accumulation < 1:
             raise ConfigError("lr, epochs, and accumulation must be positive")
-        if self.batch_size != 1:
-            raise ConfigError("only batch_size 1 is supported (bags are ragged); "
-                              "use accumulation for larger effective batches")
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
         if self.n_folds < 2:
@@ -540,7 +536,7 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
         raise ConfigError("a baseline checkpoint has no association matrix")
     with ad.no_grad():
         result = model_forward(model, bag_features)
-    scores = result.assoc_scores.values
+    scores = result.assoc_scores
     masked = topk_masked_softmax(scores, model.config.k_percent)
     names = ckpt.category_names or [f"category_{c}" for c in range(scores.shape[0])]
     with open(path, "w", newline="") as fh:

@@ -249,36 +249,6 @@ def test_layer_norm_gradient():
 
 
 # ---------------------------------------------------------------------------
-# stop_gradient
-# ---------------------------------------------------------------------------
-
-def test_stop_gradient_identity_on_values():
-    x = tensor([[1.0, -2.0]], requires_grad=True)
-    np.testing.assert_array_equal(ad.stop_gradient(x).values, x.values)
-
-
-def test_stop_gradient_product_rule():
-    # d/dx of x * frozen(x) at x=3 is 3, not 6
-    x = tensor(3.0, requires_grad=True)
-    grads = backward(ad.mul(x, ad.stop_gradient(x)))
-    np.testing.assert_allclose(grads[x], 3.0)
-
-
-def test_stop_gradient_contributes_bitwise_zero():
-    rng = np.random.default_rng(5)
-    x0 = rng.normal(size=4)
-
-    x = tensor(x0, requires_grad=True)
-    base = backward(ad.sum_(ad.mul(x, x)))[x].copy()
-
-    # adding a term that reaches x only through stop_gradient changes nothing
-    x = tensor(x0, requires_grad=True)
-    loss = ad.add(ad.sum_(ad.mul(x, x)),
-                  ad.sum_(ad.mul(ad.stop_gradient(x), 2.0)))
-    np.testing.assert_array_equal(backward(loss)[x], base)
-
-
-# ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
 

@@ -64,7 +64,7 @@ def test_mhca_hand_scores_identity_projections():
     q0 = rng.normal(size=(2, width))
     b0 = rng.normal(size=(3, width))
     _, scores = blocks.mhca_forward(params, tensor(q0), tensor(b0))
-    np.testing.assert_allclose(scores.values, q0 @ b0.T / np.sqrt(width),
+    np.testing.assert_allclose(scores, q0 @ b0.T / np.sqrt(width),
                                rtol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_mhca_score_head_selection():
     _, merged = blocks.mhca_forward(params, queries, bag)
     _, h0 = blocks.mhca_forward(params, queries, bag, score_head=0)
     _, h1 = blocks.mhca_forward(params, queries, bag, score_head=1)
-    np.testing.assert_allclose(merged.values, (h0.values + h1.values) / 2,
+    np.testing.assert_allclose(merged, (h0 + h1) / 2,
                                rtol=1e-12)
     with pytest.raises(ShapeError):
         blocks.mhca_forward(params, queries, bag, score_head=2)
@@ -122,7 +122,7 @@ def test_mhca_batched_heads_match_per_head_reference(heads, pick_head):
                                       score_head=score_head)
     ref_out, ref_scores = per_head_reference(params, queries, bag, score_head)
     np.testing.assert_allclose(out.values, ref_out, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(scores.values, ref_scores, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
 
 
 def test_mhca_purity():
@@ -133,7 +133,7 @@ def test_mhca_purity():
     a, sa = blocks.mhca_forward(params, queries, bag)
     b, sb = blocks.mhca_forward(params, queries, bag)
     np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(sa.values, sb.values)
+    np.testing.assert_array_equal(sa, sb)
 
 
 def test_mhca_patch_permutation_permutes_score_columns():
@@ -145,7 +145,7 @@ def test_mhca_patch_permutation_permutes_score_columns():
     out_a, scores_a = blocks.mhca_forward(params, queries, tensor(bag))
     out_b, scores_b = blocks.mhca_forward(params, queries, tensor(bag[perm]))
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-12)
-    np.testing.assert_allclose(scores_a.values[:, perm], scores_b.values,
+    np.testing.assert_allclose(scores_a[:, perm], scores_b,
                                atol=1e-12)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from histodistill.datasets import (CATEGORY_NAMES, Cohort, GenomicProfile,
                                    PatchBag, Patient, SurvivalLabel,
-                                   SynthConfig, apply_bins, assign_bins,
+                                   SynthConfig, assign_bins,
                                    discretize_survival, make_folds,
                                    synth_generate)
 from histodistill.datasets import _solve_censor_rate
@@ -46,7 +46,7 @@ def test_genomic_profile_flattens_and_checks():
 
 def test_survival_label_validation():
     label = SurvivalLabel(12, 0)
-    assert label.time_months == 12.0 and label.bin_index is None
+    assert label.time_months == 12.0
     with pytest.raises(DataFormatError):
         SurvivalLabel(0.0, 0)
     with pytest.raises(DataFormatError):
@@ -108,12 +108,6 @@ def test_assign_bins_boundary_goes_right():
     times = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 7.0])
     np.testing.assert_array_equal(assign_bins(times, boundaries),
                                   [0, 1, 1, 2, 3, 3])
-
-
-def test_apply_bins_mutates_labels():
-    cohort = tiny_cohort([1.0, 5.0, 9.0], [0, 0, 0])
-    apply_bins(cohort, np.array([4.0, 8.0]))
-    assert [p.label.bin_index for p in cohort] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

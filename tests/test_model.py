@@ -36,7 +36,7 @@ def test_assoc_duplicated_patches_leave_features_unchanged():
     b = gm.assoc_forward(model.assoc, tensor(doubled))
     np.testing.assert_allclose(a.features.values, b.features.values, atol=1e-12)
     # scores are per patch, so the block just repeats
-    np.testing.assert_allclose(b.scores.values, np.tile(a.scores.values, (1, 2)),
+    np.testing.assert_allclose(b.scores, np.tile(a.scores, (1, 2)),
                                atol=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
     out = gm.assoc_forward(params, tensor(bag))
     proj = tensor(bag) @ params.in_w + params.in_b
     _, direct_scores = blocks.mhca_forward(params.mhca, params.tokens, proj)
-    np.testing.assert_allclose(out.scores.values, direct_scores.values,
+    np.testing.assert_allclose(out.scores, direct_scores,
                                atol=1e-12)
 
 
@@ -65,7 +65,7 @@ def test_assoc_score_columns_permute_with_patches():
     perm = rng.permutation(6)
     a = gm.assoc_forward(model.assoc, tensor(bag))
     b = gm.assoc_forward(model.assoc, tensor(bag[perm]))
-    np.testing.assert_allclose(a.scores.values[:, perm], b.scores.values,
+    np.testing.assert_allclose(a.scores[:, perm], b.scores,
                                atol=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_shared_mhca_parameters_drive_both_rounds():
     after = gm.assoc_forward(model.assoc, tensor(bag))
     # round one moved (features depend on it) and so did round-two scores
     assert not np.allclose(before.first_pass.values, after.first_pass.values)
-    assert not np.allclose(before.scores.values, after.scores.values)
+    assert not np.allclose(before.scores, after.scores)
 
 
 def test_parameter_census_matches_shared_configuration():
@@ -316,6 +316,18 @@ def test_sce_zero_norm_is_clamped_and_flagged():
     assert diagnostics.get("clamped_norms", 0) >= 1
 
 
+@pytest.mark.parametrize("pred", [np.zeros((1, 3)), np.full((1, 3), 1e-13)])
+def test_clamped_prediction_norm_adds_no_cosine_gradient(pred):
+    # at a clamped norm 1/denom would scale the cosine gradient by ~1e12
+    t = [np.array([1.0, 2.0, 2.0])]
+    x = tensor(pred, requires_grad=True)
+    grad = backward(gm.reconstruction_loss([x], t, gamma=2.0))[x]
+    x_mse = tensor(pred, requires_grad=True)
+    mse_grad = backward(gm.mse_loss([x_mse], t))[x_mse]
+    assert np.all(np.isfinite(grad))
+    np.testing.assert_array_equal(grad, mse_grad)
+
+
 def test_sce_bounded():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -367,6 +379,7 @@ def test_masked_association_path_carries_no_gradient():
     model = gm.build_model(small_config(cut_bridge=True), seed=17)
     bag = np.random.default_rng(17).normal(size=(5, 8))
     result = gm.model_forward(model, bag)
+    assert isinstance(result.assoc_scores, np.ndarray)
     grads = backward(gm.nll_loss(result.hazards, 1, 0))
     for name, p in model.assoc.named_tensors("assoc"):
         g = grads.get(p)
@@ -401,6 +414,7 @@ def test_gated_recon_variant_shapes():
     bag = np.random.default_rng(20).normal(size=(6, 8))
     result = gm.model_forward(model, bag)
     assert result.hazards.shape == (1, 3)
+    assert isinstance(result.assoc_scores, np.ndarray)
     assert result.assoc_scores.shape == (2, 6)
     assert [r.shape for r in result.recon] == [(1, 3), (1, 2)]
 
