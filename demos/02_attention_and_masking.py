@@ -12,7 +12,8 @@ import numpy as np
 
 from histodistill import autodiff as ad
 from histodistill.autodiff import tensor
-from histodistill.blocks import MhcaParams, init_tokens, linear, linear_params, mhsa_forward, mhca_forward
+from histodistill.blocks import (MhcaParams, PatchLayout, init_tokens, linear, linear_params,
+                                 mhca_forward, mhsa_forward, patch_keys)
 from histodistill.model import topk_masked_softmax
 
 rng = np.random.default_rng(11)
@@ -36,8 +37,12 @@ print("tokens:", tokens.shape)
 # cross-attention: tokens query the bag
 # ---------------------------------------------------------------------------
 
+# keys and values are projected once per bag; both association rounds
+# reuse them. Scores come back per bag, so take bag 0 of this one-bag stack.
 mhca = MhcaParams.init(rng, width, heads)
-out, scores = mhca_forward(mhca, tokens, projected)
+keys = patch_keys(mhca, projected, PatchLayout.of([n_patches]))
+out, stacked_scores = mhca_forward(mhca, tokens, keys)
+scores = stacked_scores[0]
 print("\ncross-attention output:", out.shape, " scores:", scores.shape)
 
 weights = ad.softmax(scores, axis=1).values
@@ -46,6 +51,21 @@ print("attention rows sum to:", weights.sum(axis=1))
 # self-attention over the tokens reuses the same parameter layout
 mixed = mhsa_forward(MhcaParams.init(rng, width, heads), out)
 print("token self-attention output:", mixed.shape)
+
+# ---------------------------------------------------------------------------
+# a ragged stack: several bags in one pass
+# ---------------------------------------------------------------------------
+
+# Training packs consecutive patients' patch rows one bag after another and
+# pads them per bag; the patch mask gives pads exactly zero attention.
+second_bag = tensor(rng.normal(size=(4, feature_dim)))
+packed = linear(tensor(np.concatenate([bag.values, second_bag.values])), w_in, b_in)
+layout = PatchLayout.of([n_patches, 4])
+both, both_scores = mhca_forward(mhca, tokens, patch_keys(mhca, packed, layout))
+print("\nstack of bags with", layout.lengths, "patches: output", both.shape,
+      " scores", both_scores.shape)
+print("bag 0 output matches its own pass:", np.allclose(both.values[:n_tokens], out.values))
+print("pad columns of bag 1's scores:", both_scores[1, 0, 4:])
 
 # ---------------------------------------------------------------------------
 # the top-k masked softmax

@@ -1,14 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Covers exactly the operations the attention architecture needs: matmul,
-broadcast arithmetic, softmax, the usual activations, slicing/concatenation,
-and a finite-difference gradient checker. Composites that run many times
-per training step are single nodes with closed-form backwards: the affine
-map, layer normalization, head split/merge with batched matmul, the two
-reconstruction error terms, and the running product of survival. A value
-that must not carry gradient leaves the tape as a plain array. Tensors are
-immutable during an active forward/backward pass; the optimizer mutates
-leaf values between passes via `assign_`.
+broadcast arithmetic, softmax, the usual activations, concatenation and
+row gathering, and a finite-difference gradient checker. Composites that
+run many times per training step are single nodes with closed-form
+backwards: the affine map, layer normalization, head split/merge with
+batched matmul, the row gather that pads a stack of bags, the masked
+softmax over padded patches, the two row-wise reconstruction error terms,
+and the running product of survival. A value that must not carry gradient
+leaves the tape as a plain array. Tensors are immutable during an active
+forward/backward pass, and no backward function writes into the gradient
+it is handed; the optimizer mutates leaf values between passes via
+`assign_`.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _as_tensor(x) -> Tensor:
 
 def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
     out.values = values
@@ -150,7 +153,7 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(grad, dtype=np.float64, copy=True)
+        t.grad = grad           # never written in place, so it can be shared
     else:
         t.grad = t.grad + grad
 
@@ -221,14 +224,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
     x = _as_tensor(x)
-    if x.values.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {x.shape}")
+    if x.values.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 axes, got {x.shape}")
 
     def backward_fn(g):
-        _accumulate(x, g.T)
+        _accumulate(x, g.swapaxes(-1, -2))
 
-    return _make(x.values.T.copy(), (x,), backward_fn, "transpose")
+    return _make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -252,30 +256,39 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                    scale: float = 1.0) -> Tensor:
-    """scale * (a[i] @ b[i]) for each i of two stacks of matrices.
+    """scale * (a[i] @ b[i]) over the leading axes of two stacks of matrices.
 
-    Both operands are 3-d with equal leading extents; `transpose_b` uses
-    each b[i].T instead of b[i].
+    Both operands have the same rank, at least 3; a leading extent of 1
+    broadcasts against the other operand's. `transpose_b` uses the
+    transpose of each matrix of b.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 3 or b.values.ndim != 3 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"batched_matmul needs 3-d operands with equal leading "
-                         f"extents, got {a.shape} and {b.shape}")
+    if a.values.ndim < 3 or b.values.ndim != a.values.ndim:
+        raise ShapeError(f"batched_matmul needs operands of equal rank >= 3, "
+                         f"got {a.shape} and {b.shape}")
     # A transposed operand is copied first: BLAS can round a product with a
     # transposed view differently, and the copy keeps each slice bit-equal
     # to `matmul` on the same two matrices.
-    b_mat = (np.ascontiguousarray(b.values.transpose(0, 2, 1)) if transpose_b
+    b_mat = (np.ascontiguousarray(b.values.swapaxes(-1, -2)) if transpose_b
              else b.values)
-    if a.shape[2] != b_mat.shape[1]:
-        raise ShapeError(f"batched_matmul inner extents differ: {a.shape} vs "
-                         f"{b.shape} (transpose_b={transpose_b})")
-    out_values = (a.values @ b_mat) * scale
+    try:
+        out_values = a.values @ b_mat
+    except ValueError as err:
+        raise ShapeError(f"batched_matmul operands do not chain: {a.shape} vs "
+                         f"{b.shape} (transpose_b={transpose_b})") from err
+    if scale != 1.0:
+        out_values *= scale
 
     def backward_fn(g):
-        g = g * scale
-        _accumulate(a, g @ b_mat.transpose(0, 2, 1))
-        grad_b = a.values.transpose(0, 2, 1) @ g
-        _accumulate(b, grad_b.transpose(0, 2, 1) if transpose_b else grad_b)
+        if scale != 1.0:
+            g = g * scale
+        # Reads b, not b_mat, so the transposed copy is freed after the forward.
+        b_back = b.values if transpose_b else b.values.swapaxes(-1, -2)
+        _accumulate(a, _unbroadcast(g @ b_back, a.shape))
+        grad_b = a.values.swapaxes(-1, -2) @ g
+        if transpose_b:
+            grad_b = grad_b.swapaxes(-1, -2)
+        _accumulate(b, _unbroadcast(grad_b, b.shape))
 
     return _make(out_values, (a, b), backward_fn, "batched_matmul")
 
@@ -323,49 +336,64 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     return _make(out_values, tuple(parts), backward_fn, "concat")
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Slice `length` extents along `axis` starting at `start`."""
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of x picked by an integer array; a negative index picks a zero row.
+
+    The result has shape index.shape + x.shape[1:]. Each row of x may be
+    picked at most once, so the backward is a plain scatter. Padding a
+    stack of bags and picking one category's row from every bag are both
+    such gathers.
+    """
     x = _as_tensor(x)
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeError(f"narrow [{start}:{start + length}] out of range for "
-                         f"axis {axis} of shape {x.shape}")
-    index = [slice(None)] * x.values.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out_values = x.values[index].copy()
+    index = np.asarray(index)
+    pads = index < 0
+    try:
+        out_values = x.values.take(index, axis=0)
+    except IndexError as err:
+        raise ShapeError(f"gather index out of range for shape {x.shape}") from err
+    if pads.any():
+        out_values[pads] = 0.0
 
     def backward_fn(g):
-        full = np.zeros(x.shape, dtype=np.float64)
+        # One spare last row takes every pad's gradient and is dropped.
+        full = np.zeros((x.shape[0] + 1,) + x.shape[1:], dtype=np.float64)
         full[index] = g
-        _accumulate(x, full)
+        _accumulate(x, full[:-1])
 
-    return _make(out_values, (x,), backward_fn, "narrow")
+    return _make(out_values, (x,), backward_fn, "gather_rows")
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(n, heads * d) -> (heads, n, d): column block h becomes slice h."""
+def split_heads(x: Tensor, heads: int, batch: int = 1) -> Tensor:
+    """(batch * n, heads * d) -> (batch, heads, n, d).
+
+    Rows come in `batch` consecutive blocks of n; column block h of block b
+    becomes slice [b, h].
+    """
     x = _as_tensor(x)
-    if x.values.ndim != 2 or heads < 1 or x.shape[1] % heads != 0:
-        raise ShapeError(f"cannot split shape {x.shape} into {heads} heads")
-    n, width = x.shape
-    out_values = x.values.reshape(n, heads, width // heads).transpose(1, 0, 2)
+    if (x.values.ndim != 2 or heads < 1 or batch < 1 or x.shape[1] % heads != 0
+            or x.shape[0] % batch != 0):
+        raise ShapeError(f"cannot split shape {x.shape} into {batch} blocks "
+                         f"of {heads} heads")
+    rows, width = x.shape
+    out_values = x.values.reshape(batch, rows // batch, heads,
+                                  width // heads).transpose(0, 2, 1, 3)
 
     def backward_fn(g):
-        _accumulate(x, g.transpose(1, 0, 2).reshape(n, width))
+        _accumulate(x, g.transpose(0, 2, 1, 3).reshape(rows, width))
 
     return _make(out_values, (x,), backward_fn, "split_heads")
 
 
 def merge_heads(x: Tensor) -> Tensor:
-    """(heads, n, d) -> (n, heads * d); the inverse of split_heads."""
+    """(batch, heads, n, d) -> (batch * n, heads * d); the inverse of split_heads."""
     x = _as_tensor(x)
-    if x.values.ndim != 3:
-        raise ShapeError(f"merge_heads needs a 3-d tensor, got {x.shape}")
-    heads, n, d = x.shape
-    out_values = x.values.transpose(1, 0, 2).reshape(n, heads * d)
+    if x.values.ndim != 4:
+        raise ShapeError(f"merge_heads needs a 4-d tensor, got {x.shape}")
+    batch, heads, n, d = x.shape
+    out_values = x.values.transpose(0, 2, 1, 3).reshape(batch * n, heads * d)
 
     def backward_fn(g):
-        _accumulate(x, g.reshape(n, heads, d).transpose(1, 0, 2))
+        _accumulate(x, g.reshape(batch, n, heads, d).transpose(0, 2, 1, 3))
 
     return _make(out_values, (x,), backward_fn, "merge_heads")
 
@@ -388,6 +416,27 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         _accumulate(x, y * (g - dot))
 
     return _make(y, (x,), backward_fn, "softmax")
+
+
+def masked_softmax(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
+    """Softmax along `axis` over the entries where `mask` is True.
+
+    `mask` broadcasts against x and leaves at least one True entry in
+    every slice. Masked-out entries get exactly zero weight, and so
+    exactly zero gradient; on an all-True mask the values equal `softmax`.
+    """
+    x = _as_tensor(x)
+    if not -x.values.ndim <= axis < x.values.ndim:
+        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
+    kept = np.where(mask, x.values, -np.inf)
+    e = np.exp(kept - kept.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        _accumulate(x, y * (g - dot))
+
+    return _make(y, (x,), backward_fn, "masked_softmax")
 
 
 def log(x: Tensor) -> Tensor:
@@ -425,8 +474,8 @@ def elu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     v = x.values
-    y = np.where(v >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                 np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    y = np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward_fn(g):
         _accumulate(x, g * y * (1.0 - y))
@@ -506,14 +555,23 @@ def cumprod(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "cumprod")
 
 
-def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean of (pred - target)^2 over all entries; `target` is a constant."""
+def _row_operands(pred, target, op: str) -> tuple[Tensor, np.ndarray]:
     pred = _as_tensor(pred)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"squared_error operands differ: {pred.shape} vs {target.shape}")
+    if pred.values.ndim != 2 or pred.shape != target.shape:
+        raise ShapeError(f"{op} needs equal 2-d operands, got {pred.shape} vs "
+                         f"{target.shape}")
+    return pred, target
+
+
+def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Sum over rows of the row's mean of (pred - target)^2.
+
+    Both operands are (rows, n); `target` is a constant.
+    """
+    pred, target = _row_operands(pred, target, "squared_error")
     err = pred.values - target
-    scale = 1.0 / err.size
+    scale = 1.0 / err.shape[1]
     out_values = (err * err).sum() * scale
 
     def backward_fn(g):
@@ -526,31 +584,29 @@ NORM_FLOOR = 1e-12
 
 
 def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
-    """(1 - cos(pred, target))^gamma; `target` is a constant.
+    """Sum over rows of (1 - cos(pred row, target row))^gamma.
 
-    Both norms are clamped below at NORM_FLOOR, so a zero vector scores
-    cos = 0. While the prediction norm is clamped the term contributes no
-    gradient at all; its forward value is unchanged.
+    Both operands are (rows, n); `target` is a constant. Every norm is
+    clamped below at NORM_FLOOR, so a zero row scores cos = 0. A row whose
+    prediction norm is clamped contributes no gradient at all; its forward
+    value is unchanged.
     """
-    pred = _as_tensor(pred)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"cosine_error operands differ: {pred.shape} vs {target.shape}")
+    pred, target = _row_operands(pred, target, "cosine_error")
     p = pred.values
-    target_norm = max(float(np.linalg.norm(target)), NORM_FLOOR)
-    pred_norm = float(np.sqrt((p * p).sum()))
-    denom = max(pred_norm, NORM_FLOOR) * target_norm
-    dot = float((p * target).sum())
+    target_norm = np.maximum(np.sqrt((target * target).sum(axis=1)), NORM_FLOOR)
+    pred_norm = np.sqrt((p * p).sum(axis=1))
+    live = pred_norm > NORM_FLOOR
+    denom = np.maximum(pred_norm, NORM_FLOOR) * target_norm
+    dot = (p * target).sum(axis=1)
     gap = 1.0 - dot / denom
-    out_values = gap ** gamma
+    out_values = (gap ** gamma).sum()
 
     def backward_fn(g):
         # Below the floor, 1/denom would scale the gradient by 1/NORM_FLOOR.
-        if pred_norm <= NORM_FLOOR:
-            return
-        g_cos = -g * gamma * gap ** (gamma - 1.0)
+        g_cos = np.where(live, -g * gamma * gap ** (gamma - 1.0), 0.0)
         g_norm = -g_cos * dot / (denom * denom) * target_norm
-        _accumulate(pred, (g_cos / denom) * target + (g_norm / pred_norm) * p)
+        _accumulate(pred, (g_cos / denom)[:, None] * target
+                    + (g_norm / np.where(live, pred_norm, 1.0))[:, None] * p)
 
     return _make(out_values, (pred,), backward_fn, "cosine_error")
 
@@ -583,7 +639,8 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns a map from leaf tensors to their gradient arrays. Gradients
     accumulate across calls on *different* losses (gradient accumulation);
-    a second backward on the same loss is rejected.
+    a second backward on the same loss is rejected. Interior nodes drop
+    their gradient once it has been passed to their parents.
     """
     if loss.values.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -599,6 +656,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None    # an interior gradient is spent once passed on
     leaves = {}
     for node in order:
         if node.requires_grad and not node._parents and node.grad is not None:

@@ -1,10 +1,18 @@
 """Differentiable building blocks: multi-head cross/self attention, FFN,
-gated attention pooling, and the per-category reconstruction heads."""
+gated attention pooling, and the per-category reconstruction heads.
+
+Blocks work on a stack of B bags at once. Per-patch layers see the bags'
+patch rows packed one bag after another; the per-bag mixers (attention
+over patches, gated pooling) see them padded to (B, N_max) as laid out by
+a `PatchLayout`. Token-level inputs and outputs hold each bag's rows as
+one consecutive block.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +31,37 @@ def linear_params(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return ad.linear(x, weight, bias)
+
+
+@dataclass(frozen=True)
+class PatchLayout:
+    """Where each bag's packed patch rows sit in the padded (B, N_max) layout.
+
+    `index[b, i]` is the packed row of bag b's patch i, or -1 at a pad;
+    `mask` is True at real patches.
+    """
+    lengths: tuple[int, ...]
+    index: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, lengths: Sequence[int]) -> "PatchLayout":
+        lengths = tuple(int(n) for n in lengths)
+        if not lengths or min(lengths) < 1:
+            raise ShapeError(f"every bag needs at least one patch, got {lengths}")
+        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        index = np.full(mask.shape, -1)
+        index[mask] = np.arange(sum(lengths))
+        return cls(lengths, index, mask)
+
+    @property
+    def batch(self) -> int:
+        return len(self.lengths)
+
+    def check(self, bag: Tensor) -> None:
+        if bag.values.ndim != 2 or bag.shape[0] != sum(self.lengths):
+            raise ShapeError(f"bag rows {bag.shape} do not match bag lengths "
+                             f"{self.lengths}")
 
 
 @dataclass
@@ -53,49 +92,95 @@ class MhcaParams:
             yield f"{prefix}.{field}", getattr(self, field)
 
 
-def _attend(params: MhcaParams, queries: Tensor,
-            keys_values: Tensor) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over all heads at once.
+def _attend(params: MhcaParams, q: Tensor, k: Tensor, v: Tensor,
+            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over all bags and heads at once.
 
-    Returns the projected output and the pre-softmax scores, shape
-    (heads, n_queries, n_keys).
+    q, k and v are (batch, heads, n, d); a q batch of 1 is shared by every
+    bag. Returns the projected output rows and the pre-softmax scores,
+    shape (batch, heads, n_queries, n_keys).
     """
-    width = params.wq.shape[0]
-    if queries.shape[1] != width or keys_values.shape[1] != width:
-        raise ShapeError(f"attention width {width} does not match inputs "
-                         f"{queries.shape} / {keys_values.shape}")
-    heads = params.heads
-    q = ad.split_heads(linear(queries, params.wq, params.bq), heads)
-    k = ad.split_heads(linear(keys_values, params.wk, params.bk), heads)
-    v = ad.split_heads(linear(keys_values, params.wv, params.bv), heads)
     scores = ad.batched_matmul(q, k, transpose_b=True,
-                               scale=1.0 / math.sqrt(width // heads))
-    attended = ad.batched_matmul(ad.softmax(scores, axis=-1), v)
+                               scale=1.0 / math.sqrt(q.shape[-1]))
+    weights = (ad.softmax(scores, axis=-1) if mask is None
+               else ad.masked_softmax(scores, mask, axis=-1))
+    attended = ad.batched_matmul(weights, v)
     return linear(ad.merge_heads(attended), params.wo, params.bo), scores
 
 
-def mhca_forward(params: MhcaParams, queries: Tensor, bag: Tensor,
-                 score_head: int | None = None) -> tuple[Tensor, np.ndarray]:
-    """Cross-attention of query rows over the patch bag.
+def _check_width(params: MhcaParams, *inputs: Tensor) -> None:
+    width = params.wq.shape[0]
+    if any(x.values.ndim != 2 or x.shape[1] != width for x in inputs):
+        raise ShapeError(f"attention width {width} does not match inputs "
+                         f"{[x.shape for x in inputs]}")
 
-    Returns the attended-and-projected output together with the pre-softmax
-    score matrix (head-averaged unless `score_head` picks one head). The
-    scores are a plain array: no gradient can flow back through them.
+
+@dataclass
+class PatchKeys:
+    """Per-head keys and values of a stack of bags, (B, heads, N_max, d).
+
+    Computed once per stack; every cross-attention round with the same
+    parameters over the same bag reuses them.
     """
-    if bag.shape[0] < 1:
-        raise ShapeError("cross-attention needs at least one patch")
+    keys: Tensor
+    values: Tensor
+    mask: np.ndarray        # (B, 1, 1, N_max): True at real patches
+
+
+def patch_keys(params: MhcaParams, bag: Tensor, layout: PatchLayout) -> PatchKeys:
+    """Project packed patch rows to keys and values, padded per bag.
+
+    `layout` says which rows belong to which bag.
+    """
+    _check_width(params, bag)
+    layout.check(bag)
+    rows = layout.index.reshape(-1)
+
+    def heads(weight: Tensor, bias: Tensor) -> Tensor:
+        return ad.split_heads(ad.gather_rows(linear(bag, weight, bias), rows),
+                              params.heads, layout.batch)
+
+    return PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
+                     layout.mask[:, None, None, :])
+
+
+def mhca_forward(params: MhcaParams, queries: Tensor, keys: PatchKeys,
+                 score_head: int | None = None,
+                 per_bag: bool = False) -> tuple[Tensor, np.ndarray]:
+    """Cross-attention of query rows over each bag of a stack.
+
+    `queries` is one block of n rows shared by every bag, or, with
+    `per_bag`, B consecutive blocks of n rows, block b for bag b. Returns
+    the attended-and-projected output, (B * n, width) in bag blocks,
+    together with the pre-softmax scores as a plain (B, n, N_max) array
+    (head-averaged unless `score_head` picks one head; 0 at pads). No
+    gradient can flow back through the scores.
+    """
+    _check_width(params, queries)
     if score_head is not None and not 0 <= score_head < params.heads:
         raise ShapeError(f"score head {score_head} out of range for "
                          f"{params.heads} heads")
-    out, scores = _attend(params, queries, bag)
+    batch = keys.keys.shape[0] if per_bag else 1
+    q = ad.split_heads(linear(queries, params.wq, params.bq), params.heads, batch)
+    out, scores = _attend(params, q, keys.keys, keys.values, keys.mask)
     if score_head is None:
-        return out, scores.values.sum(axis=0) * (1.0 / params.heads)
-    return out, scores.values[score_head].copy()
+        return out, scores.values.sum(axis=1) * (1.0 / params.heads)
+    return out, scores.values[:, score_head].copy()
 
 
-def mhsa_forward(params: MhcaParams, x: Tensor) -> Tensor:
-    """Self-attention with a residual connection: x + attn(x)."""
-    out, _ = _attend(params, x, x)
+def mhsa_forward(params: MhcaParams, x: Tensor, batch: int = 1) -> Tensor:
+    """Self-attention with a residual connection: x + attn(x).
+
+    x holds `batch` consecutive blocks of rows; each block attends only
+    within itself.
+    """
+    _check_width(params, x)
+
+    def heads(weight: Tensor, bias: Tensor) -> Tensor:
+        return ad.split_heads(linear(x, weight, bias), params.heads, batch)
+
+    out, _ = _attend(params, heads(params.wq, params.bq),
+                     heads(params.wk, params.bk), heads(params.wv, params.bv))
     return ad.add(x, out)
 
 
@@ -154,15 +239,22 @@ class GatedAttentionParams:
 
 
 def gated_attention_scores(params: GatedAttentionParams, bag: Tensor) -> Tensor:
-    """Pre-softmax instance scores, shape (N_p, 1)."""
+    """Pre-softmax instance scores of packed patch rows, shape (rows, 1)."""
     gate = ad.mul(ad.tanh(linear(bag, params.u_w, params.u_b)),
                   ad.sigmoid(linear(bag, params.v_w, params.v_b)))
     return linear(gate, params.score_w, params.score_b)
 
 
-def gated_attention_weights(params: GatedAttentionParams, bag: Tensor) -> Tensor:
-    """Instance weights after softmax over the bag; columns sum to 1."""
-    return ad.softmax(gated_attention_scores(params, bag), axis=0)
+def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
+                            layout: PatchLayout) -> Tensor:
+    """Instance weights after softmax over each bag, shape (B, N_max, 1).
+
+    Scores are computed on the packed rows; each bag's column sums to 1
+    and pads get weight 0.
+    """
+    layout.check(bag)
+    raw = ad.gather_rows(gated_attention_scores(params, bag), layout.index)
+    return ad.masked_softmax(raw, layout.mask[:, :, None], axis=1)
 
 
 @dataclass

@@ -15,8 +15,9 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor, grad_check
-from .model import (ModelConfig, build_model, model_forward, mse_loss,
-                    nll_loss, reconstruction_loss, sce_loss, total_loss)
+from .blocks import PatchLayout
+from .model import (ModelConfig, build_model, mse_loss, nll_loss,
+                    reconstruction_loss, sce_loss, stack_forward, total_loss)
 
 DEFAULT_TOLERANCE = 1e-4
 
@@ -30,7 +31,8 @@ def _exact_zero_error(f, params: dict[str, Tensor], names: tuple[str, ...]) -> f
 
     A key-projection bias shifts every attention score in a row by the same
     amount, and the row softmax cancels a constant shift, so the attention
-    output is constant in it. Central differences on such a parameter
+    output is constant in it; a gated-attention score bias does the same to
+    every score of a bag. Central differences on such a parameter
     measure nothing but roundoff in the two evaluations, which the 1e-8
     denominator floor then inflates into a spurious failure. The true
     derivative is known by symmetry, so these entries are scored directly
@@ -73,16 +75,16 @@ def _check_layer_norm(eps: float) -> float:
 
 def _check_split_heads(eps: float) -> float:
     rng = np.random.default_rng(24)
-    probe = rng.normal(size=(3, 5, 2))
-    params = {"x": ad.tensor(rng.normal(size=(5, 6)), requires_grad=True)}
+    probe = rng.normal(size=(2, 3, 5, 2))
+    params = {"x": ad.tensor(rng.normal(size=(10, 6)), requires_grad=True)}
     return grad_check(
-        lambda p: _scalarize(ad.split_heads(p["x"], 3), probe), params, eps)
+        lambda p: _scalarize(ad.split_heads(p["x"], 3, batch=2), probe), params, eps)
 
 
 def _check_merge_heads(eps: float) -> float:
     rng = np.random.default_rng(25)
-    probe = rng.normal(size=(5, 6))
-    params = {"x": ad.tensor(rng.normal(size=(3, 5, 2)), requires_grad=True)}
+    probe = rng.normal(size=(10, 6))
+    params = {"x": ad.tensor(rng.normal(size=(2, 3, 5, 2)), requires_grad=True)}
     return grad_check(
         lambda p: _scalarize(ad.merge_heads(p["x"]), probe), params, eps)
 
@@ -93,31 +95,61 @@ def _check_batched_matmul(eps: float) -> float:
         "a": ad.tensor(rng.normal(size=(2, 3, 4)), requires_grad=True),
         "b": ad.tensor(rng.normal(size=(2, 4, 5)), requires_grad=True),
         "c": ad.tensor(rng.normal(size=(2, 5, 4)), requires_grad=True),
+        "shared": ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True),
     }
     plain_probe = rng.normal(size=(2, 3, 5))
     transposed_probe = rng.normal(size=(2, 3, 5))
+    shared_probe = rng.normal(size=(2, 3, 5))
 
     def f(p):
         plain = ad.batched_matmul(p["a"], p["b"])
         transposed = ad.batched_matmul(p["a"], p["c"], transpose_b=True, scale=0.7)
-        return ad.add(_scalarize(plain, plain_probe),
-                      _scalarize(transposed, transposed_probe))
+        # a leading extent of 1 broadcasts over the other operand's
+        shared = ad.batched_matmul(p["shared"], p["c"], transpose_b=True)
+        return ad.add(ad.add(_scalarize(plain, plain_probe),
+                             _scalarize(transposed, transposed_probe)),
+                      _scalarize(shared, shared_probe))
 
     return grad_check(f, params, eps)
 
 
+def _check_gather_rows(eps: float) -> float:
+    rng = np.random.default_rng(30)
+    index = np.array([[3, 0, -1], [1, 4, 2]])     # row 5 unused, one pad
+    probe = rng.normal(size=(2, 3, 4))
+    params = {"x": ad.tensor(rng.normal(size=(6, 4)), requires_grad=True)}
+    return grad_check(
+        lambda p: _scalarize(ad.gather_rows(p["x"], index), probe), params, eps)
+
+
+def _check_masked_softmax(eps: float) -> float:
+    rng = np.random.default_rng(31)
+    mask = np.array([[True, True, False, False], [True, True, True, True],
+                     [False, True, False, False]])
+    probe = rng.normal(size=(2, 3, 4))
+    params = {"x": ad.tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)}
+    return grad_check(
+        lambda p: _scalarize(ad.masked_softmax(p["x"], mask, axis=-1), probe),
+        params, eps)
+
+
 def _check_mhca(eps: float) -> float:
     rng = np.random.default_rng(13)
-    queries = ad.tensor(rng.normal(size=(3, 8)), requires_grad=True)
-    bag = np.asarray(rng.normal(size=(5, 8)))
+    shared = ad.tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    per_bag = ad.tensor(rng.normal(size=(6, 8)), requires_grad=True)
+    bag = np.asarray(rng.normal(size=(7, 8)))
+    layout = PatchLayout.of([2, 5])
     mhca = blocks.MhcaParams.init(rng, 8, 2)
-    probe = rng.normal(size=(3, 8))
+    probes = rng.normal(size=(2, 6, 8))
     params = dict(mhca.named_tensors("mhca"))
-    params["queries"] = queries
+    params["shared"] = shared
+    params["per_bag"] = per_bag
 
     def f(p):
-        out, _ = blocks.mhca_forward(mhca, queries, ad.tensor(bag))
-        return _scalarize(out, probe)
+        keys = blocks.patch_keys(mhca, ad.tensor(bag), layout)
+        first, _ = blocks.mhca_forward(mhca, shared, keys)
+        second, _ = blocks.mhca_forward(mhca, per_bag, keys, per_bag=True)
+        return ad.add(_scalarize(first, probes[0]), _scalarize(second, probes[1]))
 
     # The scores leave as a plain array, so only the output carries
     # gradient, and it is constant in the key bias; see _exact_zero_error.
@@ -128,14 +160,14 @@ def _check_mhca(eps: float) -> float:
 
 def _check_mhsa(eps: float) -> float:
     rng = np.random.default_rng(14)
-    x = ad.tensor(rng.normal(size=(4, 8)), requires_grad=True)
+    x = ad.tensor(rng.normal(size=(8, 8)), requires_grad=True)
     mhsa = blocks.MhcaParams.init(rng, 8, 2)
-    probe = rng.normal(size=(4, 8))
+    probe = rng.normal(size=(8, 8))
     params = dict(mhsa.named_tensors("mhsa"))
     params["x"] = x
 
     def f(p):
-        return _scalarize(blocks.mhsa_forward(mhsa, x), probe)
+        return _scalarize(blocks.mhsa_forward(mhsa, x, batch=2), probe)
 
     # Self-attention discards the scores, so the output is constant in the
     # key bias; see _exact_zero_error.
@@ -158,13 +190,20 @@ def _check_ffn(eps: float) -> float:
 def _check_gated_attention(eps: float) -> float:
     rng = np.random.default_rng(16)
     bag = ad.tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    layout = PatchLayout.of([4, 2])
     gate = blocks.GatedAttentionParams.init(rng, 5)
-    probe = rng.normal(size=(6, 1))
+    probe = rng.normal(size=(2, 4, 1))
     params = dict(gate.named_tensors("gate"))
     params["bag"] = bag
-    return grad_check(
-        lambda p: _scalarize(blocks.gated_attention_weights(gate, bag), probe),
-        params, eps)
+
+    def f(p):
+        return _scalarize(blocks.gated_attention_weights(gate, bag, layout), probe)
+
+    # The score bias shifts every score of a bag alike, which the softmax
+    # over the bag cancels; see _exact_zero_error.
+    dead = _exact_zero_error(f, params, ("gate.score_b",))
+    del params["gate.score_b"]
+    return max(dead, grad_check(f, params, eps))
 
 
 def _check_snn_head(eps: float) -> float:
@@ -180,10 +219,10 @@ def _check_snn_head(eps: float) -> float:
 
 def _check_mse_loss(eps: float) -> float:
     rng = np.random.default_rng(18)
-    targets = [rng.normal(size=4), rng.normal(size=3)]
+    targets = [rng.normal(size=(2, 4)), rng.normal(size=(2, 3))]
     params = {
-        "p0": ad.tensor(rng.normal(size=(1, 4)), requires_grad=True),
-        "p1": ad.tensor(rng.normal(size=(1, 3)), requires_grad=True),
+        "p0": ad.tensor(rng.normal(size=(2, 4)), requires_grad=True),
+        "p1": ad.tensor(rng.normal(size=(2, 3)), requires_grad=True),
     }
     return grad_check(
         lambda p: mse_loss([p["p0"], p["p1"]], targets), params, eps)
@@ -191,10 +230,10 @@ def _check_mse_loss(eps: float) -> float:
 
 def _check_sce_loss(eps: float) -> float:
     rng = np.random.default_rng(19)
-    targets = [rng.normal(size=4), rng.normal(size=3)]
+    targets = [rng.normal(size=(2, 4)), rng.normal(size=(2, 3))]
     params = {
-        "p0": ad.tensor(rng.normal(size=(1, 4)), requires_grad=True),
-        "p1": ad.tensor(rng.normal(size=(1, 3)), requires_grad=True),
+        "p0": ad.tensor(rng.normal(size=(2, 4)), requires_grad=True),
+        "p1": ad.tensor(rng.normal(size=(2, 3)), requires_grad=True),
     }
     return grad_check(
         lambda p: sce_loss([p["p0"], p["p1"]], targets, gamma=2.0), params, eps)
@@ -202,15 +241,15 @@ def _check_sce_loss(eps: float) -> float:
 
 def _check_squared_error(eps: float) -> float:
     rng = np.random.default_rng(27)
-    target = rng.normal(size=(1, 5))
-    params = {"pred": ad.tensor(rng.normal(size=(1, 5)), requires_grad=True)}
+    target = rng.normal(size=(3, 5))
+    params = {"pred": ad.tensor(rng.normal(size=(3, 5)), requires_grad=True)}
     return grad_check(lambda p: ad.squared_error(p["pred"], target), params, eps)
 
 
 def _check_cosine_error(eps: float) -> float:
     rng = np.random.default_rng(28)
-    target = rng.normal(size=(1, 5))
-    params = {"pred": ad.tensor(rng.normal(size=(1, 5)), requires_grad=True)}
+    target = rng.normal(size=(3, 5))
+    params = {"pred": ad.tensor(rng.normal(size=(3, 5)), requires_grad=True)}
     return grad_check(lambda p: ad.cosine_error(p["pred"], target, 2.5), params, eps)
 
 
@@ -225,21 +264,19 @@ def _check_cumprod(eps: float) -> float:
 
 def _check_nll_loss(eps: float) -> float:
     rng = np.random.default_rng(20)
-    params = {"raw": ad.tensor(rng.normal(size=(1, 4)), requires_grad=True)}
+    params = {"raw": ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)}
 
     def f(p):
-        hazards = ad.sigmoid(p["raw"])
-        event = nll_loss(hazards, interval=1, censor=0)
-        censored = nll_loss(hazards, interval=2, censor=1)
-        return ad.add(event, censored)
+        return nll_loss(ad.sigmoid(p["raw"]), interval=[1, 2, 0], censor=[0, 1, 0])
 
     return grad_check(f, params, eps)
 
 
 def _check_end_to_end(eps: float) -> float:
-    """Whole model; the masked association matrix is frozen at the base
-    point so finite differences see exactly the function the analytic
-    gradients describe (it is a constant to the tape by construction)."""
+    """Whole model on a ragged two-patient stack; the masked association
+    matrix is frozen at the base point so finite differences see exactly
+    the function the analytic gradients describe (it is a constant to the
+    tape by construction)."""
     rng = np.random.default_rng(21)
     config = ModelConfig(feature_dim=8, category_sizes=(3, 2), width=4,
                          heads=1, compress_width=4, n_bins=3, k_percent=50.0)
@@ -258,24 +295,25 @@ def _check_end_to_end(eps: float) -> float:
             tensor.assign_(jitter.normal(scale=0.8, size=tensor.shape))
         else:
             tensor.assign_(tensor.values + jitter.normal(scale=0.3, size=tensor.shape))
-    bag = np.asarray(rng.normal(size=(4, 8)))
-    targets = [rng.normal(size=c) for c in config.category_sizes]
+    layout = PatchLayout.of([4, 2])
+    bags = np.asarray(rng.normal(size=(6, 8)))
+    targets = [rng.normal(size=(2, c)) for c in config.category_sizes]
     with ad.no_grad():
-        base = model_forward(model, bag)
+        base = stack_forward(model, bags, layout)
     frozen_mask = base.diagnostics.masked_assoc
     params = dict(model.named_tensors())
 
     def f(p):
-        result = model_forward(model, bag, masked_assoc=frozen_mask)
-        nll = nll_loss(result.hazards, interval=1, censor=0)
+        result = stack_forward(model, bags, layout, masked_assoc=frozen_mask)
+        nll = nll_loss(result.hazards, interval=[1, 2], censor=[0, 1])
         recon = reconstruction_loss(result.recon, targets, gamma=config.gamma)
         return total_loss(nll, recon, alpha=0.3)
 
-    # Both key biases are dead here: every attention output is constant in
-    # them through the softmax shift cancellation, and the cross-attention
-    # scores, which do move, leave the tape as a plain array. See
-    # _exact_zero_error.
-    dead_names = ("survival.mhsa.bk", "assoc.mhca.bk")
+    # Both key biases and the gated score bias are dead here: every
+    # attention output is constant in them through the softmax shift
+    # cancellation, and the cross-attention scores, which do move, leave the
+    # tape as a plain array. See _exact_zero_error.
+    dead_names = ("survival.mhsa.bk", "assoc.mhca.bk", "survival.gate.score_b")
     dead = _exact_zero_error(f, params, dead_names)
     for name in dead_names:
         del params[name]
@@ -288,6 +326,8 @@ _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("split_heads", _check_split_heads),
     ("merge_heads", _check_merge_heads),
     ("batched_matmul", _check_batched_matmul),
+    ("gather_rows", _check_gather_rows),
+    ("masked_softmax", _check_masked_softmax),
     ("mhca", _check_mhca),
     ("mhsa", _check_mhsa),
     ("ffn", _check_ffn),

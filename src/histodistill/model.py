@@ -6,6 +6,12 @@ pre-softmax token/patch score matrix. The survival branch fuses detached,
 top-k-masked association scores with gated-attention morphology weights,
 pools the bag, and emits discrete-time hazards. Genomic data touches only
 the training losses; inference consumes the bag alone.
+
+One forward serves a stack of B patients (`stack_forward`, used by
+training) and a single bag (`model_forward`, the B = 1 case, used by
+inference): per-patch layers run on the packed patch rows, per-patient
+mixers on the padded layout of `blocks.PatchLayout`. Token rows hold each
+patient's n_tokens rows as one consecutive block.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from . import autodiff as ad
 from . import blocks
 from .autodiff import ShapeError, Tensor
 from .blocks import (FfnParams, GatedAttentionParams, MhcaParams,
-                     SnnHeadParams, linear)
+                     PatchLayout, SnnHeadParams, linear)
 from .errors import ConfigError
 
 
@@ -128,44 +134,62 @@ class GatedAssocBranchParams:
 
 @dataclass
 class AssocOutput:
-    first_pass: Tensor | None     # token features after round one
-    features: Tensor              # final per-category features (N_g, width)
-    scores: np.ndarray            # pre-softmax association scores (N_g, N_p)
-    recon: tuple[Tensor, ...]     # per-category reconstructions, each (1, len)
+    first_pass: Tensor | None     # token features after round one (B * N_g, width)
+    features: Tensor              # final per-category features (B * N_g, width)
+    scores: np.ndarray            # pre-softmax association scores (B, N_g, N_max)
+    recon: tuple[Tensor, ...]     # per-category reconstructions, each (B, len)
 
 
-def assoc_forward(params: AssocBranchParams, bag: Tensor,
+def _category_heads(heads: Sequence[SnnHeadParams], features: Tensor,
+                    batch: int) -> tuple[Tensor, ...]:
+    """Each category's head on that category's row of every patient."""
+    rows = np.arange(batch) * len(heads)
+    return tuple(blocks.snn_forward(head, ad.gather_rows(features, rows + c))
+                 for c, head in enumerate(heads))
+
+
+def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
                   score_head: int | None = None) -> AssocOutput:
     """Two cross-attention rounds with one shared parameter set.
 
-    The second round queries with tokens + round-one features; its
-    pre-softmax scores are the exported association matrix.
+    Both rounds attend over the same projected bag, so its keys and values
+    are computed once. The second round queries with tokens + round-one
+    features; its pre-softmax scores are the exported association matrix.
     """
     proj = linear(bag, params.in_w, params.in_b)
-    pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, proj, score_head)
+    keys = blocks.patch_keys(params.mhca, proj, layout)
+    batch = keys.keys.shape[0]
+    n_tokens, width = params.tokens.shape
+    pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, keys, score_head)
     first = blocks.ffn_forward(params.ffn_first, pooled)
-    pooled2, scores = blocks.mhca_forward(params.mhca, ad.add(params.tokens, first),
-                                          proj, score_head)
+    queries = ad.reshape(ad.add(ad.reshape(first, (batch, n_tokens, width)),
+                                params.tokens), (batch * n_tokens, width))
+    pooled2, scores = blocks.mhca_forward(params.mhca, queries, keys, score_head,
+                                          per_bag=True)
     features = blocks.ffn_forward(params.ffn_second, pooled2)
-    recon = tuple(blocks.snn_forward(head, ad.narrow(features, 0, i, 1))
-                  for i, head in enumerate(params.heads))
-    return AssocOutput(first, features, scores, recon)
+    return AssocOutput(first, features, scores,
+                       _category_heads(params.heads, features, batch))
 
 
-def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor) -> AssocOutput:
+def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
+                        layout: PatchLayout) -> AssocOutput:
+    layout.check(bag)
     proj = linear(bag, params.in_w, params.in_b)
+    values = ad.gather_rows(proj, layout.index)               # (B, N_max, width)
     feature_rows = []
     score_rows = []
     for gate in params.gates:
-        raw = blocks.gated_attention_scores(gate, proj)      # (N_p, 1)
-        weights = ad.softmax(raw, axis=0)
-        feature_rows.append(ad.matmul(ad.transpose(weights), proj))
-        score_rows.append(raw.values.T)
-    features = ad.concat(feature_rows, axis=0)
-    scores = np.concatenate(score_rows, axis=0)
-    recon = tuple(blocks.snn_forward(head, ad.narrow(features, 0, i, 1))
-                  for i, head in enumerate(params.heads))
-    return AssocOutput(None, features, scores, recon)
+        raw = ad.gather_rows(blocks.gated_attention_scores(gate, proj),
+                             layout.index)                    # (B, N_max, 1)
+        weights = ad.masked_softmax(raw, layout.mask[:, :, None], axis=1)
+        feature_rows.append(ad.batched_matmul(ad.transpose(weights), values))
+        score_rows.append(raw.values.transpose(0, 2, 1))
+    batch, width = layout.batch, proj.shape[1]
+    features = ad.reshape(ad.concat(feature_rows, axis=1),
+                          (batch * len(params.gates), width))
+    scores = np.concatenate(score_rows, axis=1)
+    return AssocOutput(None, features, scores,
+                       _category_heads(params.heads, features, batch))
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +259,47 @@ class BaselineParams:
         yield f"{prefix}.cls_b", self.cls_b
 
 
-def topk_masked_softmax(scores: np.ndarray, k_percent: float) -> np.ndarray:
-    """Per row: softmax over the top k% entries, zeros elsewhere.
+def topk_masked_softmax(scores: np.ndarray, k_percent: float,
+                        lengths: Sequence[int] | None = None) -> np.ndarray:
+    """Per row: softmax over the top k% of the patient's patches, zeros elsewhere.
 
-    Keeps m = max(1, round(k * N_p / 100)) entries per row; score ties are
-    broken toward the lower patch index. Rows of the result sum to 1. The
-    output is a plain array, detached from any gradient tape.
+    `scores` is (N_g, N_p) for one patient, or a padded (B, N_g, N_max)
+    stack whose patient b has `lengths[b]` patches. Keeps
+    m = max(1, round(k * N_p / 100)) entries per row from each patient's
+    own N_p; score ties are broken toward the lower patch index. Rows of
+    the result sum to 1 and pads get 0. The output is a plain array,
+    detached from any gradient tape.
     """
     if not 0.0 < k_percent <= 100.0:
         raise ConfigError(f"k_percent must be in (0, 100], got {k_percent}")
-    n_patches = scores.shape[1]
-    m = min(n_patches, max(1, round(k_percent * n_patches / 100.0)))
-    out = np.zeros_like(scores, dtype=np.float64)
-    for i in range(scores.shape[0]):
-        row = scores[i]
-        kept = np.argsort(-row, kind="stable")[:m]
-        shifted = np.exp(row[kept] - row[kept].max())
-        out[i, kept] = shifted / shifted.sum()
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim == 2:
+        return topk_masked_softmax(scores[None], k_percent, scores.shape[1:])[0]
+    batch, rows, width = scores.shape
+    keep = np.array([min(n, max(1, round(k_percent * n / 100.0))) for n in lengths])
+    ranked = -scores
+    pads = np.arange(width) >= np.asarray(lengths)[:, None]
+    if pads.any():
+        ranked[np.broadcast_to(pads[:, None, :], ranked.shape)] = np.inf
+    top = np.argsort(ranked, axis=-1, kind="stable")[..., :keep.max()]
+    picks = (np.arange(batch)[:, None, None], np.arange(rows)[None, :, None], top)
+    kept = scores[picks]
+    shifted = kept - kept[..., :1]
+    dropped = np.arange(top.shape[-1]) >= keep[:, None, None]   # beyond a short bag's m
+    if dropped.any():
+        shifted[np.broadcast_to(dropped, shifted.shape)] = -np.inf
+    shifted = np.exp(shifted)
+    out = np.zeros_like(scores)
+    out[picks] = shifted / shifted.sum(axis=-1, keepdims=True)
     return out
 
 
 def fused_attention(morph_weights: Tensor, masked_assoc: np.ndarray) -> Tensor:
     """Mean of broadcast morphology weights and masked association rows.
 
-    morph_weights is (N_p, 1) and sums to 1; each row of the result is a
-    distribution over patches (rows sum to 1).
+    morph_weights is (..., N_p, 1) and sums to 1 over patches; each row of
+    the (..., N_g, N_p) result is a distribution over patches (rows sum
+    to 1).
     """
     return ad.mul(ad.add(ad.transpose(morph_weights), masked_assoc), 0.5)
 
@@ -271,11 +311,11 @@ class SurvivalDiagnostics:
     fused: np.ndarray
 
 
-def survival_forward(params: SurvivalBranchParams, bag: Tensor, scores: np.ndarray,
-                     features: Tensor | None, cfg: ModelConfig,
+def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLayout,
+                     scores: np.ndarray, features: Tensor | None, cfg: ModelConfig,
                      masked_assoc: np.ndarray | None = None,
                      ) -> tuple[Tensor, SurvivalDiagnostics]:
-    """Hazard prediction from the bag and the association-branch outputs.
+    """Hazards (B, n_bins) from the bags and the association-branch outputs.
 
     The masked association matrix is always consumed as a constant (the
     branch-to-branch gradient flows only through `features`); passing
@@ -283,33 +323,38 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, scores: np.ndarr
     """
     proj = linear(bag, params.value_w, params.value_b)
     if masked_assoc is None:
-        masked_assoc = topk_masked_softmax(scores, cfg.k_percent)
+        masked_assoc = topk_masked_softmax(scores, cfg.k_percent, layout.lengths)
     if cfg.assoc_only:
         morph = None
         fused = ad.tensor(masked_assoc)
     else:
-        morph = blocks.gated_attention_weights(params.gate, proj)
+        morph = blocks.gated_attention_weights(params.gate, proj, layout)
         fused = fused_attention(morph, masked_assoc)
-    pooled = ad.matmul(fused, proj)
+    rows = layout.batch * cfg.n_tokens
+    pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
+                        (rows, proj.shape[1]))
     if cfg.cut_bridge or features is None:
         merged = pooled
     else:
         merged = ad.concat([pooled, features], axis=1)
-    x = blocks.ffn_forward(params.ffn, blocks.mhsa_forward(params.mhsa, merged))
+    x = blocks.ffn_forward(params.ffn,
+                           blocks.mhsa_forward(params.mhsa, merged, layout.batch))
     compressed = ad.relu(ad.layer_norm(linear(x, params.comp_w, params.comp_b),
                                        params.comp_gain, params.comp_bias))
-    flat = ad.reshape(compressed, (1, cfg.n_tokens * cfg.compress_width))
+    flat = ad.reshape(compressed, (layout.batch, cfg.n_tokens * cfg.compress_width))
     hazards = ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
     diag = SurvivalDiagnostics(None if morph is None else morph.values.copy(),
                                masked_assoc, fused.values.copy())
     return hazards, diag
 
 
-def baseline_forward(params: BaselineParams, bag: Tensor) -> Tensor:
+def baseline_forward(params: BaselineParams, bag: Tensor, layout: PatchLayout) -> Tensor:
     proj = linear(bag, params.value_w, params.value_b)
-    weights = blocks.gated_attention_weights(params.gate, proj)
-    pooled = ad.matmul(ad.transpose(weights), proj)
-    return ad.sigmoid(linear(pooled, params.cls_w, params.cls_b))
+    weights = blocks.gated_attention_weights(params.gate, proj, layout)
+    pooled = ad.batched_matmul(ad.transpose(weights),
+                               ad.gather_rows(proj, layout.index))
+    flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))
+    return ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +396,53 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardResult:
-    hazards: Tensor                        # (1, B)
-    recon: tuple[Tensor, ...] | None
-    assoc_scores: np.ndarray | None
+    hazards: Tensor                        # (B, n_bins)
+    recon: tuple[Tensor, ...] | None       # per category, each (B, len)
+    assoc_scores: np.ndarray | None        # (B, N_g, N_max); (N_g, N_p) for one bag
     diagnostics: SurvivalDiagnostics | None
+
+
+def stack_forward(model: ModelParams, features: np.ndarray, layout: PatchLayout,
+                  masked_assoc: np.ndarray | None = None) -> ForwardResult:
+    """Full differentiable forward pass over a stack of patients' bags.
+
+    `features` holds the bags' patch rows packed one bag after another;
+    `layout` says which rows are whose. Row b of every output belongs to
+    patient b.
+    """
+    bag = ad.tensor(features)
+    layout.check(bag)
+    cfg = model.config
+    if cfg.gated_baseline:
+        hazards = baseline_forward(model.baseline, bag, layout)
+        return ForwardResult(hazards, None, None, None)
+    if cfg.gated_recon:
+        out = gated_assoc_forward(model.assoc, bag, layout)
+    else:
+        out = assoc_forward(model.assoc, bag, layout, cfg.score_head)
+    hazards, diag = survival_forward(model.survival, bag, layout, out.scores,
+                                     out.features, cfg, masked_assoc)
+    return ForwardResult(hazards, out.recon, out.scores, diag)
 
 
 def model_forward(model: ModelParams, bag_features: np.ndarray,
                   masked_assoc: np.ndarray | None = None) -> ForwardResult:
-    """Full differentiable forward pass over one patient's bag."""
-    bag = ad.tensor(bag_features)
-    cfg = model.config
-    if cfg.gated_baseline:
-        hazards = baseline_forward(model.baseline, bag)
-        return ForwardResult(hazards, None, None, None)
-    if cfg.gated_recon:
-        out = gated_assoc_forward(model.assoc, bag)
-    else:
-        out = assoc_forward(model.assoc, bag, cfg.score_head)
-    hazards, diag = survival_forward(model.survival, bag, out.scores,
-                                     out.features, cfg, masked_assoc)
-    return ForwardResult(hazards, out.recon, out.scores, diag)
+    """Full differentiable forward pass over one patient's bag.
+
+    The one-patient stack of `stack_forward`; association scores and
+    diagnostics come back without the stack axis.
+    """
+    bag_features = np.asarray(bag_features)
+    layout = PatchLayout.of(bag_features.shape[:1])
+    result = stack_forward(model, bag_features, layout,
+                           None if masked_assoc is None else masked_assoc[None])
+    if result.diagnostics is None:
+        return result
+    diag = result.diagnostics
+    return ForwardResult(result.hazards, result.recon, result.assoc_scores[0],
+                         SurvivalDiagnostics(
+                             None if diag.morph_weights is None else diag.morph_weights[0],
+                             diag.masked_assoc[0], diag.fused[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,41 +483,64 @@ def predict(model: ModelParams, bag_features: np.ndarray) -> HazardOutput:
 _CLAMP = 1e-7
 
 
-def nll_loss(hazards: Tensor, interval: int, censor: int) -> Tensor:
-    """Discrete-time negative log likelihood for one patient.
+def nll_loss(hazards: Tensor, interval, censor) -> Tensor:
+    """Discrete-time negative log likelihood, summed over patients.
 
-    censor=0 pays -log S(y-1) - log h_y (event in interval y, having
-    survived the ones before, with S(-1)=1); censor=1 pays -log S(y)
-    (survived through interval y). Probabilities are clamped at 1e-7.
+    Row b of `hazards` belongs to the patient with interval[b] and
+    censor[b]; one patient may pass plain ints. censor=0 pays
+    -log S(y-1) - log h_y (event in interval y, having survived the ones
+    before, with S(-1)=1); censor=1 pays -log S(y) (survived through
+    interval y). Probabilities are clamped at 1e-7.
     """
-    n_bins = hazards.shape[1]
-    if not 0 <= interval < n_bins:
+    batch, n_bins = hazards.shape
+    interval = np.asarray(interval).reshape(-1)
+    censor = np.asarray(censor).reshape(-1)
+    if interval.shape != (batch,) or censor.shape != (batch,):
+        raise ShapeError(f"{interval.size} intervals and {censor.size} censor "
+                         f"flags for {batch} hazard rows")
+    if not ((0 <= interval) & (interval < n_bins)).all():
         raise ShapeError(f"interval {interval} out of range for {n_bins} bins")
-    if censor not in (0, 1):
+    if not np.isin(censor, (0, 1)).all():
         raise ValueError(f"censor flag must be 0 or 1, got {censor}")
 
-    def log_at(t: Tensor, j: int) -> Tensor:
-        return ad.log(ad.clip_min(ad.narrow(t, 1, j, 1), _CLAMP))
+    def one_hot(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        out = np.zeros((batch, n_bins))
+        out[rows, columns] = 1.0
+        return out
 
-    def log_survival(j: int) -> Tensor:
-        return log_at(ad.cumprod(ad.sub(1.0, hazards)), j)
+    def log_picked(t: Tensor, picks: np.ndarray) -> Tensor:
+        return ad.sum_(ad.mul(ad.log(ad.clip_min(t, _CLAMP)), picks))
 
-    if censor == 1:
-        loss = ad.mul(log_survival(interval), -1.0)
-    else:
-        loss = ad.mul(log_at(hazards, interval), -1.0)
-        if interval > 0:
-            loss = ad.sub(loss, log_survival(interval - 1))
-    return ad.sum_(loss)
+    rows = np.arange(batch)
+    event = censor == 0
+    survived = np.where(event, interval - 1, interval)   # -1: nothing survived
+    pays_survival = survived >= 0
+    terms = []
+    if event.any():
+        terms.append(log_picked(hazards, one_hot(rows[event], interval[event])))
+    if pays_survival.any():
+        terms.append(log_picked(ad.cumprod(ad.sub(1.0, hazards)),
+                                one_hot(rows[pays_survival], survived[pays_survival])))
+    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    return ad.mul(total, -1.0)
+
+
+def _row_targets(pred: Tensor, target: np.ndarray) -> np.ndarray:
+    return np.reshape(np.asarray(target, dtype=np.float64), (pred.shape[0], -1))
 
 
 def mse_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray]) -> Tensor:
-    """Squared error averaged within each category, then across categories."""
+    """Squared error averaged within each category, then across categories.
+
+    Each reconstruction is (B, len) with one row per patient, and its
+    target holds the same rows (one patient may pass a flat vector); the
+    result is summed over patients.
+    """
     if len(recon) != len(targets):
         raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
     total = None
     for pred, target in zip(recon, targets):
-        term = ad.squared_error(pred, np.reshape(target, (1, -1)))
+        term = ad.squared_error(pred, _row_targets(pred, target))
         total = term if total is None else ad.add(total, term)
     return ad.mul(total, 1.0 / len(recon))
 
@@ -455,20 +549,20 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
              gamma: float = 2.0, diagnostics: dict | None = None) -> Tensor:
     """Scaled cosine error: mean over categories of (1 - cos)^gamma.
 
-    Zero-norm vectors are evaluated with the norm clamped at 1e-12
-    (`autodiff.NORM_FLOOR`), and a category whose prediction is clamped
-    adds no gradient; the occurrence count lands in
-    diagnostics["clamped_norms"] when a dict is supplied.
+    Rows are patients, as in `mse_loss`, and the result is summed over
+    them. Zero-norm vectors are evaluated with the norm clamped at 1e-12
+    (`autodiff.NORM_FLOOR`), and a row whose prediction is clamped adds no
+    gradient; the count of clamped rows, targets and predictions alike,
+    lands in diagnostics["clamped_norms"] when a dict is supplied.
     """
     if len(recon) != len(targets):
         raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
     clamped = 0
     total = None
     for pred, target in zip(recon, targets):
-        target = np.asarray(target, dtype=np.float64).reshape(1, -1)
-        for vector in (target, pred.values):
-            if np.linalg.norm(vector) < ad.NORM_FLOOR:
-                clamped += 1
+        target = _row_targets(pred, target)
+        for rows in (target, pred.values):
+            clamped += int((np.linalg.norm(rows, axis=1) < ad.NORM_FLOOR).sum())
         term = ad.cosine_error(pred, target, gamma)
         total = term if total is None else ad.add(total, term)
     if diagnostics is not None:

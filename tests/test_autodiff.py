@@ -80,11 +80,21 @@ def test_linear_rejects_mismatched_bias():
 def test_split_heads_takes_column_blocks_and_merge_inverts():
     x = np.arange(12.0).reshape(2, 6)
     split = ad.split_heads(tensor(x), 3)
-    assert split.shape == (3, 2, 2)
-    np.testing.assert_array_equal(split.values[1], x[:, 2:4])
+    assert split.shape == (1, 3, 2, 2)
+    np.testing.assert_array_equal(split.values[0, 1], x[:, 2:4])
     np.testing.assert_array_equal(ad.merge_heads(split).values, x)
     with pytest.raises(ShapeError):
         ad.split_heads(tensor(x), 4)
+
+
+def test_split_heads_batches_consecutive_row_blocks():
+    x = np.arange(36.0).reshape(6, 6)
+    split = ad.split_heads(tensor(x), 3, batch=2)
+    assert split.shape == (2, 3, 3, 2)
+    np.testing.assert_array_equal(split.values[1, 2], x[3:, 4:])
+    np.testing.assert_array_equal(ad.merge_heads(split).values, x)
+    with pytest.raises(ShapeError):
+        ad.split_heads(tensor(x), 3, batch=4)
 
 
 def test_batched_matmul_matches_per_slice_products():
@@ -97,6 +107,20 @@ def test_batched_matmul_matches_per_slice_products():
         ad.batched_matmul(tensor(a), tensor(b))
     with pytest.raises(ShapeError):
         ad.batched_matmul(tensor(a[0]), tensor(b[0]), transpose_b=True)
+
+
+def test_batched_matmul_broadcasts_a_leading_extent_of_one():
+    rng = np.random.default_rng(32)
+    a, b = rng.normal(size=(1, 2, 3, 4)), rng.normal(size=(5, 2, 4, 6))
+    a_t = tensor(a, requires_grad=True)
+    out = ad.batched_matmul(a_t, tensor(b))
+    assert out.shape == (5, 2, 3, 6)
+    np.testing.assert_allclose(out.values[3, 1], a[0, 1] @ b[3, 1], rtol=1e-14)
+    grads = backward(ad.sum_(out))
+    np.testing.assert_allclose(grads[a_t][0], np.ones((2, 3, 6)) @ b.sum(axis=0)
+                               .swapaxes(-1, -2), rtol=1e-12)
+    with pytest.raises(ShapeError):
+        ad.batched_matmul(tensor(rng.normal(size=(2, 2, 3, 4))), tensor(b))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +146,17 @@ def test_squared_and_cosine_error_values():
                                atol=1e-15)
     with pytest.raises(ShapeError):
         ad.squared_error(pred, [[1.0]])
+
+
+def test_squared_and_cosine_error_sum_over_rows():
+    pred = tensor([[3.0, 4.0], [1.0, 0.0]])
+    target = [[0.0, 4.0], [0.0, 1.0]]
+    # row means 4.5 and 1.0; cos 0 and 0 with gamma 2
+    np.testing.assert_allclose(ad.squared_error(pred, target).values, 5.5)
+    np.testing.assert_allclose(ad.cosine_error(pred, [[4.0, -3.0], [0.0, 1.0]], 2.0).values,
+                               2.0)
+    with pytest.raises(ShapeError):
+        ad.cosine_error(tensor([1.0, 2.0]), [1.0, 2.0], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +208,22 @@ def test_softmax_gradient():
                                atol=1e-8)
 
 
+def test_masked_softmax_zero_weight_and_gradient_off_mask():
+    rng = np.random.default_rng(34)
+    x0 = rng.normal(size=(2, 5))
+    mask = np.array([[True, True, True, False, False], [True] * 5])
+    x = tensor(x0, requires_grad=True)
+    out = ad.masked_softmax(x, mask, axis=-1)
+    assert (out.values[0, 3:] == 0.0).all()
+    np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-15)
+    np.testing.assert_array_equal(out.values[1], ad.softmax(tensor(x0[1]), axis=0).values)
+    np.testing.assert_array_equal(out.values[0, :3],
+                                  ad.softmax(tensor(x0[0, :3]), axis=0).values)
+    grads = backward(ad.sum_(ad.mul(out, rng.normal(size=(2, 5)))))
+    assert (grads[x][0, 3:] == 0.0).all()
+    assert np.all(grads[x][0, :3] != 0.0)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -192,6 +243,13 @@ def test_relu_gradient_piecewise():
     x = tensor([2.0, -2.0], requires_grad=True)
     grads = backward(ad.sum_(ad.relu(x)))
     np.testing.assert_array_equal(grads[x], [1.0, 0.0])
+
+
+def test_sigmoid_matches_the_two_sided_closed_form_bit_for_bit():
+    v = np.random.default_rng(35).normal(scale=6.0, size=200)
+    expected = np.where(v >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    np.testing.assert_array_equal(ad.sigmoid(tensor(v)).values, expected)
 
 
 def test_sigmoid_extreme_inputs_do_not_overflow():
@@ -285,6 +343,16 @@ def test_gradients_accumulate_across_losses():
     np.testing.assert_array_equal(x.grad, [2.0 + 3.0, 4.0 + 3.0])
 
 
+def test_backward_drops_interior_gradients_and_keeps_leaves():
+    x = tensor([1.0, 2.0], requires_grad=True)
+    y = ad.mul(x, x)
+    loss = ad.sum_(ad.mul(y, 3.0))
+    grads = backward(loss)
+    assert y.grad is None and loss.grad is None
+    np.testing.assert_array_equal(grads[x], [6.0, 12.0])
+    assert x.grad is grads[x]
+
+
 def test_backward_through_shared_subexpression():
     # y appears twice; its gradient path must be counted twice
     x = tensor(2.0, requires_grad=True)
@@ -302,16 +370,33 @@ def test_broadcast_add_gradient():
     np.testing.assert_array_equal(grads[b], np.full(3, 4.0))
 
 
-def test_concat_and_narrow_round_trip_gradients():
+def test_concat_and_gather_round_trip_gradients():
     rng = np.random.default_rng(7)
-    a = tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    a = tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    merged = ad.concat([a, b], axis=1)
-    assert merged.shape == (2, 5)
-    back = ad.narrow(merged, 1, 0, 3)
+    merged = ad.concat([a, b], axis=0)
+    assert merged.shape == (5, 2)
+    back = ad.gather_rows(merged, np.arange(3))
     grads = backward(ad.sum_(ad.mul(back, back)))
     np.testing.assert_allclose(grads[a], 2.0 * a.values)
     assert grads.get(b) is None or not np.any(grads[b])
+
+
+def test_gather_rows_pads_with_zero_rows_that_take_no_gradient():
+    rng = np.random.default_rng(33)
+    x0 = rng.normal(size=(4, 3))
+    x = tensor(x0, requires_grad=True)
+    index = np.array([[2, 0, -1], [3, -1, -1]])
+    out = ad.gather_rows(x, index)
+    assert out.shape == (2, 3, 3)
+    np.testing.assert_array_equal(out.values[0, :2], x0[[2, 0]])
+    np.testing.assert_array_equal(out.values[1, 1:], 0.0)
+    probe = rng.normal(size=(2, 3, 3))
+    grads = backward(ad.sum_(ad.mul(out, probe)))
+    np.testing.assert_array_equal(grads[x][[2, 0, 3]], probe[[0, 0, 1], [0, 1, 0]])
+    np.testing.assert_array_equal(grads[x][1], 0.0)     # never picked
+    with pytest.raises(ShapeError):
+        ad.gather_rows(x, np.array([4]))
 
 
 def test_non_finite_forward_raises():
@@ -357,7 +442,7 @@ def test_grad_check_softmax_cross_entropy():
 
     def f(p):
         probs = ad.softmax(p["logits"], axis=1)
-        return ad.mul(ad.log(ad.narrow(probs, 1, target, 1)), -1.0)
+        return ad.mul(ad.sum_(ad.mul(ad.log(probs), np.eye(5)[target])), -1.0)
 
     assert grad_check(f, {"logits": logits}) < 1e-6
 

@@ -19,6 +19,22 @@ def zero_mhca(width, heads):
                              wo=z(width, width), bo=z(width), heads=heads)
 
 
+def one_bag(bag):
+    return blocks.PatchLayout.of(bag.shape[:1])
+
+
+def attend(params, queries, bag, score_head=None):
+    """Cross-attention over one bag; scores without the stack axis."""
+    keys = blocks.patch_keys(params, bag, one_bag(bag))
+    out, scores = blocks.mhca_forward(params, queries, keys, score_head)
+    return out, scores[0]
+
+
+def one_bag_weights(params, bag):
+    """Gated-attention weights of one bag as an (N_p, 1) array."""
+    return blocks.gated_attention_weights(params, bag, one_bag(bag)).values[0]
+
+
 def identity_mhca(width):
     eye = lambda: tensor(np.eye(width), requires_grad=True)
     z = lambda: tensor(np.zeros(width), requires_grad=True)
@@ -35,7 +51,7 @@ def test_mhca_single_patch_attends_fully():
     params = make_mhca(rng, 8, 2)
     queries = tensor(rng.normal(size=(3, 8)))
     bag_row = rng.normal(size=(1, 8))
-    out, scores = blocks.mhca_forward(params, queries, tensor(bag_row))
+    out, scores = attend(params, queries, tensor(bag_row))
     assert out.shape == (3, 8)
     assert scores.shape == (3, 1)
     # with one key the attended value is the projected V row for every query
@@ -51,8 +67,8 @@ def test_mhca_identical_keys_uniform_attention():
     queries = tensor(rng.normal(size=(2, 8)))
     row = rng.normal(size=8)
     bag = tensor(np.tile(row, (5, 1)))
-    out_full, _ = blocks.mhca_forward(params, queries, bag)
-    out_one, _ = blocks.mhca_forward(params, queries, tensor(row[None, :]))
+    out_full, _ = attend(params, queries, bag)
+    out_one, _ = attend(params, queries, tensor(row[None, :]))
     # uniform attention over identical rows equals attending a single row
     np.testing.assert_allclose(out_full.values, out_one.values, atol=1e-12)
 
@@ -63,7 +79,7 @@ def test_mhca_hand_scores_identity_projections():
     params = identity_mhca(width)
     q0 = rng.normal(size=(2, width))
     b0 = rng.normal(size=(3, width))
-    _, scores = blocks.mhca_forward(params, tensor(q0), tensor(b0))
+    _, scores = attend(params, tensor(q0), tensor(b0))
     np.testing.assert_allclose(scores, q0 @ b0.T / np.sqrt(width),
                                rtol=1e-12)
 
@@ -72,8 +88,8 @@ def test_mhca_empty_bag_rejected():
     rng = np.random.default_rng(3)
     params = make_mhca(rng, 8, 2)
     with pytest.raises(ShapeError):
-        blocks.mhca_forward(params, tensor(np.zeros((1, 8))),
-                            tensor(np.zeros((0, 8)).reshape(0, 8)))
+        attend(params, tensor(np.zeros((1, 8))),
+               tensor(np.zeros((0, 8)).reshape(0, 8)))
 
 
 def test_mhca_score_head_selection():
@@ -81,13 +97,13 @@ def test_mhca_score_head_selection():
     params = make_mhca(rng, 8, 2)
     queries = tensor(rng.normal(size=(2, 8)))
     bag = tensor(rng.normal(size=(4, 8)))
-    _, merged = blocks.mhca_forward(params, queries, bag)
-    _, h0 = blocks.mhca_forward(params, queries, bag, score_head=0)
-    _, h1 = blocks.mhca_forward(params, queries, bag, score_head=1)
+    _, merged = attend(params, queries, bag)
+    _, h0 = attend(params, queries, bag, score_head=0)
+    _, h1 = attend(params, queries, bag, score_head=1)
     np.testing.assert_allclose(merged, (h0 + h1) / 2,
                                rtol=1e-12)
     with pytest.raises(ShapeError):
-        blocks.mhca_forward(params, queries, bag, score_head=2)
+        attend(params, queries, bag, score_head=2)
 
 
 def per_head_reference(params, queries, bag, score_head):
@@ -118,8 +134,8 @@ def test_mhca_batched_heads_match_per_head_reference(heads, pick_head):
     queries = rng.normal(size=(3, 8))
     bag = rng.normal(size=(7, 8))
     score_head = heads - 1 if pick_head else None
-    out, scores = blocks.mhca_forward(params, tensor(queries), tensor(bag),
-                                      score_head=score_head)
+    out, scores = attend(params, tensor(queries), tensor(bag),
+                         score_head=score_head)
     ref_out, ref_scores = per_head_reference(params, queries, bag, score_head)
     np.testing.assert_allclose(out.values, ref_out, rtol=0, atol=1e-12)
     np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)
@@ -130,8 +146,8 @@ def test_mhca_purity():
     params = make_mhca(rng, 8, 2)
     queries = tensor(rng.normal(size=(2, 8)))
     bag = tensor(rng.normal(size=(6, 8)))
-    a, sa = blocks.mhca_forward(params, queries, bag)
-    b, sb = blocks.mhca_forward(params, queries, bag)
+    a, sa = attend(params, queries, bag)
+    b, sb = attend(params, queries, bag)
     np.testing.assert_array_equal(a.values, b.values)
     np.testing.assert_array_equal(sa, sb)
 
@@ -142,8 +158,8 @@ def test_mhca_patch_permutation_permutes_score_columns():
     queries = tensor(rng.normal(size=(2, 8)))
     bag = rng.normal(size=(5, 8))
     perm = rng.permutation(5)
-    out_a, scores_a = blocks.mhca_forward(params, queries, tensor(bag))
-    out_b, scores_b = blocks.mhca_forward(params, queries, tensor(bag[perm]))
+    out_a, scores_a = attend(params, queries, tensor(bag))
+    out_b, scores_b = attend(params, queries, tensor(bag[perm]))
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-12)
     np.testing.assert_allclose(scores_a[:, perm], scores_b,
                                atol=1e-12)
@@ -153,8 +169,8 @@ def test_mhca_width_mismatch():
     rng = np.random.default_rng(7)
     params = make_mhca(rng, 8, 2)
     with pytest.raises(ShapeError):
-        blocks.mhca_forward(params, tensor(np.zeros((1, 4))),
-                            tensor(np.zeros((3, 8))))
+        attend(params, tensor(np.zeros((1, 4))),
+               tensor(np.zeros((3, 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +258,22 @@ def test_gated_attention_identical_patches_uniform():
     rng = np.random.default_rng(15)
     params = blocks.GatedAttentionParams.init(rng, 5)
     bag = tensor(np.tile(rng.normal(size=5), (7, 1)))
-    w = blocks.gated_attention_weights(params, bag).values
+    w = one_bag_weights(params, bag)
     np.testing.assert_allclose(w, np.full((7, 1), 1 / 7), atol=1e-12)
 
 
 def test_gated_attention_single_patch_weight_one():
     rng = np.random.default_rng(16)
     params = blocks.GatedAttentionParams.init(rng, 5)
-    w = blocks.gated_attention_weights(params, tensor(rng.normal(size=(1, 5))))
-    np.testing.assert_allclose(w.values, [[1.0]], atol=1e-15)
+    w = one_bag_weights(params, tensor(rng.normal(size=(1, 5))))
+    np.testing.assert_allclose(w, [[1.0]], atol=1e-15)
 
 
 def test_gated_attention_weights_sum_to_one():
     rng = np.random.default_rng(17)
     params = blocks.GatedAttentionParams.init(rng, 5)
-    w = blocks.gated_attention_weights(params, tensor(rng.normal(size=(9, 5))))
-    np.testing.assert_allclose(w.values.sum(), 1.0, atol=1e-12)
+    w = one_bag_weights(params, tensor(rng.normal(size=(9, 5))))
+    np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
 
 def test_gated_attention_permutation():
@@ -265,8 +281,8 @@ def test_gated_attention_permutation():
     params = blocks.GatedAttentionParams.init(rng, 5)
     bag = rng.normal(size=(6, 5))
     perm = rng.permutation(6)
-    w = blocks.gated_attention_weights(params, tensor(bag)).values
-    w_perm = blocks.gated_attention_weights(params, tensor(bag[perm])).values
+    w = one_bag_weights(params, tensor(bag))
+    w_perm = one_bag_weights(params, tensor(bag[perm]))
     np.testing.assert_allclose(w[perm], w_perm, atol=1e-12)
 
 
@@ -278,7 +294,8 @@ def test_gated_attention_gradient():
     named = dict(params.named_tensors("gate"))
     named["bag"] = bag
     err = grad_check(
-        lambda p: ad.sum_(ad.mul(blocks.gated_attention_weights(params, bag),
+        lambda p: ad.sum_(ad.mul(blocks.gated_attention_weights(params, bag,
+                                                                one_bag(bag)),
                                  probe)),
         named)
     assert err < 1e-5

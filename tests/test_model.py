@@ -7,6 +7,10 @@ from histodistill.autodiff import backward, grad_check, tensor
 from histodistill.errors import ConfigError
 
 
+def one_bag(bag):
+    return gm.PatchLayout.of(bag.shape[:1])
+
+
 def small_config(**overrides):
     base = dict(feature_dim=8, category_sizes=(3, 2), width=4, heads=2,
                 compress_width=3, n_bins=3, k_percent=50.0)
@@ -21,8 +25,8 @@ def small_config(**overrides):
 def test_assoc_single_patch_one_column():
     model = gm.build_model(small_config(), seed=0)
     bag = np.random.default_rng(0).normal(size=(1, 8))
-    out = gm.assoc_forward(model.assoc, tensor(bag))
-    assert out.scores.shape == (2, 1)
+    out = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    assert out.scores.shape == (1, 2, 1)
     assert out.features.shape == (2, 4)
     assert [r.shape for r in out.recon] == [(1, 3), (1, 2)]
 
@@ -32,11 +36,11 @@ def test_assoc_duplicated_patches_leave_features_unchanged():
     rng = np.random.default_rng(1)
     bag = rng.normal(size=(5, 8))
     doubled = np.concatenate([bag, bag], axis=0)
-    a = gm.assoc_forward(model.assoc, tensor(bag))
-    b = gm.assoc_forward(model.assoc, tensor(doubled))
+    a = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    b = gm.assoc_forward(model.assoc, tensor(doubled), one_bag(doubled))
     np.testing.assert_allclose(a.features.values, b.features.values, atol=1e-12)
     # scores are per patch, so the block just repeats
-    np.testing.assert_allclose(b.scores, np.tile(a.scores, (1, 2)),
+    np.testing.assert_allclose(b.scores[0], np.tile(a.scores[0], (1, 2)),
                                atol=1e-12)
 
 
@@ -51,9 +55,10 @@ def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
     params.ffn_first.w2.assign_(np.zeros_like(params.ffn_first.w2.values))
     params.ffn_first.b2.assign_(np.zeros_like(params.ffn_first.b2.values))
     bag = np.random.default_rng(2).normal(size=(4, 8))
-    out = gm.assoc_forward(params, tensor(bag))
+    out = gm.assoc_forward(params, tensor(bag), one_bag(bag))
     proj = tensor(bag) @ params.in_w + params.in_b
-    _, direct_scores = blocks.mhca_forward(params.mhca, params.tokens, proj)
+    _, direct_scores = blocks.mhca_forward(
+        params.mhca, params.tokens, blocks.patch_keys(params.mhca, proj, one_bag(bag)))
     np.testing.assert_allclose(out.scores, direct_scores,
                                atol=1e-12)
 
@@ -63,18 +68,18 @@ def test_assoc_score_columns_permute_with_patches():
     rng = np.random.default_rng(3)
     bag = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    a = gm.assoc_forward(model.assoc, tensor(bag))
-    b = gm.assoc_forward(model.assoc, tensor(bag[perm]))
-    np.testing.assert_allclose(a.scores[:, perm], b.scores,
+    a = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    b = gm.assoc_forward(model.assoc, tensor(bag[perm]), one_bag(bag))
+    np.testing.assert_allclose(a.scores[0][:, perm], b.scores[0],
                                atol=1e-12)
 
 
 def test_shared_mhca_parameters_drive_both_rounds():
     model = gm.build_model(small_config(), seed=4)
     bag = np.random.default_rng(4).normal(size=(3, 8))
-    before = gm.assoc_forward(model.assoc, tensor(bag))
+    before = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
     model.assoc.mhca.wq.assign_(model.assoc.mhca.wq.values + 0.5)
-    after = gm.assoc_forward(model.assoc, tensor(bag))
+    after = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
     # round one moved (features depend on it) and so did round-two scores
     assert not np.allclose(before.first_pass.values, after.first_pass.values)
     assert not np.allclose(before.scores, after.scores)

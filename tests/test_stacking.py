@@ -1,0 +1,265 @@
+"""Stacked multi-patient training: a stack of ragged bags must train
+exactly like its patients one at a time, with pads invisible."""
+
+import numpy as np
+import pytest
+
+from histodistill import autodiff as ad
+from histodistill import training as tr
+from histodistill.blocks import PatchLayout
+from histodistill.datasets import SynthConfig, discretize_survival, synth_generate
+from histodistill.errors import TrainingError
+from histodistill.model import build_model, nll_loss, stack_forward, topk_masked_softmax
+from histodistill.training import (GeneStandardizer, TrainConfig, TrainEntry,
+                                   pack_stacks, stack_loss, train_model)
+
+FEATURES = 6
+CATEGORIES = (3, 2, 4)
+VARIANTS = ("default", "score_head", "gated_recon", "cut_bridge", "assoc_only",
+            "gated_baseline")
+
+
+def variant_config(name: str) -> TrainConfig:
+    flags = {"default": {}, "score_head": {"score_head": 1}}.get(name, {name: True})
+    return TrainConfig(width=8, heads=2, compress_width=4, n_bins=3,
+                       k_percent=30.0, **flags)
+
+
+def make_model(config: TrainConfig, seed: int = 0):
+    sizes = () if config.gated_baseline else CATEGORIES
+    return build_model(config.model_config(FEATURES, sizes), seed=seed)
+
+
+def make_entries(rng, lengths, with_targets=True):
+    return [TrainEntry(f"p{i}", rng.normal(size=(n, FEATURES)),
+                       int(rng.integers(0, 3)), int(rng.integers(0, 2)),
+                       [rng.normal(size=c) for c in CATEGORIES] if with_targets else None)
+            for i, n in enumerate(lengths)]
+
+
+def gradients(model, groups, config):
+    """Leaf gradients after one backward per group of entries."""
+    ad.zero_grads(model.tensors())
+    totals = []
+    for group in groups:
+        loss = stack_loss(model, group, config).total
+        totals.append(loss.item())
+        ad.backward(loss)
+    grads = {name: np.zeros_like(t.values) if t.grad is None else np.array(t.grad)
+             for name, t in model.named_tensors()}
+    ad.zero_grads(model.tensors())
+    return grads, sum(totals)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_group_gradients_equal_per_patient_sums(variant):
+    config = variant_config(variant)
+    model = make_model(config)
+    rng = np.random.default_rng(VARIANTS.index(variant))
+    for _ in range(3):
+        lengths = [1, *rng.integers(1, 15, size=int(rng.integers(2, 6)))]
+        entries = make_entries(rng, rng.permutation(lengths),
+                               with_targets=not config.gated_baseline)
+        stacked, stacked_total = gradients(model, [entries], config)
+        single, single_total = gradients(model, [[e] for e in entries], config)
+        assert stacked_total == pytest.approx(single_total, rel=1e-12)
+        scale = max(np.abs(g).max() for g in single.values())
+        for name, want in single.items():
+            # Exactly dead parameters (key and score biases) carry roundoff
+            # only; they are held to the group's gradient scale instead.
+            floor = max(np.abs(want).max(), 1e-6 * scale)
+            err = np.abs(stacked[name] - want).max() / floor
+            assert err <= 1e-10, f"{variant} {lengths}: {name} off by {err:.1e}"
+
+
+def test_pad_positions_get_zero_attention_morphology_and_gradient():
+    config = variant_config("default")
+    model = make_model(config)
+    rng = np.random.default_rng(5)
+    entries = make_entries(rng, [2, 9, 1, 6])
+    layout = PatchLayout.of([e.bag.shape[0] for e in entries])
+    result = stack_forward(model, np.concatenate([e.bag for e in entries]), layout)
+    pads = ~layout.mask
+    diag = result.diagnostics
+    assert (diag.morph_weights[pads] == 0.0).all()
+    assert (diag.masked_assoc.transpose(0, 2, 1)[pads] == 0.0).all()
+    assert (diag.fused.transpose(0, 2, 1)[pads] == 0.0).all()
+
+    loss = nll_loss(result.hazards, [0, 1, 2, 0], [0, 0, 1, 1])
+    weights, pad_grads = [], []
+    for node in ad._topological_order(loss):
+        if node._op == "masked_softmax":
+            weights.append(node.values)
+        # padded layouts come as (B, N_max, ...) or flattened to (B * N_max, ...)
+        if node._op == "gather_rows" and node.shape[0] in (len(pads), pads.size):
+            at_pads = pads if node.shape[:2] == pads.shape else pads.reshape(-1)
+            fn = node._backward_fn
+
+            def record(g, fn=fn, at_pads=at_pads):
+                pad_grads.append(g[at_pads])
+                fn(g)
+            node._backward_fn = record
+    ad.backward(loss)
+    # both cross-attention rounds and the gated pooling
+    assert len(weights) == 3
+    for w in weights:
+        # cross-attention weights are (B, heads, N_g, N_max), gated (B, N_max, 1)
+        at_pads = pads[:, None, None, :] if w.ndim == 4 else pads[:, :, None]
+        assert (w[np.broadcast_to(at_pads, w.shape)] == 0.0).all()
+    # padded keys, values, value rows and gated scores
+    assert len(pad_grads) == 4
+    for g in pad_grads:
+        assert (g == 0.0).all()
+
+
+def test_topk_count_follows_each_patients_own_patch_count():
+    rng = np.random.default_rng(6)
+    lengths = (1, 5, 12, 37)
+    scores = rng.normal(size=(4, 3, 37))
+    for k in (10.0, 20.0, 35.0):
+        out = topk_masked_softmax(scores, k, lengths)
+        for b, n in enumerate(lengths):
+            m = max(1, round(k * n / 100))
+            assert (np.count_nonzero(out[b], axis=1) == m).all()
+            assert (out[b, :, n:] == 0.0).all()
+            np.testing.assert_allclose(out[b].sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(out[b, :, :n],
+                                       topk_masked_softmax(scores[b, :, :n], k),
+                                       rtol=1e-14, atol=0)
+
+
+def test_stacks_keep_order_and_a_bag_above_the_budget_trains_alone(monkeypatch):
+    budget = tr.ROW_BUDGET
+    assert pack_stacks([budget // 2, budget // 2, 1]) == [[0, 1], [2]]
+    assert pack_stacks([3, budget + 1, 4, 5]) == [[0], [1], [2, 3]]
+    assert pack_stacks([budget, budget]) == [[0], [1]]
+
+    cohort, _ = synth_generate(SynthConfig(n_patients=6, patch_range=(8, 8)), seed=0)
+    cohort[3].bag.features = np.tile(cohort[3].bag.features, (budget // 8 + 1, 1))
+    config = TrainConfig(epochs=1, accumulation=6, gated_baseline=True)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
+    model = build_model(config.model_config(cohort.feature_dim, ()), seed=0)
+    seen = []
+    real_stack_loss = tr.stack_loss
+
+    def recording(model, entries, *args, **kwargs):
+        seen.append([e.pid for e in entries])
+        return real_stack_loss(model, entries, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "stack_loss", recording)
+    order = np.random.default_rng(0).permutation(6)
+    train_model(model, cohort, np.arange(6), bins, config, None, None,
+                np.random.default_rng(0))
+    big = cohort[3].patient_id
+    assert [big] in seen
+    assert [pid for stack in seen for pid in stack] == [cohort[int(i)].patient_id
+                                                        for i in order]
+    position = list(order).index(3)
+    assert len(seen) == (3 if 0 < position < 5 else 2)
+
+
+def test_one_stack_of_eight_64_patch_bags_builds_at_most_192_nodes(monkeypatch):
+    cohort, _ = synth_generate(SynthConfig(n_patients=8, patch_range=(64, 64)), seed=0)
+    config = TrainConfig(epochs=1, accumulation=8)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
+    every = np.arange(len(cohort))
+    scaler = GeneStandardizer.fit(tr._selected_expression(cohort, every, None))
+    model = build_model(config.model_config(cohort.feature_dim,
+                                            SynthConfig().gene_counts), seed=0)
+    made, losses = [], []
+    make, backward = ad._make, ad.backward
+
+    def counting_make(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    def recording_backward(loss):
+        losses.append(loss)
+        return backward(loss)
+
+    monkeypatch.setattr(tr, "ROW_BUDGET", 8 * 64)
+    monkeypatch.setattr(ad, "_make", counting_make)
+    monkeypatch.setattr(ad, "backward", recording_backward)
+    train_model(model, cohort, every, bins, config, scaler, None,
+                np.random.default_rng(0))
+    assert len(losses) == 1, "the eight bags did not share one stack"
+    assert 0 < len(made) <= 192, sorted({node._op for node in made})
+    reachable = set()
+    stack = list(losses)
+    while stack:
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable.add(id(node))
+            stack.extend(node._parents)
+    unreachable = [node._op for node in made if id(node) not in reachable]
+    assert not unreachable, unreachable
+
+
+def test_backward_functions_leave_their_incoming_gradient_untouched():
+    config = TrainConfig()
+    synth = SynthConfig()
+    model = build_model(config.model_config(synth.feature_dim, synth.gene_counts), seed=0)
+    rng = np.random.default_rng(8)
+    lengths = [40, 1, 64, 17, 96]
+    entries = [TrainEntry(f"p{i}", rng.normal(size=(n, synth.feature_dim)),
+                          i % config.n_bins, i % 2,
+                          [rng.normal(size=c) for c in synth.gene_counts])
+               for i, n in enumerate(lengths)]
+
+    def run(read_only: bool):
+        ad.zero_grads(model.tensors())
+        loss = ad.mul(stack_loss(model, entries, config).total, 1.0 / len(entries))
+        if read_only:
+            for node in ad._topological_order(loss):
+                fn = node._backward_fn
+                if fn is None:
+                    continue
+
+                def frozen(g, fn=fn):
+                    g = np.array(g)
+                    g.flags.writeable = False
+                    fn(g)
+                node._backward_fn = frozen
+        ad.backward(loss)
+        return {name: np.array(t.grad) for name, t in model.named_tensors()
+                if t.grad is not None}
+
+    plain = run(read_only=False)
+    frozen = run(read_only=True)
+    assert plain.keys() == frozen.keys() and plain
+    for name in plain:
+        np.testing.assert_array_equal(plain[name], frozen[name], err_msg=name)
+
+
+def test_trace_counts_clamped_norms_per_row():
+    synth = SynthConfig(n_patients=8, patch_range=(4, 6), feature_dim=FEATURES)
+    cohort, _ = synth_generate(synth, seed=1)
+    categories = synth.gene_counts
+    config = TrainConfig(epochs=2, accumulation=3, width=8, heads=2,
+                         compress_width=4, n_bins=3)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
+    every = np.arange(len(cohort))
+    # Centred on patient 0 with unit scale: its standardized targets are
+    # all-zero rows, one clamped norm per category, every epoch.
+    scaler = GeneStandardizer(tuple(np.asarray(v, dtype=float)
+                                    for v in cohort[0].genes.vectors),
+                              tuple(np.ones(c) for c in categories))
+    model = build_model(config.model_config(FEATURES, categories), seed=0)
+    trace = train_model(model, cohort, every, bins, config, scaler, None,
+                        np.random.default_rng(0))
+    assert [entry["clamped_norms"] for entry in trace] == [len(categories)] * 2
+
+
+def test_training_error_names_the_epoch_and_every_patient_of_the_stack():
+    cohort, _ = synth_generate(SynthConfig(n_patients=10, patch_range=(3, 5)), seed=2)
+    cohort[2].bag.features = np.full_like(cohort[2].bag.features, np.nan)
+    config = TrainConfig(epochs=1, accumulation=10, gated_baseline=True)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
+    model = build_model(config.model_config(cohort.feature_dim, ()), seed=0)
+    with pytest.raises(TrainingError) as caught:
+        train_model(model, cohort, np.arange(10), bins, config, None, None,
+                    np.random.default_rng(0))
+    message = str(caught.value)
+    assert message.startswith("epoch 1, patients ")
+    for patient in cohort:
+        assert f"'{patient.patient_id}'" in message
