@@ -46,13 +46,14 @@ ad.zero_grads([w, b])
 print("after zero_grads, w.grad =", w.grad)
 
 # ---------------------------------------------------------------------------
-# a matrix graph with softmax and a reduction
+# a matrix graph: affine map, softmax and a reduction
 # ---------------------------------------------------------------------------
 
 A = tensor(rng.normal(size=(3, 4)), requires_grad=True)
 v = tensor(rng.normal(size=(4, 2)), requires_grad=True)
+c = tensor(np.zeros(2))              # bias of the affine map, held constant
 
-scores = ad.matmul(A, v)             # (3, 2)
+scores = ad.linear(A, v, c)          # A @ v + c, (3, 2)
 probs = ad.softmax(scores, axis=1)   # rows sum to one
 loss = ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)   # mean
 
@@ -71,7 +72,7 @@ print("grad shapes:", grads[A].shape, grads[v].shape)
 
 
 def rebuild(params):
-    scores = ad.matmul(params["A"], params["v"])
+    scores = ad.linear(params["A"], params["v"], c)
     probs = ad.softmax(scores, axis=1)
     return ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)
 
@@ -90,10 +91,10 @@ assert worst < 1e-6
 # way, and the survival branch builds its top-k mask from that array.
 
 ad.zero_grads([A, v])
-frozen = tensor(ad.matmul(A, v).values)
+frozen = tensor(ad.linear(A, v, c).values)
 leaked = backward(ad.sum_(ad.mul(frozen, frozen)))
 print("\ngrad reaching A through the detached copy:", leaked.get(A))
 
 with ad.no_grad():
-    silent = ad.matmul(A, v)
+    silent = ad.linear(A, v, c)
 print("tensor built under no_grad requires grad:", silent.requires_grad)

@@ -1,13 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-Covers exactly the operations the attention architecture needs: matmul,
-broadcast arithmetic, softmax, the usual activations, concatenation and
-row gathering, and a finite-difference gradient checker. Composites that
-run many times per training step are single nodes with closed-form
-backwards: the affine map, layer normalization, head split/merge with
-batched matmul, the row gather that pads a stack of bags, the masked
-softmax over padded patches, the two row-wise reconstruction error terms,
-and the running product of survival. A value that must not carry gradient
+Covers exactly the operations the attention architecture needs:
+broadcast arithmetic, softmax with an optional mask, the usual
+activations, concatenation and row gathering, and a finite-difference
+gradient checker. Composites that run many times per training step are
+single nodes with closed-form backwards: the affine map, layer
+normalization, head split/merge with batched matmul, the row gather that
+pads a stack of bags, the two row-wise reconstruction error terms, and the
+running product of survival. Ops are plain functions (`add`, `mul`, ...);
+`Tensor` has no operator overloads. A value that must not carry gradient
 leaves the tape as a plain array. Tensors are immutable during an active
 forward/backward pass, and no backward function writes into the gradient
 it is handed; the optimizer mutates leaf values between passes via
@@ -93,31 +94,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op}{flag})"
-
-    # arithmetic sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(values, requires_grad: bool = False) -> Tensor:
@@ -208,21 +184,6 @@ def mul(a, b) -> Tensor:
     return _make(out_values, (a, b), backward_fn, "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out_values = a.values @ b.values
-
-    def backward_fn(g):
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
-
-    return _make(out_values, (a, b), backward_fn, "matmul")
-
-
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     x = _as_tensor(x)
@@ -268,7 +229,7 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                          f"got {a.shape} and {b.shape}")
     # A transposed operand is copied first: BLAS can round a product with a
     # transposed view differently, and the copy keeps each slice bit-equal
-    # to `matmul` on the same two matrices.
+    # to a plain 2-d product of the same two matrices.
     b_mat = (np.ascontiguousarray(b.values.swapaxes(-1, -2)) if transpose_b
              else b.values)
     try:
@@ -402,33 +363,18 @@ def merge_heads(x: Tensor) -> Tensor:
 # nonlinearities
 # ---------------------------------------------------------------------------
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-shifted softmax along `axis`; each slice sums to 1."""
-    x = _as_tensor(x)
-    if not -x.values.ndim <= axis < x.values.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def softmax(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
+    """Max-shifted softmax along `axis`; each slice sums to 1.
 
-    def backward_fn(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
-
-    return _make(y, (x,), backward_fn, "softmax")
-
-
-def masked_softmax(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
-    """Softmax along `axis` over the entries where `mask` is True.
-
-    `mask` broadcasts against x and leaves at least one True entry in
-    every slice. Masked-out entries get exactly zero weight, and so
-    exactly zero gradient; on an all-True mask the values equal `softmax`.
+    An optional boolean `mask` broadcasts against x and leaves at least one
+    True entry in every slice; the softmax then runs over the True entries
+    only, and masked-out entries get exactly zero weight and zero gradient.
+    On an all-True mask the values equal the unmasked softmax.
     """
     x = _as_tensor(x)
     if not -x.values.ndim <= axis < x.values.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    kept = np.where(mask, x.values, -np.inf)
+    kept = x.values if mask is None else np.where(mask, x.values, -np.inf)
     e = np.exp(kept - kept.max(axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
 
@@ -436,7 +382,7 @@ def masked_softmax(x: Tensor, mask: np.ndarray, axis: int) -> Tensor:
         dot = (g * y).sum(axis=axis, keepdims=True)
         _accumulate(x, y * (g - dot))
 
-    return _make(y, (x,), backward_fn, "masked_softmax")
+    return _make(y, (x,), backward_fn, "softmax")
 
 
 def log(x: Tensor) -> Tensor:

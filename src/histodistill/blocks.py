@@ -4,8 +4,9 @@ gated attention pooling, and the per-category reconstruction heads.
 Blocks work on a stack of B bags at once. Per-patch layers see the bags'
 patch rows packed one bag after another; the per-bag mixers (attention
 over patches, gated pooling) see them padded to (B, N_max) as laid out by
-a `PatchLayout`. Token-level inputs and outputs hold each bag's rows as
-one consecutive block.
+a `PatchLayout`, whose patch mask the softmax over patches takes so pads
+get exactly zero weight. Token-level inputs and outputs hold each bag's
+rows as one consecutive block. Scores leave a block as plain arrays.
 """
 
 from __future__ import annotations
@@ -97,13 +98,13 @@ def _attend(params: MhcaParams, q: Tensor, k: Tensor, v: Tensor,
     """Scaled dot-product attention over all bags and heads at once.
 
     q, k and v are (batch, heads, n, d); a q batch of 1 is shared by every
-    bag. Returns the projected output rows and the pre-softmax scores,
-    shape (batch, heads, n_queries, n_keys).
+    bag. `mask`, when given, broadcasts against the scores and is False at
+    padded keys. Returns the projected output rows and the pre-softmax
+    scores, shape (batch, heads, n_queries, n_keys).
     """
     scores = ad.batched_matmul(q, k, transpose_b=True,
                                scale=1.0 / math.sqrt(q.shape[-1]))
-    weights = (ad.softmax(scores, axis=-1) if mask is None
-               else ad.masked_softmax(scores, mask, axis=-1))
+    weights = ad.softmax(scores, axis=-1, mask=mask)
     attended = ad.batched_matmul(weights, v)
     return linear(ad.merge_heads(attended), params.wo, params.bo), scores
 
@@ -225,12 +226,10 @@ class GatedAttentionParams:
     score_b: Tensor
 
     @classmethod
-    def init(cls, rng: np.random.Generator, width: int,
-             attn_width: int | None = None) -> "GatedAttentionParams":
-        attn_width = width if attn_width is None else attn_width
-        u_w, u_b = linear_params(rng, width, attn_width)
-        v_w, v_b = linear_params(rng, width, attn_width)
-        score_w, score_b = linear_params(rng, attn_width, 1)
+    def init(cls, rng: np.random.Generator, width: int) -> "GatedAttentionParams":
+        u_w, u_b = linear_params(rng, width, width)
+        v_w, v_b = linear_params(rng, width, width)
+        score_w, score_b = linear_params(rng, width, 1)
         return cls(u_w, u_b, v_w, v_b, score_w, score_b)
 
     def named_tensors(self, prefix: str):
@@ -238,23 +237,20 @@ class GatedAttentionParams:
             yield f"{prefix}.{field}", getattr(self, field)
 
 
-def gated_attention_scores(params: GatedAttentionParams, bag: Tensor) -> Tensor:
-    """Pre-softmax instance scores of packed patch rows, shape (rows, 1)."""
-    gate = ad.mul(ad.tanh(linear(bag, params.u_w, params.u_b)),
-                  ad.sigmoid(linear(bag, params.v_w, params.v_b)))
-    return linear(gate, params.score_w, params.score_b)
-
-
 def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
-                            layout: PatchLayout) -> Tensor:
+                            layout: PatchLayout) -> tuple[Tensor, np.ndarray]:
     """Instance weights after softmax over each bag, shape (B, N_max, 1).
 
     Scores are computed on the packed rows; each bag's column sums to 1
-    and pads get weight 0.
+    and pads get weight 0. Also returns the pre-softmax scores as a plain
+    (B, 1, N_max) array, 0 at pads, through which no gradient can flow.
     """
     layout.check(bag)
-    raw = ad.gather_rows(gated_attention_scores(params, bag), layout.index)
-    return ad.masked_softmax(raw, layout.mask[:, :, None], axis=1)
+    gate = ad.mul(ad.tanh(linear(bag, params.u_w, params.u_b)),
+                  ad.sigmoid(linear(bag, params.v_w, params.v_b)))
+    raw = ad.gather_rows(linear(gate, params.score_w, params.score_b), layout.index)
+    weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
+    return weights, raw.values.transpose(0, 2, 1)
 
 
 @dataclass

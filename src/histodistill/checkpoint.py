@@ -52,6 +52,41 @@ def _config_from_dict(raw: dict) -> ModelConfig:
     return ModelConfig(**raw)
 
 
+def _per_category(value, leaf, sizes: tuple[int, ...]) -> bool:
+    """True for a list holding one list of `leaf` values per category size."""
+    if not isinstance(value, list) or len(value) != len(sizes):
+        return False
+    return all(isinstance(row, list) and len(row) == n
+               and all(isinstance(v, leaf) and not isinstance(v, bool) for v in row)
+               for row, n in zip(value, sizes))
+
+
+def _check_optional_keys(path: Path, header: dict, sizes: tuple[int, ...]) -> None:
+    """Each optional header key is absent, null, or shaped as `save_checkpoint`
+    writes it; per-category tables hold one entry per reconstructed gene."""
+    scaler = header.get("standardization")
+    selected = header.get("selected_genes")
+    names = header.get("category_names")
+    gene_ids = header.get("gene_ids")
+    train_config = header.get("train_config")
+    malformed = {
+        "standardization": not (isinstance(scaler, dict)
+                                and set(scaler) == {"mean", "std"}
+                                and all(_per_category(v, (int, float), sizes)
+                                        for v in scaler.values())),
+        "selected_genes": not (_per_category(selected, int, sizes)
+                               and all(g >= 0 for row in selected for g in row)),
+        "category_names": not (isinstance(names, list)
+                               and all(isinstance(n, str) for n in names)),
+        "gene_ids": not _per_category(gene_ids, str, sizes),
+        "train_config": not isinstance(train_config, dict),
+    }
+    for key, bad in malformed.items():
+        if bad and header.get(key) is not None:
+            raise CheckpointError(f"{path}: malformed header key '{key}' (model "
+                                  f"category sizes {list(sizes)})")
+
+
 def save_checkpoint(path: str | Path, model: ModelParams,
                     bin_boundaries: np.ndarray,
                     standardization: dict | None = None,
@@ -112,6 +147,7 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise CheckpointError(f"{path}: header lacks key {err}") from None
     except (TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: malformed header: {err}") from None
+    _check_optional_keys(path, header, config.category_sizes)
 
     model = build_model(config, seed=0)
     offset = header_end

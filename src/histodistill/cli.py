@@ -85,6 +85,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_feature_dim(ckpt, checkpoint_path: Path, source: Path, dim: int) -> None:
+    expected = ckpt.model.config.feature_dim
+    if dim != expected:
+        raise ConfigError(f"{source}: bags have feature dim {dim}, but checkpoint "
+                          f"{checkpoint_path} expects {expected}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -155,6 +162,7 @@ def _cmd_eval(args) -> int:
     out = _out_dir(args)
     ckpt = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.manifest, with_genomics=args.spearman)
+    _check_feature_dim(ckpt, args.checkpoint, args.manifest, cohort.feature_dim)
     result = evaluate(ckpt, cohort, with_spearman=args.spearman)
     write_json(out / "eval_metrics.json", result.to_dict())
     if result.spearman is not None:
@@ -201,6 +209,7 @@ def _cmd_export_assoc(args) -> int:
     out = _out_dir(args)
     ckpt = load_checkpoint(args.checkpoint)
     bag = read_bag(args.bag)
+    _check_feature_dim(ckpt, args.checkpoint, args.bag, bag.feature_dim)
     path = out / "associations.tsv"
     export_associations(ckpt, bag.features, path)
     print(f"wrote {path}")
@@ -211,6 +220,7 @@ def _cmd_km(args) -> int:
     out = _out_dir(args)
     ckpt = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.manifest, with_genomics=False)
+    _check_feature_dim(ckpt, args.checkpoint, args.manifest, cohort.feature_dim)
     result = evaluate(ckpt, cohort)
     times = cohort.times()
     censor = cohort.censor_flags()

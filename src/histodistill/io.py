@@ -38,6 +38,9 @@ def read_bag(path: str | Path, patient_id: str | None = None) -> PatchBag:
     if magic != BAG_MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r} at byte 0, "
                               f"expected {BAG_MAGIC!r}")
+    for offset, field, value in ((4, "patch count", n_patches), (8, "feature dim", dim)):
+        if value == 0:
+            raise DataFormatError(f"{path}: {field} is 0 at byte offset {offset}")
     expected = _BAG_HEADER.size + 4 * n_patches * dim
     if len(raw) != expected:
         raise DataFormatError(

@@ -173,17 +173,15 @@ def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
 
 def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
                         layout: PatchLayout) -> AssocOutput:
-    layout.check(bag)
+    """One gated pooling per category; its scores are the association rows."""
     proj = linear(bag, params.in_w, params.in_b)
     values = ad.gather_rows(proj, layout.index)               # (B, N_max, width)
     feature_rows = []
     score_rows = []
     for gate in params.gates:
-        raw = ad.gather_rows(blocks.gated_attention_scores(gate, proj),
-                             layout.index)                    # (B, N_max, 1)
-        weights = ad.masked_softmax(raw, layout.mask[:, :, None], axis=1)
+        weights, scores = blocks.gated_attention_weights(gate, proj, layout)
         feature_rows.append(ad.batched_matmul(ad.transpose(weights), values))
-        score_rows.append(raw.values.transpose(0, 2, 1))
+        score_rows.append(scores)
     batch, width = layout.batch, proj.shape[1]
     features = ad.reshape(ad.concat(feature_rows, axis=1),
                           (batch * len(params.gates), width))
@@ -328,7 +326,7 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLay
         morph = None
         fused = ad.tensor(masked_assoc)
     else:
-        morph = blocks.gated_attention_weights(params.gate, proj, layout)
+        morph, _ = blocks.gated_attention_weights(params.gate, proj, layout)
         fused = fused_attention(morph, masked_assoc)
     rows = layout.batch * cfg.n_tokens
     pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
@@ -350,7 +348,7 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLay
 
 def baseline_forward(params: BaselineParams, bag: Tensor, layout: PatchLayout) -> Tensor:
     proj = linear(bag, params.value_w, params.value_b)
-    weights = blocks.gated_attention_weights(params.gate, proj, layout)
+    weights, _ = blocks.gated_attention_weights(params.gate, proj, layout)
     pooled = ad.batched_matmul(ad.transpose(weights),
                                ad.gather_rows(proj, layout.index))
     flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))

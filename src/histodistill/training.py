@@ -8,9 +8,10 @@ ragged, so per-patch layers see the stack's packed patch rows and the
 per-patient mixers a padded layout with a patch mask (`model.stack_forward`).
 A stack grows while its patch rows stay within ROW_BUDGET; a bag larger
 than that trains alone, so slide-scale bags keep the memory profile of
-one bag per pass. Validation metrics are always computed from the saved
-checkpoint after reloading it, so `eval` on the same file reproduces them
-exactly.
+one bag per pass. A fold's gene targets are its training split's selected
+genes, standardized by a fit on those same matrices (`gene_targets`).
+Validation metrics are always computed from the saved checkpoint after
+reloading it, so `eval` on the same file reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .geneselect import (GeneSelection, differential_select, split_risk_groups,
 from .blocks import PatchLayout
 from .model import (ModelConfig, ModelParams, build_model, model_forward,
                     nll_loss, predict, reconstruction_loss, stack_forward,
-                    topk_masked_softmax, total_loss)
+                    total_loss)
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
@@ -183,7 +184,11 @@ def expression_matrices(cohort: Cohort, indices: np.ndarray) -> list[np.ndarray]
     sizes = cohort.category_sizes
     if sizes is None:
         raise ConfigError("cohort carries no genomic profiles")
-    return [np.stack([cohort[i].genes.vectors[c] for i in indices], axis=1)
+    patients = [cohort[int(i)] for i in indices]
+    for patient in patients:
+        if patient.genes is None:
+            raise ConfigError(f"patient '{patient.patient_id}' has no genomic profile")
+    return [np.stack([p.genes.vectors[c] for p in patients], axis=1)
             for c in range(len(sizes))]
 
 
@@ -200,20 +205,16 @@ def select_genes(cohort: Cohort, train_idx: np.ndarray,
                                min_per_category=config.min_genes_per_category)
 
 
-def _selected_expression(cohort: Cohort, indices: np.ndarray,
-                         selection: GeneSelection | None) -> list[np.ndarray]:
+def gene_targets(cohort: Cohort, indices: np.ndarray, selection: GeneSelection | None
+                 ) -> tuple[GeneStandardizer, list[np.ndarray]]:
+    """Standardizer fit on the patients' selected genes, and their standardized
+    targets: one (n_patients, n_genes) matrix per category, row j for indices[j].
+    """
     matrices = expression_matrices(cohort, indices)
-    if selection is None:
-        return matrices
-    return [m[sel.retained] for m, sel in zip(matrices, selection.categories)]
-
-
-def _selected_vectors(profile_vectors: Sequence[np.ndarray],
-                      selection: GeneSelection | None) -> list[np.ndarray]:
-    if selection is None:
-        return [np.asarray(v) for v in profile_vectors]
-    return [np.asarray(v)[sel.retained]
-            for v, sel in zip(profile_vectors, selection.categories)]
+    if selection is not None:
+        matrices = [m[sel.retained] for m, sel in zip(matrices, selection.categories)]
+    standardizer = GeneStandardizer.fit(matrices)
+    return standardizer, standardizer.transform([m.T for m in matrices])
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +275,23 @@ def stack_loss(model: ModelParams, entries: Sequence[TrainEntry],
 
 def train_model(model: ModelParams, cohort: Cohort, train_idx: np.ndarray,
                 bins: np.ndarray, config: TrainConfig,
-                standardizer: GeneStandardizer | None,
-                selection: GeneSelection | None,
+                targets: Sequence[np.ndarray] | None,
                 shuffle_rng: np.random.Generator) -> list[dict]:
-    """Optimizes `model` in place; returns the per-epoch loss trace."""
-    needs_genes = not config.gated_baseline
+    """Optimizes `model` in place; returns the per-epoch loss trace.
+
+    `targets` are the training split's `gene_targets`, row j for patient
+    train_idx[j]; the gated baseline trains without them.
+    """
+    if not config.gated_baseline and targets is None:
+        raise ConfigError("no genomics targets given; the full model trains "
+                          "on standardized gene targets")
     entries = []
-    for i in train_idx:
+    for j, i in enumerate(train_idx):
         patient = cohort[int(i)]
-        targets = None
-        if needs_genes:
-            if patient.genes is None:
-                raise ConfigError(f"patient '{patient.patient_id}' has no "
-                                  f"genomics; the full model trains on it")
-            raw = _selected_vectors(patient.genes.vectors, selection)
-            targets = standardizer.transform(raw)
         entries.append(TrainEntry(patient.patient_id, patient.bag.features,
                                   int(bins[int(i)]), int(patient.label.censor),
-                                  targets))
+                                  None if config.gated_baseline
+                                  else [t[j] for t in targets]))
 
     optimizer = Adam(model.tensors(), lr=config.lr)
     trace = []
@@ -450,35 +450,31 @@ def run_fold(cohort: Cohort, train_idx: np.ndarray, val_idx: np.ndarray,
 
     selection = None
     standardizer = None
+    targets = None
     selected_idx = None
     selected_ids = None
     category_names = list(cohort.category_names or ())
     category_sizes: tuple[int, ...] = ()
     if needs_genes:
         selection = select_genes(cohort, train_idx, config)
-        train_expr = _selected_expression(cohort, train_idx, selection)
-        standardizer = GeneStandardizer.fit(train_expr)
-        category_sizes = tuple(m.shape[0] for m in train_expr)
-        if selection is not None:
-            selected_idx = [sel.retained.tolist() for sel in selection.categories]
-            if cohort.gene_ids is not None:
-                selected_ids = [
-                    [ids[g] for g in sel.retained]
-                    for ids, sel in zip(cohort.gene_ids, selection.categories)]
-            if cohort.gene_ids is not None:
+        standardizer, targets = gene_targets(cohort, train_idx, selection)
+        category_sizes = tuple(t.shape[1] for t in targets)
+        retained = ([sel.retained for sel in selection.categories] if selection
+                    else [np.arange(n) for n in category_sizes])
+        selected_idx = [r.tolist() for r in retained]
+        if cohort.gene_ids is not None:
+            selected_ids = [[ids[g] for g in r]
+                            for ids, r in zip(cohort.gene_ids, retained)]
+            if selection is not None:
                 write_selection_report(out_dir / f"fold{fold}_selection.tsv",
                                        selection, cohort.gene_ids, category_names)
-        else:
-            selected_idx = [list(range(n)) for n in category_sizes]
-            if cohort.gene_ids is not None:
-                selected_ids = [list(ids) for ids in cohort.gene_ids]
 
     seed = fold_seed(config.seed, fold)
     model = build_model(config.model_config(cohort.feature_dim, category_sizes),
                         seed=seed)
     shuffle_rng = np.random.default_rng(seed + 1)
-    trace = train_model(model, cohort, train_idx, bins, config, standardizer,
-                        selection, shuffle_rng)
+    trace = train_model(model, cohort, train_idx, bins, config, targets,
+                        shuffle_rng)
 
     ckpt_path = out_dir / f"fold{fold}.ghck"
     save_checkpoint(
@@ -595,7 +591,7 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
     with ad.no_grad():
         result = model_forward(model, bag_features)
     scores = result.assoc_scores
-    masked = topk_masked_softmax(scores, model.config.k_percent)
+    masked = result.diagnostics.masked_assoc
     names = ckpt.category_names or [f"category_{c}" for c in range(scores.shape[0])]
     with open(path, "w", newline="") as fh:
         for c, name in enumerate(names):

@@ -23,43 +23,6 @@ def fd_gradient(f, x, eps=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(tensor(np.eye(2)), tensor(x))
-    np.testing.assert_array_equal(out.values, x)
-
-
-def test_matmul_hand_product():
-    a = tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = tensor([[1.0], [1.0]])
-    np.testing.assert_array_equal(ad.matmul(a, b).values, [[3.0], [7.0]])
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(tensor(np.zeros((2, 3))), tensor(np.zeros((2, 3))))
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    a0 = rng.normal(size=(3, 3))
-    b0 = rng.normal(size=(3, 3))
-
-    a = tensor(a0, requires_grad=True)
-    grads = backward(ad.sum_(ad.matmul(a, tensor(b0))))
-    numeric = fd_gradient(lambda v: (v @ b0).sum(), a0.copy())
-    np.testing.assert_allclose(grads[a], numeric, rtol=1e-6)
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        ad.matmul(tensor(np.zeros(3)), tensor(np.zeros((3, 2))))
-
-
-# ---------------------------------------------------------------------------
 # fused linear and batched heads
 # ---------------------------------------------------------------------------
 
@@ -213,7 +176,7 @@ def test_masked_softmax_zero_weight_and_gradient_off_mask():
     x0 = rng.normal(size=(2, 5))
     mask = np.array([[True, True, True, False, False], [True] * 5])
     x = tensor(x0, requires_grad=True)
-    out = ad.masked_softmax(x, mask, axis=-1)
+    out = ad.softmax(x, axis=-1, mask=mask)
     assert (out.values[0, 3:] == 0.0).all()
     np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, atol=1e-15)
     np.testing.assert_array_equal(out.values[1], ad.softmax(tensor(x0[1]), axis=0).values)

@@ -32,7 +32,7 @@ def attend(params, queries, bag, score_head=None):
 
 def one_bag_weights(params, bag):
     """Gated-attention weights of one bag as an (N_p, 1) array."""
-    return blocks.gated_attention_weights(params, bag, one_bag(bag)).values[0]
+    return blocks.gated_attention_weights(params, bag, one_bag(bag))[0].values[0]
 
 
 def identity_mhca(width):
@@ -295,7 +295,7 @@ def test_gated_attention_gradient():
     named["bag"] = bag
     err = grad_check(
         lambda p: ad.sum_(ad.mul(blocks.gated_attention_weights(params, bag,
-                                                                one_bag(bag)),
+                                                                one_bag(bag))[0],
                                  probe)),
         named)
     assert err < 1e-5

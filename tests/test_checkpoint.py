@@ -113,7 +113,17 @@ def test_checkpoint_missing_header_key_names_the_file(tmp_path, drop):
     lambda h: h.update(entries=7),
     lambda h: h["entries"][0].update(shape="wide"),
     lambda h: h.update(bin_boundaries=["soon"]),
-], ids=["model_config", "entries", "entry.shape", "bin_boundaries"])
+    lambda h: h.update(standardization={"mean": 3}),
+    lambda h: h.update(standardization={"mean": [[0.0, 0.0], [1.0]],
+                                        "std": [[1.0, 1.0], [1.0]]}),
+    lambda h: h.update(selected_genes=5),
+    lambda h: h.update(selected_genes=[[0, 1], [0, 1, -2]]),
+    lambda h: h.update(category_names=7),
+    lambda h: h.update(gene_ids=[["g0", "g1"], ["h0", "h1", 2]]),
+    lambda h: h.update(train_config=[1]),
+], ids=["model_config", "entries", "entry.shape", "bin_boundaries",
+        "standardization", "standardization.rows", "selected_genes",
+        "selected_genes.negative", "category_names", "gene_ids", "train_config"])
 def test_checkpoint_mistyped_header_value_names_the_file(tmp_path, corrupt):
     path = tmp_path / "m.ghck"
     save_checkpoint(path, toy_model(), np.array([1.0]))

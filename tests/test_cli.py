@@ -49,6 +49,24 @@ def workspace(tmp_path_factory):
             "checkpoint": run / "fold0.ghck", "run": run, "data": data}
 
 
+@pytest.fixture(scope="module")
+def narrow_data(tmp_path_factory):
+    """A cohort of 5-dim bags, one dim short of the workspace checkpoint's."""
+    root = tmp_path_factory.mktemp("narrow")
+    config = root / "config.json"
+    config.write_text(json.dumps({"synth": {**SYNTH_SECTION, "n_patients": 8,
+                                            "feature_dim": 5}}))
+    assert cli.main(["synth", "--config", str(config), "--out-dir", str(root)]) == 0
+    return root
+
+
+def assert_feature_dim_error(code, err, checkpoint, source):
+    assert code == 1
+    assert "Traceback" not in err
+    for part in (str(checkpoint), str(source), "feature dim 5", "expects 6"):
+        assert part in err, (part, err)
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -178,6 +196,15 @@ def test_eval_with_spearman(workspace, tmp_path):
     assert (out / "spearman.tsv").exists()
 
 
+def test_eval_rejects_bags_of_another_feature_dim(workspace, narrow_data,
+                                                  tmp_path, capsys):
+    manifest = narrow_data / "synthetic_manifest.json"
+    code = cli.main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                     "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+    assert_feature_dim_error(code, capsys.readouterr().err,
+                             workspace["checkpoint"], manifest)
+
+
 def test_eval_survives_missing_genomics_files(workspace, tmp_path):
     """Scoring needs only bags and clinical data; the genomics files can be
     deleted outright and eval must not notice."""
@@ -246,6 +273,24 @@ def test_export_assoc_cli(workspace, tmp_path):
     lines = (out / "associations.tsv").read_text().strip().splitlines()
     kinds = {line.split("\t")[0] for line in lines}
     assert kinds == {"raw", "masked", "topk"}
+
+
+def test_export_assoc_rejects_a_bag_of_another_feature_dim(workspace, narrow_data,
+                                                           tmp_path, capsys):
+    bag = narrow_data / "bags" / "synthetic_0001.bag"
+    code = cli.main(["export-assoc", "--checkpoint", str(workspace["checkpoint"]),
+                     "--bag", str(bag), "--out-dir", str(tmp_path)])
+    assert_feature_dim_error(code, capsys.readouterr().err,
+                             workspace["checkpoint"], bag)
+
+
+def test_km_rejects_bags_of_another_feature_dim(workspace, narrow_data,
+                                                tmp_path, capsys):
+    manifest = narrow_data / "synthetic_manifest.json"
+    code = cli.main(["km", "--checkpoint", str(workspace["checkpoint"]),
+                     "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+    assert_feature_dim_error(code, capsys.readouterr().err,
+                             workspace["checkpoint"], manifest)
 
 
 def test_km_cli(workspace, tmp_path, capsys):

@@ -58,6 +58,14 @@ def test_bag_rejects_truncation(tmp_path):
         read_bag(path)
 
 
+@pytest.mark.parametrize("n_patches, dim, offset", [(0, 3, 4), (4, 0, 8), (0, 0, 4)])
+def test_bag_rejects_empty_header_with_path_and_offset(tmp_path, n_patches, dim, offset):
+    path = tmp_path / "empty.bag"
+    path.write_bytes(struct.pack("<4sII", BAG_MAGIC, n_patches, dim))
+    with pytest.raises(DataFormatError, match=rf"empty\.bag: .* byte offset {offset}$"):
+        read_bag(path, "case_e")
+
+
 def test_bag_rejects_nan_with_offset(tmp_path):
     features = np.zeros((2, 2), dtype=np.float32)
     features[1, 0] = np.nan

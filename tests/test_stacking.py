@@ -1,6 +1,9 @@
 """Stacked multi-patient training: a stack of ragged bags must train
 exactly like its patients one at a time, with pads invisible."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from histodistill.datasets import SynthConfig, discretize_survival, synth_genera
 from histodistill.errors import TrainingError
 from histodistill.model import build_model, nll_loss, stack_forward, topk_masked_softmax
 from histodistill.training import (GeneStandardizer, TrainConfig, TrainEntry,
-                                   pack_stacks, stack_loss, train_model)
+                                   gene_targets, pack_stacks, stack_loss,
+                                   train_model)
 
 FEATURES = 6
 CATEGORIES = (3, 2, 4)
@@ -88,7 +92,8 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     loss = nll_loss(result.hazards, [0, 1, 2, 0], [0, 0, 1, 1])
     weights, pad_grads = [], []
     for node in ad._topological_order(loss):
-        if node._op == "masked_softmax":
+        # softmax over patches; the self-attention's softmax runs over tokens
+        if node._op == "softmax" and pads.shape[1] in node.shape:
             weights.append(node.values)
         # padded layouts come as (B, N_max, ...) or flattened to (B * N_max, ...)
         if node._op == "gather_rows" and node.shape[0] in (len(pads), pads.size):
@@ -148,7 +153,7 @@ def test_stacks_keep_order_and_a_bag_above_the_budget_trains_alone(monkeypatch):
 
     monkeypatch.setattr(tr, "stack_loss", recording)
     order = np.random.default_rng(0).permutation(6)
-    train_model(model, cohort, np.arange(6), bins, config, None, None,
+    train_model(model, cohort, np.arange(6), bins, config, None,
                 np.random.default_rng(0))
     big = cohort[3].patient_id
     assert [big] in seen
@@ -163,7 +168,7 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_192_nodes(monkeypatch):
     config = TrainConfig(epochs=1, accumulation=8)
     _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
     every = np.arange(len(cohort))
-    scaler = GeneStandardizer.fit(tr._selected_expression(cohort, every, None))
+    _, targets = gene_targets(cohort, every, None)
     model = build_model(config.model_config(cohort.feature_dim,
                                             SynthConfig().gene_counts), seed=0)
     made, losses = [], []
@@ -180,7 +185,7 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_192_nodes(monkeypatch):
     monkeypatch.setattr(tr, "ROW_BUDGET", 8 * 64)
     monkeypatch.setattr(ad, "_make", counting_make)
     monkeypatch.setattr(ad, "backward", recording_backward)
-    train_model(model, cohort, every, bins, config, scaler, None,
+    train_model(model, cohort, every, bins, config, targets,
                 np.random.default_rng(0))
     assert len(losses) == 1, "the eight bags did not share one stack"
     assert 0 < len(made) <= 192, sorted({node._op for node in made})
@@ -245,7 +250,9 @@ def test_trace_counts_clamped_norms_per_row():
                                     for v in cohort[0].genes.vectors),
                               tuple(np.ones(c) for c in categories))
     model = build_model(config.model_config(FEATURES, categories), seed=0)
-    trace = train_model(model, cohort, every, bins, config, scaler, None,
+    targets = scaler.transform([np.stack([p.genes.vectors[c] for p in cohort])
+                                for c in range(len(categories))])
+    trace = train_model(model, cohort, every, bins, config, targets,
                         np.random.default_rng(0))
     assert [entry["clamped_norms"] for entry in trace] == [len(categories)] * 2
 
@@ -257,9 +264,40 @@ def test_training_error_names_the_epoch_and_every_patient_of_the_stack():
     _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
     model = build_model(config.model_config(cohort.feature_dim, ()), seed=0)
     with pytest.raises(TrainingError) as caught:
-        train_model(model, cohort, np.arange(10), bins, config, None, None,
+        train_model(model, cohort, np.arange(10), bins, config, None,
                     np.random.default_rng(0))
     message = str(caught.value)
     assert message.startswith("epoch 1, patients ")
     for patient in cohort:
         assert f"'{patient.patient_id}'" in message
+
+
+def test_every_autodiff_primitive_runs_in_a_stacked_training_step(monkeypatch):
+    """The op names `autodiff` can create are exactly those one stacked
+    training step creates across the six configs; an unused primitive fails."""
+    defined = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ad))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_make"):
+            op = node.args[3] if len(node.args) > 3 else None
+            assert isinstance(op, ast.Constant) and isinstance(op.value, str), \
+                f"_make call on line {node.lineno} has no literal op name"
+            defined.add(op.value)
+
+    seen = set()
+    make = ad._make
+
+    def recording_make(values, parents, backward_fn, op):
+        seen.add(op)
+        return make(values, parents, backward_fn, op)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    for variant in VARIANTS:
+        config = variant_config(variant)
+        entries = make_entries(np.random.default_rng(9), [4, 1, 7],
+                               with_targets=not config.gated_baseline)
+        # an event after interval 0 and a censoring pay both NLL terms
+        entries[0].interval, entries[0].censor = 1, 0
+        entries[1].interval, entries[1].censor = 2, 1
+        ad.backward(stack_loss(make_model(config), entries, config).total)
+    assert seen == defined, (sorted(defined - seen), sorted(seen - defined))

@@ -201,13 +201,12 @@ def test_train_model_moves_parameters_and_logs():
                                            cohort.censor_flags(), 2)
     train_idx = np.arange(len(cohort))
     selection = select_genes(cohort, train_idx, config)
-    scaler = GeneStandardizer.fit(
-        tr._selected_expression(cohort, train_idx, selection))
+    _, targets = tr.gene_targets(cohort, train_idx, selection)
     sizes = tuple(len(sel.retained) for sel in selection.categories)
     model = build_model(config.model_config(cohort.feature_dim, sizes), seed=0)
     before = {name: t.values.copy() for name, t in model.named_tensors()}
-    trace = train_model(model, cohort, train_idx, bins, config, scaler,
-                        selection, np.random.default_rng(0))
+    trace = train_model(model, cohort, train_idx, bins, config, targets,
+                        np.random.default_rng(0))
     assert [entry["epoch"] for entry in trace] == [1, 2]
     for entry in trace:
         assert np.isfinite(entry["total"])
@@ -225,7 +224,7 @@ def test_train_model_baseline_needs_no_genes():
                                            stripped.censor_flags(), 2)
     model = build_model(config.model_config(stripped.feature_dim, ()), seed=0)
     trace = train_model(model, stripped, np.arange(len(stripped)), bins,
-                        config, None, None, np.random.default_rng(0))
+                        config, None, np.random.default_rng(0))
     assert len(trace) == 1
     assert trace[0]["recon"] == 0.0
 
@@ -239,8 +238,36 @@ def test_train_model_full_model_rejects_missing_genes():
     model = build_model(config.model_config(stripped.feature_dim, (2,) * 6),
                         seed=0)
     with pytest.raises(ConfigError, match="no genomics"):
-        train_model(model, stripped, np.arange(4), bins, config, None, None,
+        train_model(model, stripped, np.arange(4), bins, config, None,
                     np.random.default_rng(0))
+
+
+def test_gene_targets_row_j_is_patient_j_standardized_on_selected_genes():
+    cohort = tiny_cohort()
+    train_idx = np.array([5, 0, 11, 3, 8, 14, 2, 9])
+    selection = select_genes(cohort, train_idx, tiny_train_config())
+    scaler, targets = tr.gene_targets(cohort, train_idx, selection)
+    for j, i in enumerate(train_idx):
+        picked = [v[sel.retained] for v, sel in
+                  zip(cohort[int(i)].genes.vectors, selection.categories)]
+        for row, want in zip(targets, scaler.transform(picked)):
+            np.testing.assert_array_equal(row[j], want)
+
+
+def test_run_fold_names_a_training_patient_without_genomics(tmp_path):
+    cohort = tiny_cohort()
+    patients = list(cohort)
+    gap = patients[3]
+    patients[3] = Patient(gap.bag, gap.label, None)
+    partial = Cohort(patients, gene_ids=cohort.gene_ids)
+    config = tiny_train_config(gene_selection=False)
+    boundaries, bins = discretize_survival(partial.times(),
+                                           partial.censor_flags(), 2)
+    with pytest.raises(ConfigError, match=f"'{gap.patient_id}' has no genomic"):
+        expression_matrices(partial, np.arange(len(partial)))
+    with pytest.raises(ConfigError, match=f"'{gap.patient_id}' has no genomic"):
+        run_fold(partial, np.arange(8), np.arange(8, 16), config, boundaries,
+                 bins, 0, tmp_path)
 
 
 def test_default_training_step_builds_at_most_192_tape_nodes(monkeypatch):
@@ -255,7 +282,7 @@ def test_default_training_step_builds_at_most_192_tape_nodes(monkeypatch):
     _, bins = discretize_survival(cohort.times(), cohort.censor_flags(),
                                   config.n_bins)
     every = np.arange(len(cohort))
-    scaler = GeneStandardizer.fit(tr._selected_expression(cohort, every, None))
+    _, targets = tr.gene_targets(cohort, every, None)
     model = build_model(config.model_config(cohort.feature_dim,
                                             SynthConfig().gene_counts), seed=0)
     made = []
@@ -273,7 +300,7 @@ def test_default_training_step_builds_at_most_192_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", counting_make)
     monkeypatch.setattr(ad, "backward", recording_backward)
-    train_model(model, cohort, every[:1], bins, config, scaler, None,
+    train_model(model, cohort, every[:1], bins, config, targets,
                 np.random.default_rng(0))
     assert cohort[0].bag.n_patches == 64
     assert 0 < len(made) <= 192, sorted({node._op for node in made})
