@@ -38,11 +38,12 @@ print("tokens:", tokens.shape)
 # ---------------------------------------------------------------------------
 
 # keys and values are projected once per bag; both association rounds
-# reuse them. Scores come back per bag, so take bag 0 of this one-bag stack.
+# reuse them. Scores come back per bag, padded to a multiple of 8 patches,
+# so take bag 0 of this one-bag stack and its real patches.
 mhca = MhcaParams.init(rng, width, heads)
 keys = patch_keys(mhca, projected, PatchLayout.of([n_patches]))
 out, stacked_scores = mhca_forward(mhca, tokens, keys)
-scores = stacked_scores[0]
+scores = stacked_scores[0, :, :n_patches]
 print("\ncross-attention output:", out.shape, " scores:", scores.shape)
 
 weights = ad.softmax(scores, axis=1).values

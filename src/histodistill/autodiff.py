@@ -196,15 +196,37 @@ def transpose(x: Tensor) -> Tensor:
     return _make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
 
 
+# Under `no_grad`, `linear` pads its input rows to a multiple of this;
+# `blocks.aligned` rounds patch counts up to it.
+ROW_ALIGN = 8
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight + bias as one node; bias has shape (fan_out,)."""
+    """Affine map x @ weight + bias as one node; bias has shape (fan_out,).
+
+    Under `no_grad` (inference), an output row has the same bits whatever
+    other rows x holds, so one patient's rows come out the same alone and
+    inside a stack. BLAS picks its kernel by row count: one row goes
+    through gemv, and an odd tail of rows, or an odd share of them per
+    thread, through a narrower kernel that rounds differently. So x is
+    padded with zero rows to a multiple of ROW_ALIGN before the product.
+    While a tape is recorded (training) rows are not padded: nothing
+    compares a training row across stacks, and the padded token-row
+    products slow a training step.
+    """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.values.ndim != 2 or weight.values.ndim != 2:
         raise ShapeError(f"linear needs 2-d operands, got {x.shape} and {weight.shape}")
     if x.shape[1] != weight.shape[0] or bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear shapes do not chain: {x.shape} @ {weight.shape} "
                          f"+ {bias.shape}")
-    out_values = x.values @ weight.values + bias.values
+    rows = x.shape[0]
+    if rows % ROW_ALIGN and not _grad_enabled:
+        padded = np.zeros((rows - rows % ROW_ALIGN + ROW_ALIGN, x.shape[1]))
+        padded[:rows] = x.values
+        out_values = (padded @ weight.values)[:rows] + bias.values
+    else:
+        out_values = x.values @ weight.values + bias.values
 
     def backward_fn(g):
         if x.requires_grad:     # skips the product for a constant input bag

@@ -3,8 +3,8 @@ gated attention pooling, and the per-category reconstruction heads.
 
 Blocks work on a stack of B bags at once. Per-patch layers see the bags'
 patch rows packed one bag after another; the per-bag mixers (attention
-over patches, gated pooling) see them padded to (B, N_max) as laid out by
-a `PatchLayout`, whose patch mask the softmax over patches takes so pads
+over patches, gated pooling) see them padded to (B, W) as laid out by a
+`PatchLayout`, whose patch mask the softmax over patches takes so pads
 get exactly zero weight. Token-level inputs and outputs hold each bag's
 rows as one consecutive block. Scores leave a block as plain arrays.
 """
@@ -34,12 +34,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return ad.linear(x, weight, bias)
 
 
+def aligned(n: int) -> int:
+    """n rounded up to a multiple of `autodiff.ROW_ALIGN`."""
+    return -(-n // ad.ROW_ALIGN) * ad.ROW_ALIGN
+
+
 @dataclass(frozen=True)
 class PatchLayout:
-    """Where each bag's packed patch rows sit in the padded (B, N_max) layout.
+    """Where each bag's packed patch rows sit in the padded (B, W) layout.
 
     `index[b, i]` is the packed row of bag b's patch i, or -1 at a pad;
-    `mask` is True at real patches.
+    `mask` is True at real patches. W is the longest bag's length rounded
+    up to a multiple of 8 (`aligned`), so every per-bag reduction over a
+    bag's patches runs over the same width alone and in any stack of bags
+    that round to the same length. With `autodiff.linear`'s no-grad row
+    padding, that makes a bag's no-grad forward bit-identical in both.
     """
     lengths: tuple[int, ...]
     index: np.ndarray
@@ -50,7 +59,7 @@ class PatchLayout:
         lengths = tuple(int(n) for n in lengths)
         if not lengths or min(lengths) < 1:
             raise ShapeError(f"every bag needs at least one patch, got {lengths}")
-        mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        mask = np.arange(aligned(max(lengths))) < np.array(lengths)[:, None]
         index = np.full(mask.shape, -1)
         index[mask] = np.arange(sum(lengths))
         return cls(lengths, index, mask)
@@ -60,7 +69,10 @@ class PatchLayout:
         return len(self.lengths)
 
     def check(self, bag: Tensor) -> None:
-        if bag.values.ndim != 2 or bag.shape[0] != sum(self.lengths):
+        """`bag` holds the bags' rows one after another, optionally followed
+        by zero rows up to a multiple of 8, which are never read."""
+        rows = sum(self.lengths)
+        if bag.values.ndim != 2 or not rows <= bag.shape[0] <= aligned(rows):
             raise ShapeError(f"bag rows {bag.shape} do not match bag lengths "
                              f"{self.lengths}")
 
@@ -118,14 +130,14 @@ def _check_width(params: MhcaParams, *inputs: Tensor) -> None:
 
 @dataclass
 class PatchKeys:
-    """Per-head keys and values of a stack of bags, (B, heads, N_max, d).
+    """Per-head keys and values of a stack of bags, (B, heads, W, d).
 
     Computed once per stack; every cross-attention round with the same
     parameters over the same bag reuses them.
     """
     keys: Tensor
     values: Tensor
-    mask: np.ndarray        # (B, 1, 1, N_max): True at real patches
+    mask: np.ndarray        # (B, 1, 1, W): True at real patches
 
 
 def patch_keys(params: MhcaParams, bag: Tensor, layout: PatchLayout) -> PatchKeys:
@@ -153,7 +165,7 @@ def mhca_forward(params: MhcaParams, queries: Tensor, keys: PatchKeys,
     `queries` is one block of n rows shared by every bag, or, with
     `per_bag`, B consecutive blocks of n rows, block b for bag b. Returns
     the attended-and-projected output, (B * n, width) in bag blocks,
-    together with the pre-softmax scores as a plain (B, n, N_max) array
+    together with the pre-softmax scores as a plain (B, n, W) array
     (head-averaged unless `score_head` picks one head; 0 at pads). No
     gradient can flow back through the scores.
     """
@@ -239,11 +251,11 @@ class GatedAttentionParams:
 
 def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
                             layout: PatchLayout) -> tuple[Tensor, np.ndarray]:
-    """Instance weights after softmax over each bag, shape (B, N_max, 1).
+    """Instance weights after softmax over each bag, shape (B, W, 1).
 
     Scores are computed on the packed rows; each bag's column sums to 1
     and pads get weight 0. Also returns the pre-softmax scores as a plain
-    (B, 1, N_max) array, 0 at pads, through which no gradient can flow.
+    (B, 1, W) array, 0 at pads, through which no gradient can flow.
     """
     layout.check(bag)
     gate = ad.mul(ad.tanh(linear(bag, params.u_w, params.u_b)),

@@ -2,7 +2,8 @@
 
 Binary layout: magic "GHCK", u32 format version, u32 JSON header length,
 the UTF-8 JSON header, then one float32 little-endian blob per weight
-entry in header order. The header carries the model configuration, bin
+entry in header order, written to a temporary file and renamed into
+place (`io.write_atomic`). The header carries the model configuration, bin
 boundaries, gene standardization, and the per-category selected genes, so
 a checkpoint alone supports image-only inference and analysis exports.
 """
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
+from .io import write_atomic
 from .model import ModelConfig, ModelParams, build_model
 
 CHECKPOINT_MAGIC = b"GHCK"
@@ -110,12 +112,15 @@ def save_checkpoint(path: str | Path, model: ModelParams,
         "entries": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+
+    def write(fh) -> None:
         fh.write(_PREFIX.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                               len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
+
+    write_atomic(path, write)
 
 
 def load_checkpoint(path: str | Path) -> CheckpointData:

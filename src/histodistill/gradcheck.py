@@ -194,7 +194,7 @@ def _check_gated_attention(eps: float) -> float:
     bag = ad.tensor(rng.normal(size=(6, 5)), requires_grad=True)
     layout = PatchLayout.of([4, 2])
     gate = blocks.GatedAttentionParams.init(rng, 5)
-    probe = rng.normal(size=(2, 4, 1))
+    probe = rng.normal(size=(2, 8, 1))
     params = dict(gate.named_tensors("gate"))
     params["bag"] = bag
 
@@ -297,16 +297,16 @@ def _check_end_to_end(eps: float) -> float:
             tensor.assign_(jitter.normal(scale=0.8, size=tensor.shape))
         else:
             tensor.assign_(tensor.values + jitter.normal(scale=0.3, size=tensor.shape))
-    layout = PatchLayout.of([4, 2])
-    bags = np.asarray(rng.normal(size=(6, 8)))
+    raw = rng.normal(size=(6, 8))
+    bags = [raw[:4], raw[4:]]
     targets = [rng.normal(size=(2, c)) for c in config.category_sizes]
     with ad.no_grad():
-        base = stack_forward(model, bags, layout)
+        base = stack_forward(model, bags)
     frozen_mask = base.diagnostics.masked_assoc
     params = dict(model.named_tensors())
 
     def f(p):
-        result = stack_forward(model, bags, layout, masked_assoc=frozen_mask)
+        result = stack_forward(model, bags, masked_assoc=frozen_mask)
         nll = nll_loss(result.hazards, interval=[1, 2], censor=[0, 1])
         recon = reconstruction_loss(result.recon, targets, gamma=config.gamma)
         return total_loss(nll, recon, alpha=0.3)

@@ -3,14 +3,18 @@
 Bag files are little-endian binary ("GHB1" magic, u32 patch count, u32
 feature dim, float32 row-major data), so write -> read round trips are
 bit-exact. Text formats are plain csv/tsv readable by anything.
+`write_atomic` is the write path for outputs that must never be left
+half-written: checkpoints and JSON results.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -20,6 +24,25 @@ from .errors import DataFormatError
 
 BAG_MAGIC = b"GHB1"
 _BAG_HEADER = struct.Struct("<4sII")
+
+
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Run `write` on a temporary file beside `path`, then rename it over `path`.
+
+    `path` holds the old bytes or all of the new ones, never part of them.
+    If `write` raises or the process is interrupted, the temporary file is
+    removed; a killed process may leave it behind. Nothing is fsynced, so
+    this guards against a failed process, not against power loss.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            write(fh)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def write_bag(path: str | Path, bag: PatchBag) -> None:

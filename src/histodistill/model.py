@@ -7,15 +7,22 @@ top-k-masked association scores with gated-attention morphology weights,
 pools the bag, and emits discrete-time hazards. Genomic data touches only
 the training losses; inference consumes the bag alone.
 
-One forward serves a stack of B patients (`stack_forward`, used by
-training) and a single bag (`model_forward`, the B = 1 case, used by
-inference): per-patch layers run on the packed patch rows, per-patient
-mixers on the padded layout of `blocks.PatchLayout`. Token rows hold each
-patient's n_tokens rows as one consecutive block.
+One forward, `stack_forward`, serves a stack of B patients: per-patch
+layers run on the packed patch rows, per-patient mixers on the padded
+layout of `blocks.PatchLayout`, and token rows hold each patient's
+n_tokens rows as one consecutive block. Under `no_grad`, a patient's
+hazards, scores and weights come out bit-identical alone and in any stack
+whose bags share its aligned length (see `PatchLayout`), so stacked
+inference and one-bag `predict` agree exactly. The per-category
+reconstruction heads run only when a caller reads `ForwardResult.recon`:
+the training losses, the gradient checker and the gene-profile export do;
+inference does not. `model_forward` is the one-bag case, with the stack
+axis dropped.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -136,14 +143,14 @@ class GatedAssocBranchParams:
 class AssocOutput:
     first_pass: Tensor | None     # token features after round one (B * N_g, width)
     features: Tensor              # final per-category features (B * N_g, width)
-    scores: np.ndarray            # pre-softmax association scores (B, N_g, N_max)
-    recon: tuple[Tensor, ...]     # per-category reconstructions, each (B, len)
+    scores: np.ndarray            # pre-softmax association scores (B, N_g, W)
 
 
-def _category_heads(heads: Sequence[SnnHeadParams], features: Tensor,
-                    batch: int) -> tuple[Tensor, ...]:
-    """Each category's head on that category's row of every patient."""
-    rows = np.arange(batch) * len(heads)
+def reconstruct(heads: Sequence[SnnHeadParams], features: Tensor) -> tuple[Tensor, ...]:
+    """Per-category gene reconstructions, each (B, len), from the association
+    features (B * N_g, width): each category's head on that category's row
+    of every patient."""
+    rows = np.arange(features.shape[0] // len(heads)) * len(heads)
     return tuple(blocks.snn_forward(head, ad.gather_rows(features, rows + c))
                  for c, head in enumerate(heads))
 
@@ -166,16 +173,14 @@ def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
                                 params.tokens), (batch * n_tokens, width))
     pooled2, scores = blocks.mhca_forward(params.mhca, queries, keys, score_head,
                                           per_bag=True)
-    features = blocks.ffn_forward(params.ffn_second, pooled2)
-    return AssocOutput(first, features, scores,
-                       _category_heads(params.heads, features, batch))
+    return AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
 
 
 def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
                         layout: PatchLayout) -> AssocOutput:
     """One gated pooling per category; its scores are the association rows."""
     proj = linear(bag, params.in_w, params.in_b)
-    values = ad.gather_rows(proj, layout.index)               # (B, N_max, width)
+    values = ad.gather_rows(proj, layout.index)               # (B, W, width)
     feature_rows = []
     score_rows = []
     for gate in params.gates:
@@ -185,9 +190,7 @@ def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
     batch, width = layout.batch, proj.shape[1]
     features = ad.reshape(ad.concat(feature_rows, axis=1),
                           (batch * len(params.gates), width))
-    scores = np.concatenate(score_rows, axis=1)
-    return AssocOutput(None, features, scores,
-                       _category_heads(params.heads, features, batch))
+    return AssocOutput(None, features, np.concatenate(score_rows, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +264,12 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
                         lengths: Sequence[int] | None = None) -> np.ndarray:
     """Per row: softmax over the top k% of the patient's patches, zeros elsewhere.
 
-    `scores` is (N_g, N_p) for one patient, or a padded (B, N_g, N_max)
-    stack whose patient b has `lengths[b]` patches. Keeps
+    `scores` is (N_g, N_p) for one patient, or a padded (B, N_g, W) stack
+    whose patient b has `lengths[b]` patches. Keeps
     m = max(1, round(k * N_p / 100)) entries per row from each patient's
     own N_p; score ties are broken toward the lower patch index. Rows of
-    the result sum to 1 and pads get 0. The output is a plain array,
+    the result sum to 1 and pads get 0. A patient's rows come out the same
+    bits whatever else the stack holds. The output is a plain array,
     detached from any gradient tape.
     """
     if not 0.0 < k_percent <= 100.0:
@@ -287,8 +291,12 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
     if dropped.any():
         shifted[np.broadcast_to(dropped, shifted.shape)] = -np.inf
     shifted = np.exp(shifted)
+    # A running sum read at each patient's own m-th entry: a pairwise `sum`
+    # over the keep.max() columns would group the terms by the stack's
+    # widest m.
+    total = np.cumsum(shifted, axis=-1)[np.arange(batch), :, keep - 1]
     out = np.zeros_like(scores)
-    out[picks] = shifted / shifted.sum(axis=-1, keepdims=True)
+    out[picks] = shifted / total[..., None]
     return out
 
 
@@ -395,20 +403,34 @@ def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
 @dataclass
 class ForwardResult:
     hazards: Tensor                        # (B, n_bins)
-    recon: tuple[Tensor, ...] | None       # per category, each (B, len)
-    assoc_scores: np.ndarray | None        # (B, N_g, N_max); (N_g, N_p) for one bag
+    features: Tensor | None                # association features (B * N_g, width)
+    assoc_scores: np.ndarray | None        # (B, N_g, W); (N_g, N_p) for one bag
     diagnostics: SurvivalDiagnostics | None
+    heads: Sequence[SnnHeadParams] = ()    # the model's reconstruction heads
+
+    @functools.cached_property
+    def recon(self) -> tuple[Tensor, ...] | None:
+        """Per-category reconstructions, each (B, len), or None without an
+        association branch. The heads run on the first read, in the grad
+        mode of that read; inference never reads this, so it skips them."""
+        return None if self.features is None else reconstruct(self.heads, self.features)
 
 
-def stack_forward(model: ModelParams, features: np.ndarray, layout: PatchLayout,
+def stack_forward(model: ModelParams, bags: Sequence[np.ndarray],
                   masked_assoc: np.ndarray | None = None) -> ForwardResult:
-    """Full differentiable forward pass over a stack of patients' bags.
+    """Differentiable forward pass over a stack of patients' bags.
 
-    `features` holds the bags' patch rows packed one bag after another;
-    `layout` says which rows are whose. Row b of every output belongs to
-    patient b.
+    The (N_p, feature_dim) bags are packed one after another and laid out
+    by `PatchLayout.of`; row b of every output belongs to bags[b], and the
+    padded outputs are (B, ..., W) with zeros at pads. `masked_assoc`,
+    (B, N_g, W), pins the top-k mask, which the gradient checker uses.
     """
-    bag = ad.tensor(features)
+    layout = PatchLayout.of([np.shape(bag)[0] for bag in bags])
+    # Zero rows up to a multiple of 8 spare each no-grad per-patch product
+    # the padding copy `autodiff.linear` would otherwise make.
+    rows = sum(layout.lengths)
+    pad = np.zeros((blocks.aligned(rows) - rows, np.shape(bags[0])[-1]))
+    bag = ad.tensor(np.concatenate([*bags, pad], axis=0))
     layout.check(bag)
     cfg = model.config
     if cfg.gated_baseline:
@@ -420,27 +442,32 @@ def stack_forward(model: ModelParams, features: np.ndarray, layout: PatchLayout,
         out = assoc_forward(model.assoc, bag, layout, cfg.score_head)
     hazards, diag = survival_forward(model.survival, bag, layout, out.scores,
                                      out.features, cfg, masked_assoc)
-    return ForwardResult(hazards, out.recon, out.scores, diag)
+    return ForwardResult(hazards, out.features, out.scores, diag, model.assoc.heads)
 
 
 def model_forward(model: ModelParams, bag_features: np.ndarray,
                   masked_assoc: np.ndarray | None = None) -> ForwardResult:
-    """Full differentiable forward pass over one patient's bag.
+    """Differentiable forward pass over one patient's bag.
 
-    The one-patient stack of `stack_forward`; association scores and
-    diagnostics come back without the stack axis.
+    The one-bag stack of `stack_forward`; association scores and
+    diagnostics come back without the stack axis and the pad columns,
+    (N_g, N_p), and `masked_assoc` is passed the same way.
     """
     bag_features = np.asarray(bag_features)
-    layout = PatchLayout.of(bag_features.shape[:1])
-    result = stack_forward(model, bag_features, layout,
-                           None if masked_assoc is None else masked_assoc[None])
+    n = bag_features.shape[0]
+    pinned = None
+    if masked_assoc is not None:
+        pinned = np.zeros((1, model.config.n_tokens, blocks.aligned(n)))
+        pinned[0, :, :n] = masked_assoc
+    result = stack_forward(model, [bag_features], pinned)
     if result.diagnostics is None:
         return result
     diag = result.diagnostics
-    return ForwardResult(result.hazards, result.recon, result.assoc_scores[0],
+    return ForwardResult(result.hazards, result.features, result.assoc_scores[0, :, :n],
                          SurvivalDiagnostics(
-                             None if diag.morph_weights is None else diag.morph_weights[0],
-                             diag.masked_assoc[0], diag.fused[0]))
+                             None if diag.morph_weights is None else diag.morph_weights[0, :n],
+                             diag.masked_assoc[0, :, :n], diag.fused[0, :, :n]),
+                         result.heads)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +499,11 @@ def hazard_output(hazards: np.ndarray) -> HazardOutput:
 
 
 def predict(model: ModelParams, bag_features: np.ndarray) -> HazardOutput:
-    """Image-only inference: consumes a patch bag, nothing else."""
+    """Image-only inference: consumes a patch bag, nothing else.
+
+    The one-bag stack of `stack_forward`, so its hazards equal, bit for
+    bit, the bag's row of any stack `training.evaluate` runs it in.
+    """
     with ad.no_grad():
         result = model_forward(model, bag_features)
     return hazard_output(result.hazards.values.reshape(-1))

@@ -10,13 +10,22 @@ A stack grows while its patch rows stay within ROW_BUDGET; a bag larger
 than that trains alone, so slide-scale bags keep the memory profile of
 one bag per pass. A fold's gene targets are its training split's selected
 genes, standardized by a fit on those same matrices (`gene_targets`).
-Validation metrics are always computed from the saved checkpoint after
-reloading it, so `eval` on the same file reproduces them exactly.
+
+Evaluation is image-only and runs no-grad stacks too (`inference_stacks`):
+bags sorted by length, each stack holding bags of one aligned length
+under ROW_BUDGET. A patient's forward is bit-identical in such a stack and
+alone, so `evaluate` gives every patient the risk one-bag `predict` gives,
+whatever subset or order of patients it scores. Validation metrics are
+always computed from the saved checkpoint after reloading it, so `eval`
+on the same file reproduces them exactly. Checkpoints and JSON outputs are
+written to a temporary file and renamed into place, so an interrupted run
+never leaves a truncated one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,18 +41,18 @@ from .datasets import Cohort, discretize_survival, make_folds
 from .errors import ConfigError, TrainingError
 from .geneselect import (GeneSelection, differential_select, split_risk_groups,
                          write_selection_report)
-from .blocks import PatchLayout
-from .model import (ModelConfig, ModelParams, build_model, model_forward,
-                    nll_loss, predict, reconstruction_loss, stack_forward,
+from .blocks import aligned
+from .io import write_atomic
+from .model import (ModelConfig, ModelParams, build_model, hazard_output,
+                    model_forward, nll_loss, reconstruction_loss, stack_forward,
                     total_loss)
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
-# Most patch rows one training stack may hold. At 384 a stack of default
+# Most patch rows one stack may hold. At 384 a training stack of default
 # bags (32-96 patches) holds about 6 patients and raises the process's peak
 # RSS by about 10%; 512 raised it by 16%, since a stack's padded copies grow
-# with its longest bag. Slide-scale bags (>= 1024 patches) always train
-# alone.
+# with its longest bag. Slide-scale bags (>= 1024 patches) always run alone.
 ROW_BUDGET = 384
 
 
@@ -256,12 +265,27 @@ def pack_stacks(lengths: Sequence[int]) -> list[list[int]]:
     return stacks
 
 
+def inference_stacks(lengths: Sequence[int]) -> list[list[int]]:
+    """Positions 0..len-1 grouped into no-grad inference stacks.
+
+    Sorted by length (ties keep their order), then cut wherever the aligned
+    length changes and wherever `pack_stacks` would close a stack. Every
+    bag of a stack therefore shares one aligned length, which is what makes
+    each patient's forward in it bit-identical to its one-bag forward.
+    """
+    order = sorted(range(len(lengths)), key=lambda pos: lengths[pos])
+    stacks: list[list[int]] = []
+    for _, run in itertools.groupby(order, key=lambda pos: aligned(lengths[pos])):
+        run = list(run)
+        stacks.extend([run[p] for p in stack]
+                      for stack in pack_stacks([lengths[pos] for pos in run]))
+    return stacks
+
+
 def stack_loss(model: ModelParams, entries: Sequence[TrainEntry],
                config: TrainConfig, diagnostics: dict | None = None) -> StackLoss:
     """Forward a stack of patients and build their summed training losses."""
-    bags = [e.bag for e in entries]
-    layout = PatchLayout.of([bag.shape[0] for bag in bags])
-    result = stack_forward(model, np.concatenate(bags, axis=0), layout)
+    result = stack_forward(model, [e.bag for e in entries])
     nll = nll_loss(result.hazards, [e.interval for e in entries],
                    [e.censor for e in entries])
     recon = None
@@ -361,20 +385,27 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
              with_spearman: bool = False) -> EvalResult:
     """Image-only scoring of a cohort slice against its outcomes.
 
-    Genomic profiles are touched only when `with_spearman` asks for the
-    reconstruction report (and must then be present in the cohort).
+    Runs the bags as no-grad `inference_stacks`; each patient's risk is
+    bit-equal to `model.predict` on its bag alone, and lands at its
+    position in `indices`. Genomic profiles are touched only when
+    `with_spearman` asks for the reconstruction report (and must then be
+    present in the cohort).
     """
     if indices is None:
         indices = np.arange(len(cohort))
     indices = np.asarray(indices, dtype=np.int64)
     model = ckpt.model
     mid = model.config.n_bins // 2
+    bags = [cohort[int(i)].bag.features for i in indices]
     risks = np.empty(indices.size)
     s_mid = np.empty(indices.size)
-    for pos, i in enumerate(indices):
-        out = predict(model, cohort[int(i)].bag.features)
-        risks[pos] = out.risk
-        s_mid[pos] = out.survival[mid]
+    for stack in inference_stacks([bag.shape[0] for bag in bags]):
+        with ad.no_grad():
+            hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards.values
+        for pos, row in zip(stack, hazards):
+            out = hazard_output(row)
+            risks[pos] = out.risk
+            s_mid[pos] = out.survival[mid]
     times = cohort.times()[indices]
     censor = cohort.censor_flags()[indices]
     ci = stats.c_index(risks, times, censor)
@@ -395,8 +426,8 @@ def predict_gene_profiles(ckpt: CheckpointData,
     if model.config.gated_baseline:
         raise ConfigError("a baseline checkpoint has no reconstruction heads")
     with ad.no_grad():
-        result = model_forward(model, bag_features)
-    standardized = [r.values.reshape(-1) for r in result.recon]
+        recon = model_forward(model, bag_features).recon
+    standardized = [r.values.reshape(-1) for r in recon]
     if ckpt.standardization is None:
         return standardized
     scaler = GeneStandardizer.from_dict(ckpt.standardization)
@@ -608,4 +639,6 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Sorted, indented JSON, replacing `path` only once fully written."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))

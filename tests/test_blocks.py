@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from histodistill import autodiff as ad
-from histodistill import blocks
-from histodistill.autodiff import ShapeError, grad_check, tensor
+from histodistill import blocks, gradcheck
+from histodistill.autodiff import ShapeError, tensor
+
+CHECKS = dict(gradcheck._CHECKS)
 
 
 def make_mhca(rng, width, heads):
@@ -24,15 +25,16 @@ def one_bag(bag):
 
 
 def attend(params, queries, bag, score_head=None):
-    """Cross-attention over one bag; scores without the stack axis."""
+    """Cross-attention over one bag; scores without the stack axis and pads."""
     keys = blocks.patch_keys(params, bag, one_bag(bag))
     out, scores = blocks.mhca_forward(params, queries, keys, score_head)
-    return out, scores[0]
+    return out, scores[0, :, :bag.shape[0]]
 
 
 def one_bag_weights(params, bag):
     """Gated-attention weights of one bag as an (N_p, 1) array."""
-    return blocks.gated_attention_weights(params, bag, one_bag(bag))[0].values[0]
+    weights = blocks.gated_attention_weights(params, bag, one_bag(bag))[0].values
+    return weights[0, :bag.shape[0]]
 
 
 def identity_mhca(width):
@@ -194,19 +196,8 @@ def test_mhsa_permutation_equivariance():
 
 
 def test_mhsa_gradient_small_input():
-    rng = np.random.default_rng(10)
-    params = make_mhca(rng, 8, 2)
-    x = tensor(rng.normal(size=(3, 8)), requires_grad=True)
-    probe = rng.normal(size=(3, 8))
-    named = dict(params.named_tensors("p"))
-    named["x"] = x
-    # the key bias cannot move the output (row-constant score shift), so it
-    # is left out; its zero gradient is covered by the grad-check module
-    del named["p.bk"]
-    err = grad_check(
-        lambda p: ad.sum_(ad.mul(blocks.mhsa_forward(params, x), probe)),
-        named)
-    assert err < 1e-5
+    # on a two-bag stack; the key bias's exactly-zero gradient is scored too
+    assert CHECKS["mhsa"](1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +230,7 @@ def test_ffn_hidden_width_is_double():
 
 
 def test_ffn_gradient():
-    rng = np.random.default_rng(14)
-    params = blocks.FfnParams.init(rng, 6)
-    x = tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    probe = rng.normal(size=(2, 6))
-    named = dict(params.named_tensors("ffn"))
-    named["x"] = x
-    err = grad_check(
-        lambda p: ad.sum_(ad.mul(blocks.ffn_forward(params, x), probe)), named)
-    assert err < 1e-5
+    assert CHECKS["ffn"](1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +270,7 @@ def test_gated_attention_permutation():
 
 
 def test_gated_attention_gradient():
-    rng = np.random.default_rng(19)
-    params = blocks.GatedAttentionParams.init(rng, 4)
-    bag = tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    probe = rng.normal(size=(5, 1))
-    named = dict(params.named_tensors("gate"))
-    named["bag"] = bag
-    err = grad_check(
-        lambda p: ad.sum_(ad.mul(blocks.gated_attention_weights(params, bag,
-                                                                one_bag(bag))[0],
-                                 probe)),
-        named)
-    assert err < 1e-5
+    assert CHECKS["gated_attention"](1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +298,7 @@ def test_snn_output_lengths_match_categories():
 
 
 def test_snn_gradient():
-    rng = np.random.default_rng(22)
-    params = blocks.SnnHeadParams.init(rng, 6, 5)
-    x = tensor(rng.normal(size=(1, 6)), requires_grad=True)
-    probe = rng.normal(size=(1, 5))
-    named = dict(params.named_tensors("snn"))
-    named["x"] = x
-    err = grad_check(
-        lambda p: ad.sum_(ad.mul(blocks.snn_forward(params, x), probe)), named)
-    assert err < 1e-5
+    assert CHECKS["snn_head"](1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,30 @@ def test_eval_with_spearman(workspace, tmp_path):
     assert (out / "spearman.tsv").exists()
 
 
+def test_eval_spearman_rejects_a_checkpoint_of_another_gene_panel(workspace, tmp_path,
+                                                                 capsys):
+    from histodistill.checkpoint import load_checkpoint
+    selected = load_checkpoint(workspace["checkpoint"]).selected_genes
+    # one gene per category cannot hold every gene the checkpoint reconstructs
+    assert max(max(genes) for genes in selected) >= 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {**SYNTH_SECTION, "n_patients": 8,
+                                            "gene_counts": [1] * 6}}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(config), "--out-dir", str(data)]) == 0
+    capsys.readouterr()
+    manifest = data / "synthetic_manifest.json"
+    code = cli.main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                     "--manifest", str(manifest), "--spearman",
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    needed = [max(genes, default=-1) + 1 for genes in selected]
+    for part in (str(workspace["checkpoint"]), str(manifest), str([1] * 6), str(needed)):
+        assert part in err, (part, err)
+
+
 def test_eval_rejects_bags_of_another_feature_dim(workspace, narrow_data,
                                                   tmp_path, capsys):
     manifest = narrow_data / "synthetic_manifest.json"

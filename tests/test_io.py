@@ -1,13 +1,18 @@
+import builtins
+import errno
 import struct
 
 import numpy as np
 import pytest
 
+from histodistill.checkpoint import save_checkpoint
 from histodistill.datasets import PatchBag, SynthConfig, synth_generate
 from histodistill.errors import DataFormatError
 from histodistill.io import (BAG_MAGIC, load_cohort, read_bag, read_clinical,
                              read_genomics, write_bag, write_clinical,
                              write_cohort, write_genomics)
+from histodistill.model import ModelConfig, build_model
+from histodistill.training import write_json
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +232,59 @@ def test_load_cohort_bag_without_clinical_row(tmp_path, synth_cohort):
     manifest.write_text(json.dumps(data))
     with pytest.raises(DataFormatError, match="no clinical row"):
         load_cohort(manifest)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+class _FailsMidway:
+    """A binary file that takes `budget` bytes, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        self.fh.write(bytes(data[:max(self.budget, 0)]))
+        self.budget -= len(data)
+        if self.budget < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _write_checkpoint(path, seed):
+    model = build_model(ModelConfig(feature_dim=6, category_sizes=(2, 3), width=4),
+                        seed=seed)
+    save_checkpoint(path, model, np.array([1.0, 2.0]))
+
+
+def _write_metrics(path, seed):
+    write_json(path, {"seed": seed, "c_index": [0.5] * 20})
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_metrics],
+                         ids=["checkpoint", "json"])
+def test_a_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.bin"
+    write(path, seed=0)
+    before = path.read_bytes()
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailsMidway(fh, 40) if "w" in mode and "b" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="No space left"):
+        write(path, seed=1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    write(path, seed=1)
+    assert path.read_bytes() != before

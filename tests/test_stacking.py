@@ -82,7 +82,7 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     rng = np.random.default_rng(5)
     entries = make_entries(rng, [2, 9, 1, 6])
     layout = PatchLayout.of([e.bag.shape[0] for e in entries])
-    result = stack_forward(model, np.concatenate([e.bag for e in entries]), layout)
+    result = stack_forward(model, [e.bag for e in entries])
     pads = ~layout.mask
     diag = result.diagnostics
     assert (diag.morph_weights[pads] == 0.0).all()
@@ -95,7 +95,7 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
         # softmax over patches; the self-attention's softmax runs over tokens
         if node._op == "softmax" and pads.shape[1] in node.shape:
             weights.append(node.values)
-        # padded layouts come as (B, N_max, ...) or flattened to (B * N_max, ...)
+        # padded layouts come as (B, W, ...) or flattened to (B * W, ...)
         if node._op == "gather_rows" and node.shape[0] in (len(pads), pads.size):
             at_pads = pads if node.shape[:2] == pads.shape else pads.reshape(-1)
             fn = node._backward_fn
