@@ -196,23 +196,63 @@ def transpose(x: Tensor) -> Tensor:
     return _make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
 
 
-# Under `no_grad`, `linear` pads its input rows to a multiple of this;
-# `blocks.aligned` rounds patch counts up to it.
+# Under `no_grad`, `linear` runs its rows in whole blocks of ROW_ALIGN
+# and its inner dimension in blocks of at most INNER_BLOCK (see
+# `_row_invariant_product`); `blocks.aligned` rounds patch counts up to
+# ROW_ALIGN.
 ROW_ALIGN = 8
+INNER_BLOCK = 256
+
+
+def _aligned_rows_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w over whole blocks of ROW_ALIGN rows: the leading rows as they
+    are, the last rows - rows % ROW_ALIGN zero-padded, so at most
+    ROW_ALIGN - 1 rows are copied."""
+    rows = x.shape[0]
+    head = rows - rows % ROW_ALIGN
+    if head == rows:
+        return x @ w
+    tail = np.zeros((ROW_ALIGN, x.shape[1]))
+    tail[:rows - head] = x[head:]
+    if not head:
+        return (tail @ w)[:rows]
+    out = np.empty((rows, w.shape[1]))
+    np.matmul(x[:head], w, out=out[:head])
+    out[head:] = (tail @ w)[:rows - head]
+    return out
+
+
+def _row_invariant_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w with every output row's bits independent of x's other rows.
+
+    BLAS picks its kernel by shape: one row goes through gemv, an odd tail
+    of rows through a narrower kernel that rounds differently, and
+    (OpenBLAS's SkylakeX dgemm) a product with few rows and an inner
+    dimension over 384 through a small-matrix kernel that sums the inner
+    dimension in one pass where a taller product splits it in two. So rows
+    run in whole blocks of ROW_ALIGN, and the inner dimension in blocks of
+    at most INNER_BLOCK whose partial products are added in order. Checked
+    on OpenBLAS 0.3.31's Haswell, SandyBridge and SkylakeX kernels with 1
+    and 2 threads, inner dimensions up to 1024 (`tests/test_invariance.py`
+    runs models with inner dimensions up to 1024).
+    """
+    if x.shape[1] <= INNER_BLOCK:
+        return _aligned_rows_product(x, w)
+    out = _aligned_rows_product(x[:, :INNER_BLOCK], w[:INNER_BLOCK])
+    for start in range(INNER_BLOCK, x.shape[1], INNER_BLOCK):
+        out += _aligned_rows_product(x[:, start:start + INNER_BLOCK],
+                                     w[start:start + INNER_BLOCK])
+    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight + bias as one node; bias has shape (fan_out,).
 
     Under `no_grad` (inference), an output row has the same bits whatever
-    other rows x holds, so one patient's rows come out the same alone and
-    inside a stack. BLAS picks its kernel by row count: one row goes
-    through gemv, and an odd tail of rows, or an odd share of them per
-    thread, through a narrower kernel that rounds differently. So x is
-    padded with zero rows to a multiple of ROW_ALIGN before the product.
-    While a tape is recorded (training) rows are not padded: nothing
-    compares a training row across stacks, and the padded token-row
-    products slow a training step.
+    other rows x holds (`_row_invariant_product`), so one patient's rows
+    come out the same alone and inside a stack. While a tape is recorded
+    (training) the product is plain: nothing compares a training row
+    across stacks, and the blocked token-row products slow a training step.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.values.ndim != 2 or weight.values.ndim != 2:
@@ -220,13 +260,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[1] != weight.shape[0] or bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear shapes do not chain: {x.shape} @ {weight.shape} "
                          f"+ {bias.shape}")
-    rows = x.shape[0]
-    if rows % ROW_ALIGN and not _grad_enabled:
-        padded = np.zeros((rows - rows % ROW_ALIGN + ROW_ALIGN, x.shape[1]))
-        padded[:rows] = x.values
-        out_values = (padded @ weight.values)[:rows] + bias.values
+    if _grad_enabled:
+        out_values = x.values @ weight.values
     else:
-        out_values = x.values @ weight.values + bias.values
+        out_values = _row_invariant_product(x.values, weight.values)
+    out_values += bias.values       # both products are fresh arrays
 
     def backward_fn(g):
         if x.requires_grad:     # skips the product for a constant input bag

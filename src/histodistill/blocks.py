@@ -47,8 +47,9 @@ class PatchLayout:
     `mask` is True at real patches. W is the longest bag's length rounded
     up to a multiple of 8 (`aligned`), so every per-bag reduction over a
     bag's patches runs over the same width alone and in any stack of bags
-    that round to the same length. With `autodiff.linear`'s no-grad row
-    padding, that makes a bag's no-grad forward bit-identical in both.
+    that round to the same length. With `autodiff.linear`'s row-invariant
+    no-grad products, that makes a bag's no-grad forward bit-identical in
+    both.
     """
     lengths: tuple[int, ...]
     index: np.ndarray
@@ -69,10 +70,7 @@ class PatchLayout:
         return len(self.lengths)
 
     def check(self, bag: Tensor) -> None:
-        """`bag` holds the bags' rows one after another, optionally followed
-        by zero rows up to a multiple of 8, which are never read."""
-        rows = sum(self.lengths)
-        if bag.values.ndim != 2 or not rows <= bag.shape[0] <= aligned(rows):
+        if bag.values.ndim != 2 or bag.shape[0] != sum(self.lengths):
             raise ShapeError(f"bag rows {bag.shape} do not match bag lengths "
                              f"{self.lengths}")
 

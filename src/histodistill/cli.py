@@ -92,22 +92,6 @@ def _check_feature_dim(ckpt, checkpoint_path: Path, source: Path, dim: int) -> N
                           f"{checkpoint_path} expects {expected}")
 
 
-def _check_gene_panel(ckpt, checkpoint_path: Path, source: Path, cohort) -> None:
-    """The checkpoint's reconstructed genes must index into the cohort's
-    gene categories (all of them, when the checkpoint selected none)."""
-    sizes = list(cohort.category_sizes or ())
-    if ckpt.selected_genes is None:
-        needed = list(ckpt.model.config.category_sizes)
-        fits, bound = needed == sizes, ""
-    else:
-        needed = [max(genes, default=-1) + 1 for genes in ckpt.selected_genes]
-        fits, bound = (len(needed) == len(sizes)
-                       and all(n <= size for n, size in zip(needed, sizes))), "at least "
-    if not fits:
-        raise ConfigError(f"{source}: gene categories have sizes {sizes}, but "
-                          f"checkpoint {checkpoint_path} needs {bound}{needed}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -179,9 +163,11 @@ def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     cohort = load_cohort(args.manifest, with_genomics=args.spearman)
     _check_feature_dim(ckpt, args.checkpoint, args.manifest, cohort.feature_dim)
-    if args.spearman:
-        _check_gene_panel(ckpt, args.checkpoint, args.manifest, cohort)
-    result = evaluate(ckpt, cohort, with_spearman=args.spearman)
+    try:
+        result = evaluate(ckpt, cohort, with_spearman=args.spearman)
+    except ConfigError as err:
+        raise ConfigError(f"{args.manifest} with checkpoint {args.checkpoint}: "
+                          f"{err}") from err
     write_json(out / "eval_metrics.json", result.to_dict())
     if result.spearman is not None:
         stats.write_spearman_tsv(out / "spearman.tsv", result.spearman)

@@ -10,10 +10,11 @@ the training losses; inference consumes the bag alone.
 One forward, `stack_forward`, serves a stack of B patients: per-patch
 layers run on the packed patch rows, per-patient mixers on the padded
 layout of `blocks.PatchLayout`, and token rows hold each patient's
-n_tokens rows as one consecutive block. Under `no_grad`, a patient's
-hazards, scores and weights come out bit-identical alone and in any stack
-whose bags share its aligned length (see `PatchLayout`), so stacked
-inference and one-bag `predict` agree exactly. The per-category
+n_tokens rows as one consecutive block. Under `no_grad`, on the BLAS
+kernels `autodiff._row_invariant_product` names, a patient's hazards,
+scores and weights come out bit-identical alone and in any stack whose
+bags share its aligned length (see `PatchLayout`), so stacked inference
+and one-bag `predict` agree exactly. The per-category
 reconstruction heads run only when a caller reads `ForwardResult.recon`:
 the training losses, the gradient checker and the gene-profile export do;
 inference does not. `model_forward` is the one-bag case, with the stack
@@ -426,11 +427,7 @@ def stack_forward(model: ModelParams, bags: Sequence[np.ndarray],
     (B, N_g, W), pins the top-k mask, which the gradient checker uses.
     """
     layout = PatchLayout.of([np.shape(bag)[0] for bag in bags])
-    # Zero rows up to a multiple of 8 spare each no-grad per-patch product
-    # the padding copy `autodiff.linear` would otherwise make.
-    rows = sum(layout.lengths)
-    pad = np.zeros((blocks.aligned(rows) - rows, np.shape(bags[0])[-1]))
-    bag = ad.tensor(np.concatenate([*bags, pad], axis=0))
+    bag = ad.tensor(np.concatenate(bags, axis=0, dtype=np.float64))
     layout.check(bag)
     cfg = model.config
     if cfg.gated_baseline:
@@ -502,7 +499,8 @@ def predict(model: ModelParams, bag_features: np.ndarray) -> HazardOutput:
     """Image-only inference: consumes a patch bag, nothing else.
 
     The one-bag stack of `stack_forward`, so its hazards equal, bit for
-    bit, the bag's row of any stack `training.evaluate` runs it in.
+    bit, the bag's row of any stack `training.evaluate` runs it in (on the
+    BLAS kernels `autodiff._row_invariant_product` names).
     """
     with ad.no_grad():
         result = model_forward(model, bag_features)

@@ -13,9 +13,10 @@ genes, standardized by a fit on those same matrices (`gene_targets`).
 
 Evaluation is image-only and runs no-grad stacks too (`inference_stacks`):
 bags sorted by length, each stack holding bags of one aligned length
-under ROW_BUDGET. A patient's forward is bit-identical in such a stack and
-alone, so `evaluate` gives every patient the risk one-bag `predict` gives,
-whatever subset or order of patients it scores. Validation metrics are
+under ROW_BUDGET. On the BLAS kernels `autodiff._row_invariant_product`
+names, a patient's forward is bit-identical in such a stack and alone, so
+`evaluate` gives every patient the risk one-bag `predict` gives, whatever
+subset or order of patients it scores. Validation metrics are
 always computed from the saved checkpoint after reloading it, so `eval`
 on the same file reproduces them exactly. Checkpoints and JSON outputs are
 written to a temporary file and renamed into place, so an interrupted run
@@ -44,8 +45,8 @@ from .geneselect import (GeneSelection, differential_select, split_risk_groups,
 from .blocks import aligned
 from .io import write_atomic
 from .model import (ModelConfig, ModelParams, build_model, hazard_output,
-                    model_forward, nll_loss, reconstruction_loss, stack_forward,
-                    total_loss)
+                    model_forward, nll_loss, predict, reconstruction_loss,
+                    stack_forward, total_loss)
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
@@ -385,11 +386,12 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
              with_spearman: bool = False) -> EvalResult:
     """Image-only scoring of a cohort slice against its outcomes.
 
-    Runs the bags as no-grad `inference_stacks`; each patient's risk is
-    bit-equal to `model.predict` on its bag alone, and lands at its
-    position in `indices`. Genomic profiles are touched only when
-    `with_spearman` asks for the reconstruction report (and must then be
-    present in the cohort).
+    Runs the bags as no-grad `inference_stacks`, a bag that stacks alone
+    through `model.predict`; each patient's risk is bit-equal to `predict`
+    on its bag alone (see the module docstring for where that is checked),
+    and lands at its position in `indices`. Genomic profiles are touched
+    only when `with_spearman` asks for the reconstruction report (and must
+    then be present in the cohort).
     """
     if indices is None:
         indices = np.arange(len(cohort))
@@ -400,10 +402,13 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
     risks = np.empty(indices.size)
     s_mid = np.empty(indices.size)
     for stack in inference_stacks([bag.shape[0] for bag in bags]):
-        with ad.no_grad():
-            hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards.values
-        for pos, row in zip(stack, hazards):
-            out = hazard_output(row)
+        if len(stack) == 1:     # as every slide-scale bag is
+            outs = [predict(model, bags[stack[0]])]
+        else:
+            with ad.no_grad():
+                hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards
+            outs = [hazard_output(row) for row in hazards.values]
+        for pos, out in zip(stack, outs):
             risks[pos] = out.risk
             s_mid[pos] = out.survival[mid]
     times = cohort.times()[indices]
@@ -438,10 +443,19 @@ def spearman_report(ckpt: CheckpointData, cohort: Cohort,
                     indices: np.ndarray) -> stats.SpearmanReport:
     if cohort.category_sizes is None:
         raise ConfigError("spearman report needs genomic profiles in the cohort")
+    sizes = list(cohort.category_sizes)
     if ckpt.selected_genes is None:
-        selected = [np.arange(n) for n in cohort.category_sizes]
+        needed = list(ckpt.model.config.category_sizes)
+        fits, bound = needed == sizes, ""
+        selected = [np.arange(n) for n in sizes]
     else:
+        needed = [max(genes, default=-1) + 1 for genes in ckpt.selected_genes]
+        fits, bound = (len(needed) == len(sizes)
+                       and all(n <= size for n, size in zip(needed, sizes))), "at least "
         selected = [np.asarray(s, dtype=np.int64) for s in ckpt.selected_genes]
+    if not fits:
+        raise ConfigError(f"gene categories have sizes {sizes}, but the "
+                          f"checkpoint needs {bound}{needed}")
     predicted, actual = [], []
     for i in indices:
         patient = cohort[int(i)]

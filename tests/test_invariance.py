@@ -28,6 +28,11 @@ CONFIGS = {
     "assoc_only": {"assoc_only": True},
     "gated_baseline": {"gated_baseline": True, "category_sizes": ()},
     "one_category": {"category_sizes": (7,)},
+    # Inner dimensions past the 384 where OpenBLAS's SkylakeX dgemm splits
+    # a tall product's inner sum: slide-encoder-sized features (768), and
+    # a wide model whose FFN's second product has inner dimension 1024.
+    "wide_features": {"feature_dim": 768},
+    "wide_model": {"feature_dim": 1024, "width": 512, "heads": 4},
 }
 
 
@@ -49,7 +54,7 @@ def test_stacked_forward_is_bit_identical_to_one_bag_forward(name):
     model = make_model(name, seed=len(name))
     rng = np.random.default_rng(sorted(CONFIGS).index(name))
     lengths = ragged_lengths(rng)
-    bags = [rng.normal(size=(n, FEATURES)) for n in lengths]
+    bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
     stacks = tr.inference_stacks(lengths)
     assert sorted(pos for stack in stacks for pos in stack) == list(range(len(bags)))
     assert max(len(stack) for stack in stacks) >= 4, "no stack of several bags"

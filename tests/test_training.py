@@ -398,6 +398,19 @@ def test_evaluate_spearman_report(cv_run):
     assert set(d["spearman_mean"]) == set(report.category_names)
 
 
+def test_evaluate_spearman_rejects_a_cohort_of_another_gene_panel(cv_run):
+    cohort, config, result, out = cv_run
+    ckpt = load_checkpoint(out / "fold0.ghck")
+    needed = [max(genes, default=-1) + 1 for genes in ckpt.selected_genes]
+    assert max(needed) > 1, "one gene per category would hold every selected gene"
+    narrow, _ = synth_generate(SynthConfig(n_patients=4, patch_range=(3, 6),
+                                           feature_dim=6, n_prototypes=3,
+                                           gene_counts=(1,) * 6), seed=1)
+    with pytest.raises(ConfigError) as err:
+        evaluate(ckpt, narrow, with_spearman=True)
+    assert str([1] * 6) in str(err.value) and str(needed) in str(err.value)
+
+
 def test_export_associations_format(cv_run, tmp_path):
     cohort, config, result, out = cv_run
     ckpt = load_checkpoint(out / "fold0.ghck")
