@@ -4,6 +4,21 @@ Patients are split at the median observed time; each gene gets a Welch
 t-test on log(1+x) expression, p-values are Benjamini-Hochberg adjusted
 jointly across all categories, and significant genes are retained with a
 small per-category floor so no reconstruction head goes empty.
+
+A fold runs one array pass: every category's high-risk columns fill one
+block and its low-risk columns another, and `welch_t` tests each gene as
+one row of the two blocks.
+Each row's t and p carry the bits of testing that gene alone, which a
+per-gene loop gives, because
+- `welch_t` copies its samples to C order, so a row's sums are the
+  pairwise sums of that row, whatever layout the caller's indexing left;
+- the df numerator goes through libm `pow`, as `**` on a float64 scalar
+  does (NumPy's array `** 2` is `x * x`, which rounds differently);
+- the incomplete beta's prefactor (`lgamma`, `log`, `log1p`, `exp`) runs
+  per element through `math`, whose libm rounding NumPy's SIMD loops do
+  not match;
+- the continued fraction stops each element at its own convergence step.
+The remaining arithmetic is elementwise IEEE and identical either way.
 """
 
 from __future__ import annotations
@@ -12,96 +27,146 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from io import StringIO
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError
+from .io import write_atomic
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """`fn` from `math` on each element: the C library's rounding, not NumPy's."""
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
+                       count=values.size).reshape(values.shape)
+
+
+def _betacf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta, modified Lentz scheme.
+
+    Runs on 1-d arrays; each element stops at its own convergence step, so
+    it takes exactly the steps it would take alone.
+    """
     max_iter = 300
     eps = 3e-14
     tiny = 1e-300
+    out = np.empty(x.shape)
+    active = np.arange(x.size)
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
+    c = np.ones(x.shape)
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
     h = d
     for m in range(1, max_iter + 1):
+        if not active.size:
+            return out
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
-        h *= d * c
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
+        d = np.where(np.abs(d) < tiny, tiny, d)
         c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
+        c = np.where(np.abs(c) < tiny, tiny, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+        h = h * delta
+        done = np.abs(delta - 1.0) < eps
+        if done.any():
+            out[active[done]] = h[done]
+            going = ~done
+            active = active[going]
+            a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (a, b, x, qab, qap, qam, c, d, h))
+    if active.size:
+        raise ArithmeticError(f"incomplete beta did not converge for "
+                              f"a={a[0]}, b={b[0]}, x={x[0]}")
+    return out
 
 
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ConfigError(f"beta parameters must be positive, got a={a}, b={b}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+def betainc_reg(a: ArrayLike, b: ArrayLike, x: ArrayLike) -> float | np.ndarray:
+    """Regularized incomplete beta I_x(a, b), elementwise over broadcast
+    arrays; all-scalar arguments give a float."""
+    a, b, x = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64)
+                                    for v in (a, b, x)))
+    bad = (a <= 0) | (b <= 0)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ConfigError(f"beta parameters must be positive, "
+                          f"got a={a.ravel()[i]}, b={b.ravel()[i]}")
+    out = np.where(x <= 0.0, 0.0, 1.0)
+    inside = ~((x <= 0.0) | (x >= 1.0))
+    a, b, x = a[inside], b[inside], x[inside]
+    ln_front = (_libm(math.lgamma, a + b) - _libm(math.lgamma, a)
+                - _libm(math.lgamma, b)
+                + a * _libm(math.log, x) + b * _libm(math.log1p, -x))
+    front = _libm(math.exp, ln_front)
+    lower = x < (a + 1.0) / (a + b + 2.0)
+    # the upper tail is 1 - I_{1-x}(b, a): one Lentz loop runs both tails
+    first = np.where(lower, a, b)
+    tail = front * _betacf(first, np.where(lower, b, a),
+                           np.where(lower, x, 1.0 - x)) / first
+    out[inside] = np.where(lower, tail, 1.0 - tail)
+    return float(out) if out.ndim == 0 else out
 
 
-def student_t_two_sided_p(t: float, df: float) -> float:
-    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ConfigError(f"degrees of freedom must be positive, got {df}")
-    if not math.isfinite(t):
-        return 0.0
-    return betainc_reg(0.5 * df, 0.5, df / (df + t * t))
+def student_t_two_sided_p(t: ArrayLike, df: ArrayLike) -> float | np.ndarray:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom, elementwise."""
+    t = np.asarray(t, dtype=np.float64)
+    df = np.asarray(df, dtype=np.float64)
+    if np.any(df <= 0):
+        raise ConfigError(f"degrees of freedom must be positive, "
+                          f"got {df[df <= 0].ravel()[0]}")
+    finite = np.isfinite(t)
+    # a non-finite t has p = 0, which I_0 gives
+    return betainc_reg(0.5 * df, 0.5,
+                       np.where(finite, df / (df + t * t), 0.0))
 
 
-def welch_t(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+def welch_t(x: ArrayLike, y: ArrayLike
+            ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Welch's unequal-variance t statistic and its two-sided p-value.
 
-    Both samples constant is degenerate and returns (0, 1) by convention.
+    Samples run along the last axis, so (n_rows, n) inputs give one test
+    per row and 1-d inputs give floats. Both samples constant is degenerate
+    and returns (0, 1) by convention.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 2 or y.size < 2:
+    # C order makes each row's sums the pairwise sums of that row alone
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    nx, ny = x.shape[-1], y.shape[-1]
+    if nx < 2 or ny < 2:
         raise ConfigError(f"welch_t needs at least 2 values per sample, "
-                          f"got {x.size} and {y.size}")
-    vx, vy = x.var(ddof=1), y.var(ddof=1)
-    if vx + vy == 0.0:
-        return 0.0, 1.0
-    sx, sy = vx / x.size, vy / y.size
-    t = (x.mean() - y.mean()) / math.sqrt(sx + sy)
-    df = (sx + sy) ** 2 / (
-        (sx * sx / (x.size - 1) if sx > 0 else 0.0)
-        + (sy * sy / (y.size - 1) if sy > 0 else 0.0))
-    return float(t), student_t_two_sided_p(t, df)
+                          f"got {nx} and {ny}")
+    shape = x.shape[:-1]
+    if y.shape[:-1] != shape:
+        raise ConfigError(f"welch_t samples hold {shape} and {y.shape[:-1]} rows")
+    vx = np.atleast_1d(x.var(axis=-1, ddof=1))
+    vy = np.atleast_1d(y.var(axis=-1, ddof=1))
+    t = np.zeros(vx.shape)
+    p = np.ones(vx.shape)
+    live = vx + vy != 0.0
+    if live.any():
+        sx, sy = vx[live] / nx, vy[live] / ny
+        diff = np.atleast_1d(x.mean(axis=-1) - y.mean(axis=-1))[live]
+        t[live] = diff / np.sqrt(sx + sy)
+        # libm pow, as a float64 scalar's ** takes; array ** 2 is x*x
+        df = _libm(lambda s: math.pow(s, 2), sx + sy) / (
+            np.where(sx > 0, sx * sx / (nx - 1), 0.0)
+            + np.where(sy > 0, sy * sy / (ny - 1), 0.0))
+        p[live] = student_t_two_sided_p(t[live], df)
+    if not shape:
+        return float(t[0]), float(p[0])
+    return t.reshape(shape), p.reshape(shape)
 
 
 def bh_adjust(p_values: Sequence[float]) -> np.ndarray:
@@ -189,25 +254,22 @@ def differential_select(expression: Sequence[np.ndarray], groups: RiskGroups,
                       "retaining all genes", stacklevel=2)
         return _retain_all(sizes, groups.midpoint_time)
 
-    all_t, all_p, spans = [], [], []
-    start = 0
-    for matrix in expression:
-        matrix = np.log1p(np.asarray(matrix, dtype=np.float64))
-        high = matrix[:, groups.high_risk]
-        low = matrix[:, groups.low_risk]
-        for g in range(matrix.shape[0]):
-            t, p = welch_t(high[g], low[g])
-            all_t.append(t)
-            all_p.append(p)
-        spans.append((start, start + matrix.shape[0]))
-        start += matrix.shape[0]
-
+    # The categories share their patient columns, so one C-order block per
+    # risk group holds every gene and one welch_t call tests them all;
+    # filling preallocated blocks keeps no second copy of the fold alive.
+    bounds = np.cumsum([0] + sizes)
+    blocks = []
+    for cols in (groups.high_risk, groups.low_risk):
+        block = np.empty((bounds[-1], len(cols)))
+        for matrix, lo, hi in zip(expression, bounds[:-1], bounds[1:]):
+            np.take(np.asarray(matrix, dtype=np.float64), cols, axis=1,
+                    out=block[lo:hi])
+        blocks.append(np.log1p(block, out=block))
+    all_t, all_p = welch_t(*blocks)
     adjusted = bh_adjust(all_p)
-    all_t = np.asarray(all_t)
-    all_p = np.asarray(all_p)
 
     categories = []
-    for lo, hi in spans:
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         t = all_t[lo:hi]
         p = all_p[lo:hi]
         adj = adjusted[lo:hi]
@@ -222,19 +284,22 @@ def differential_select(expression: Sequence[np.ndarray], groups: RiskGroups,
 def write_selection_report(path: str | Path, selection: GeneSelection,
                            gene_ids: Sequence[Sequence[str]],
                            category_names: Sequence[str]) -> None:
-    """TSV: gene_id, category, t, p, p_adj, retained."""
+    """TSV: gene_id, category, t, p, p_adj, retained; written atomically."""
     if len(gene_ids) != len(selection.categories):
         raise ConfigError("gene id lists do not match the selection categories")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["gene_id", "category", "t", "p", "p_adj", "retained"])
-        for name, ids, cat in zip(category_names, gene_ids, selection.categories):
-            kept = set(cat.retained.tolist())
-            for g, gene_id in enumerate(ids):
-                writer.writerow([
-                    gene_id, name,
-                    repr(float(cat.t_stats[g])),
-                    repr(float(cat.p_raw[g])),
-                    repr(float(cat.p_adj[g])),
-                    1 if g in kept else 0,
-                ])
+    text = StringIO(newline="")
+    writer = csv.writer(text, delimiter="\t")
+    writer.writerow(["gene_id", "category", "t", "p", "p_adj", "retained"])
+    for name, ids, cat in zip(category_names, gene_ids, selection.categories):
+        if len(ids) != len(cat.t_stats):
+            raise ConfigError(f"category '{name}' has {len(ids)} gene ids for "
+                              f"{len(cat.t_stats)} tested genes")
+        kept = np.zeros(len(ids), dtype=np.int64)
+        kept[cat.retained] = 1
+        writer.writerows(zip(ids, repeat(name),
+                             map(repr, cat.t_stats.tolist()),
+                             map(repr, cat.p_raw.tolist()),
+                             map(repr, cat.p_adj.tolist()),
+                             kept.tolist()))
+    data = text.getvalue().encode()
+    write_atomic(path, lambda fh: fh.write(data))

@@ -4,7 +4,7 @@ Bag files are little-endian binary ("GHB1" magic, u32 patch count, u32
 feature dim, float32 row-major data), so write -> read round trips are
 bit-exact. Text formats are plain csv/tsv readable by anything.
 `write_atomic` is the write path for outputs that must never be left
-half-written: checkpoints and JSON results.
+half-written: checkpoints, JSON results and gene selection reports.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from histodistill import cli
+from histodistill.datasets import SynthConfig, synth_generate
+from histodistill.io import write_cohort
 
 
 SYNTH_SECTION = {
@@ -152,6 +154,24 @@ def test_select_genes_writes_report(workspace, tmp_path, capsys):
     assert len(lines) == 1 + sum(SYNTH_SECTION["gene_counts"])
     printed = capsys.readouterr().out
     assert "retained" in printed
+
+
+def test_select_genes_with_a_constant_category(tmp_path, capsys):
+    cohort, _ = synth_generate(SynthConfig(**SYNTH_SECTION), seed=3)
+    for patient in cohort:
+        vectors = list(patient.genes.vectors)
+        vectors[2] = np.full(vectors[2].shape, 7.0)
+        patient.genes.vectors = tuple(vectors)
+    manifest = write_cohort(tmp_path / "data", cohort)
+    out = tmp_path / "sel"
+    assert cli.main(["select-genes", "--manifest", str(manifest),
+                     "--out-dir", str(out)]) == 0
+    rows = [line.split("\t") for line in
+            (out / "selection.tsv").read_text().splitlines()[1:]]
+    flat = [row for row in rows if row[1] == cohort.category_names[2]]
+    assert [row[2:] for row in flat] == [["0.0", "1.0", "1.0", "1"],
+                                         ["0.0", "1.0", "1.0", "0"]]
+    assert f"{cohort.category_names[2]}: 1/2 retained" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

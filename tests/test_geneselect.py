@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import special as spsp
 from scipy import stats as sps
 
+from histodistill.datasets import SynthConfig, make_folds, synth_generate
 from histodistill.errors import ConfigError
 from histodistill.geneselect import (CategorySelection, GeneSelection,
                                      RiskGroups, bh_adjust, betainc_reg,
                                      differential_select, split_risk_groups,
                                      student_t_two_sided_p, welch_t,
                                      write_selection_report)
+from histodistill.training import expression_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +245,269 @@ def test_selection_report_mismatched_ids(tmp_path):
         1.0)
     with pytest.raises(ConfigError):
         write_selection_report(tmp_path / "x.tsv", sel, [["a"], ["b"]], ["c"])
+    with pytest.raises(ConfigError, match="2 gene ids for 1 tested"):
+        write_selection_report(tmp_path / "x.tsv", sel, [["a", "b"]], ["c"])
+    assert not (tmp_path / "x.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the array API against its own scalar calls
+# ---------------------------------------------------------------------------
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def test_welch_rows_equal_one_row_calls():
+    rng = np.random.default_rng(9)
+    high = rng.normal(2.0, 1.0, size=(40, 9))
+    low = rng.normal(2.5, 0.7, size=(40, 13))
+    high[0], low[0] = 4.0, 4.0              # both constant
+    high[2] = 1.5                           # one constant sample
+    low[4] = -3.0
+    high[6] += 60.0                         # huge |t|, x near 0
+    high[8] = low[8].mean() + np.linspace(-1.0, 1.0, 9)  # t near 0, x near 1
+    high = high[:, ::-1][::2]               # strided rows
+    low = low[::2]
+    t, p = welch_t(high, low)
+    assert t.shape == p.shape == (20,)
+    one = [welch_t(high[g], low[g]) for g in range(20)]
+    assert all(type(v) is float for row in one for v in row)
+    np.testing.assert_array_equal(bits(t), bits([r[0] for r in one]))
+    np.testing.assert_array_equal(bits(p), bits([r[1] for r in one]))
+    assert (t[0], p[0]) == (0.0, 1.0)
+    assert 0.0 < p[1] < 1.0 and 0.0 < p[2] < 1.0 and p[3] < 1e-12
+    assert p[4] > 0.99
+
+
+def test_welch_needs_matching_rows():
+    with pytest.raises(ConfigError):
+        welch_t(np.ones((3, 4)), np.ones((2, 4)))
+    with pytest.raises(ConfigError):
+        welch_t(np.ones((3, 4)), np.ones((3, 1)))
+
+
+def test_betainc_broadcast_equals_scalar_calls():
+    a = np.array([[0.5], [2.0], [7.5], [40.0]])
+    b = np.array([0.5, 3.0, 25.0])
+    x = np.array([0.0, 1e-300, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-16, 1.0])
+    got = betainc_reg(a[..., None], b[None, :, None], x)
+    assert got.shape == (4, 3, 9)
+    want = [[[betainc_reg(float(ai), float(bi), float(xi)) for xi in x]
+             for bi in b] for ai in a[:, 0]]
+    assert type(want[0][0][0]) is float
+    np.testing.assert_array_equal(bits(got), bits(want))
+    assert (got[..., 0] == 0.0).all() and (got[..., -1] == 1.0).all()
+    # both sides of the switch to the upper tail at x = (a+1)/(a+b+2)
+    for ai, bi in ((2.0, 3.0), (0.5, 0.5), (30.0, 4.0)):
+        edge = (ai + 1.0) / (ai + bi + 2.0)
+        near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)])
+        np.testing.assert_array_equal(
+            bits(betainc_reg(ai, bi, near)),
+            bits([betainc_reg(ai, bi, float(v)) for v in near]))
+        np.testing.assert_allclose(betainc_reg(ai, bi, near),
+                                   spsp.betainc(ai, bi, near), atol=1e-12)
+
+
+def test_t_tail_array_equals_scalar_calls():
+    t = np.array([-np.inf, -8.0, -0.3, 0.0, 1.7, 40.0, np.inf, np.nan])
+    df = np.linspace(1.0, 90.0, t.size)
+    got = student_t_two_sided_p(t, df)
+    np.testing.assert_array_equal(
+        bits(got), bits([student_t_two_sided_p(float(ti), float(di))
+                         for ti, di in zip(t, df)]))
+    assert got[0] == got[-2] == got[-1] == 0.0
+
+
+def test_non_positive_parameters_anywhere_in_an_array_are_rejected():
+    good = np.full(5, 2.0)
+    for bad in (0.0, -1.0):
+        poisoned = good.copy()
+        poisoned[3] = bad
+        with pytest.raises(ConfigError, match="positive"):
+            betainc_reg(poisoned, good, np.full(5, 0.5))
+        with pytest.raises(ConfigError, match="positive"):
+            betainc_reg(good, poisoned, 0.5)
+        with pytest.raises(ConfigError, match="positive"):
+            student_t_two_sided_p(np.ones(5), poisoned)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-gene scalar code this module ran before it took arrays
+# ---------------------------------------------------------------------------
+
+def _ref_betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta, modified Lentz scheme."""
+    max_iter = 300
+    eps = 3e-14
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+
+
+def _ref_betainc_reg(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b)."""
+    if a <= 0 or b <= 0:
+        raise ConfigError(f"beta parameters must be positive, got a={a}, b={b}")
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                + a * math.log(x) + b * math.log1p(-x))
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _ref_betacf(a, b, x) / a
+    return 1.0 - front * _ref_betacf(b, a, 1.0 - x) / b
+
+
+def _ref_student_t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
+    if df <= 0:
+        raise ConfigError(f"degrees of freedom must be positive, got {df}")
+    if not math.isfinite(t):
+        return 0.0
+    return _ref_betainc_reg(0.5 * df, 0.5, df / (df + t * t))
+
+
+def _ref_welch_t(x, y) -> tuple[float, float]:
+    """Welch's unequal-variance t statistic and its two-sided p-value.
+
+    Both samples constant is degenerate and returns (0, 1) by convention.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 2 or y.size < 2:
+        raise ConfigError(f"welch_t needs at least 2 values per sample, "
+                          f"got {x.size} and {y.size}")
+    vx, vy = x.var(ddof=1), y.var(ddof=1)
+    if vx + vy == 0.0:
+        return 0.0, 1.0
+    sx, sy = vx / x.size, vy / y.size
+    t = (x.mean() - y.mean()) / math.sqrt(sx + sy)
+    df = (sx + sy) ** 2 / (
+        (sx * sx / (x.size - 1) if sx > 0 else 0.0)
+        + (sy * sy / (y.size - 1) if sy > 0 else 0.0))
+    return float(t), _ref_student_t_two_sided_p(t, df)
+
+
+def _ref_differential_select(expression, groups, alpha=0.05, min_per_category=1):
+    """The per-gene loop, one category after another."""
+    all_t, all_p, spans = [], [], []
+    start = 0
+    for matrix in expression:
+        matrix = np.log1p(np.asarray(matrix, dtype=np.float64))
+        high = matrix[:, groups.high_risk]
+        low = matrix[:, groups.low_risk]
+        for g in range(matrix.shape[0]):
+            t, p = _ref_welch_t(high[g], low[g])
+            all_t.append(t)
+            all_p.append(p)
+        spans.append((start, start + matrix.shape[0]))
+        start += matrix.shape[0]
+    adjusted = bh_adjust(all_p)
+    all_t, all_p = np.asarray(all_t), np.asarray(all_p)
+    out = []
+    for lo, hi in spans:
+        p = all_p[lo:hi]
+        retained = np.flatnonzero(adjusted[lo:hi] < alpha)
+        floor = min(min_per_category, len(p))
+        if len(retained) < floor:
+            retained = np.sort(np.argsort(p, kind="stable")[:floor])
+        out.append((all_t[lo:hi], p, adjusted[lo:hi], retained))
+    return out
+
+
+PREP_SHAPE = {"patch_range": (8, 16), "gene_counts": (100, 300, 500, 350, 500, 450)}
+
+
+@pytest.mark.parametrize("synth, seed", [(PREP_SHAPE, 0), (PREP_SHAPE, 1), ({}, 0)],
+                         ids=["prep-seed0", "prep-seed1", "default-seed0"])
+def test_differential_select_is_bit_equal_to_the_per_gene_loop(synth, seed):
+    cohort, _ = synth_generate(SynthConfig(**synth), seed=seed)
+    times, censor = cohort.times(), cohort.censor_flags()
+    compared = 0
+    for train_idx, _ in make_folds(cohort, seed, 5):
+        groups = split_risk_groups(times[train_idx], censor[train_idx])
+        expression = expression_matrices(cohort, train_idx)
+        sel = differential_select(expression, groups)
+        ref = _ref_differential_select(expression, groups)
+        assert not sel.skipped and len(ref) == len(sel.categories)
+        for cat, (t, p, adj, retained) in zip(sel.categories, ref):
+            np.testing.assert_array_equal(bits(cat.t_stats), bits(t))
+            np.testing.assert_array_equal(bits(cat.p_raw), bits(p))
+            np.testing.assert_array_equal(bits(cat.p_adj), bits(adj))
+            np.testing.assert_array_equal(cat.retained, retained)
+            compared += t.size
+        # row-wise welch_t on blocks that fancy indexing leaves out of C order
+        logged = np.log1p(np.concatenate(expression))
+        t, p = welch_t(logged[:, groups.high_risk], logged[:, groups.low_risk])
+        np.testing.assert_array_equal(bits(t), bits(np.concatenate([r[0] for r in ref])))
+        np.testing.assert_array_equal(bits(p), bits(np.concatenate([r[1] for r in ref])))
+    assert compared == 5 * sum(SynthConfig(**synth).gene_counts)
+
+
+# ---------------------------------------------------------------------------
+# degenerate gene panels
+# ---------------------------------------------------------------------------
+
+def test_a_constant_category_keeps_exactly_its_floor():
+    rng = np.random.default_rng(10)
+    groups = RiskGroups(np.arange(10), np.arange(10, 20), 5.0)
+    expr = [planted_expression(rng, 10, 10, driven=2, flat=2),
+            np.full((6, 20), 2.5)]
+    for floor in (0, 1, 3, 9):
+        sel = differential_select(expr, groups, min_per_category=floor)
+        flat = sel.categories[1]
+        np.testing.assert_array_equal(flat.t_stats, np.zeros(6))
+        np.testing.assert_array_equal(flat.p_raw, np.ones(6))
+        np.testing.assert_array_equal(flat.p_adj, np.ones(6))
+        # all p tie at 1, so the stable argsort's floor is the first genes
+        np.testing.assert_array_equal(flat.retained, np.arange(min(floor, 6)))
+        assert sel.categories[0].retained.size >= 2
+
+
+def test_two_patients_per_group_still_tests_every_gene():
+    rng = np.random.default_rng(11)
+    groups = RiskGroups(np.array([0, 3]), np.array([1, 2]), 4.0)
+    expr = [np.abs(rng.normal(3.0, 1.0, size=(5, 4))),
+            np.abs(rng.normal(3.0, 1.0, size=(3, 4)))]
+    sel = differential_select(expr, groups)
+    assert not sel.skipped
+    for cat, matrix in zip(sel.categories, expr):
+        assert np.isfinite(cat.t_stats).all() and (cat.t_stats != 0).all()
+        assert ((cat.p_raw > 0) & (cat.p_raw <= 1)).all()
+        logged = np.log1p(matrix)
+        for g in range(matrix.shape[0]):
+            ref = sps.ttest_ind(logged[g, [0, 3]], logged[g, [1, 2]],
+                                equal_var=False)
+            np.testing.assert_allclose(cat.p_raw[g], ref.pvalue, atol=1e-10)

@@ -8,6 +8,8 @@ import pytest
 from histodistill.checkpoint import save_checkpoint
 from histodistill.datasets import PatchBag, SynthConfig, synth_generate
 from histodistill.errors import DataFormatError
+from histodistill.geneselect import (RiskGroups, differential_select,
+                                     write_selection_report)
 from histodistill.io import (BAG_MAGIC, load_cohort, read_bag, read_clinical,
                              read_genomics, write_bag, write_clinical,
                              write_cohort, write_genomics)
@@ -268,8 +270,16 @@ def _write_metrics(path, seed):
     write_json(path, {"seed": seed, "c_index": [0.5] * 20})
 
 
-@pytest.mark.parametrize("write", [_write_checkpoint, _write_metrics],
-                         ids=["checkpoint", "json"])
+def _write_selection_report(path, seed):
+    expression = [np.random.default_rng(seed).uniform(1.0, 9.0, size=(4, 8))]
+    selection = differential_select(expression, RiskGroups(np.arange(4),
+                                                           np.arange(4, 8), 2.0))
+    write_selection_report(path, selection, [["g0", "g1", "g2", "g3"]], ["cat"])
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_metrics,
+                                   _write_selection_report],
+                         ids=["checkpoint", "json", "selection_report"])
 def test_a_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch, write):
     path = tmp_path / "out.bin"
     write(path, seed=0)
