@@ -126,10 +126,9 @@ def student_t_two_sided_p(t: ArrayLike, df: ArrayLike) -> float | np.ndarray:
     if np.any(df <= 0):
         raise ConfigError(f"degrees of freedom must be positive, "
                           f"got {df[df <= 0].ravel()[0]}")
-    finite = np.isfinite(t)
     # a non-finite t has p = 0, which I_0 gives
     return betainc_reg(0.5 * df, 0.5,
-                       np.where(finite, df / (df + t * t), 0.0))
+                       np.where(np.isfinite(t), df / (df + t * t), 0.0))
 
 
 def welch_t(x: ArrayLike, y: ArrayLike
