@@ -480,8 +480,10 @@ def elu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     v = x.values
-    e = np.exp(-np.abs(v))
-    y = np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(min(v, 0)) / (1 + exp(-|v|)): the numerator is 1 for v >= 0 and
+    # exp(v) below, so no exp overflows and no select runs per element
+    y = np.exp(np.minimum(v, 0.0))
+    y /= 1.0 + np.exp(-np.abs(v))
 
     def backward_fn(g):
         _accumulate(x, g * y * (1.0 - y))

@@ -13,8 +13,9 @@ import csv
 import json
 import os
 import struct
+from itertools import chain, islice
 from pathlib import Path
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -133,25 +134,124 @@ def read_clinical(path: str | Path) -> dict[str, SurvivalLabel]:
 # genomics TSV (expression matrix + category sidecar)
 # ---------------------------------------------------------------------------
 
+# The matrix is plain tab-separated text with no quoting: no field holds a
+# tab, a line break or '"', and the writer refuses ids that would need
+# quoting. Expression values are what `float()` parses, minus '_' digit
+# separators, and must be finite.
+
+_NOT_IN_FIELDS = ("\t", "\r", "\n", '"')
+# Data lines per `np.loadtxt` call when a bad value is located again.
+_RESCAN_LINES = 1024
+# Genes per (genes x patients) block the writer stacks: small blocks reuse
+# freed heap space, where a whole category's stack raised peak RSS.
+_WRITE_BLOCK_GENES = 64
+
+
+def _check_ids(path: Path, kind: str, ids) -> None:
+    for id_ in ids:
+        if any(c in id_ for c in _NOT_IN_FIELDS):
+            raise DataFormatError(f"{path}: {kind} id {id_!r} contains a tab, a "
+                                  f"line break or '\"'; the genomics files have "
+                                  f"no quoting")
+
+
 def write_genomics(matrix_path: str | Path, categories_path: str | Path,
                    cohort: Cohort) -> None:
-    """Expression matrix (genes x patients) plus gene -> category sidecar."""
+    """Expression matrix (genes x patients) plus gene -> category sidecar.
+
+    Values are written as `repr(float)`, lines end in CRLF, and each file
+    is replaced atomically (`write_atomic`).
+    """
     if cohort.gene_ids is None or cohort.category_names is None:
         raise DataFormatError("cohort carries no genomics to write")
+    matrix_path = Path(matrix_path)
     patient_ids = [p.patient_id for p in cohort]
-    with open(matrix_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["gene_id", *patient_ids])
+    _check_ids(matrix_path, "patient", patient_ids)
+    for ids in cohort.gene_ids:
+        _check_ids(matrix_path, "gene", ids)
+
+    def write_matrix(fh):
+        fh.write(("\t".join(["gene_id", *patient_ids]) + "\r\n").encode())
         for c, ids in enumerate(cohort.gene_ids):
-            for g, gene_id in enumerate(ids):
-                values = [repr(float(p.genes.vectors[c][g])) for p in cohort]
-                writer.writerow([gene_id, *values])
-    with open(categories_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter="\t")
-        writer.writerow(["gene_id", "category"])
+            vectors = [p.genes.vectors[c] for p in cohort]
+            for start in range(0, len(ids), _WRITE_BLOCK_GENES):
+                stop = start + _WRITE_BLOCK_GENES
+                block = np.stack([v[start:stop] for v in vectors], axis=1)
+                for gene_id, row in zip(ids[start:stop], block):
+                    line = "\t".join([gene_id, *map(repr, row.tolist())]) + "\r\n"
+                    fh.write(line.encode())
+
+    def write_categories(fh):
+        fh.write(b"gene_id\tcategory\r\n")
         for name, ids in zip(cohort.category_names, cohort.gene_ids):
-            for gene_id in ids:
-                writer.writerow([gene_id, name])
+            fh.write("".join(f"{gene_id}\t{name}\r\n" for gene_id in ids).encode())
+
+    write_atomic(matrix_path, write_matrix)
+    write_atomic(categories_path, write_categories)
+
+
+def _read_gene_categories(path: Path) -> dict[str, str]:
+    gene_category: dict[str, str] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        header = next(reader, None)
+        if header != ["gene_id", "category"]:
+            raise DataFormatError(f"{path}: line 1: expected header "
+                                  f"'gene_id\\tcategory', got {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DataFormatError(f"{path}: line {line_no}: "
+                                      f"expected 2 fields, got {len(row)}")
+            gene_id, category = row
+            if category not in CATEGORY_NAMES:
+                raise DataFormatError(
+                    f"{path}: line {line_no}: unknown category "
+                    f"'{category}' (expected one of {', '.join(CATEGORY_NAMES)})")
+            if gene_id in gene_category:
+                raise DataFormatError(f"{path}: line {line_no}: "
+                                      f"duplicate gene id '{gene_id}'")
+            gene_category[gene_id] = category
+    return gene_category
+
+
+def _data_lines(fh, start: int) -> Iterator[tuple[int, str]]:
+    """(line number, text without its line end) for each non-blank line."""
+    for line_no, line in enumerate(fh, start):
+        line = line.rstrip("\r\n")
+        if line:
+            yield line_no, line
+
+
+def _parse_values(lines: Iterable[str], n_fields: int) -> np.ndarray:
+    """Fields 1.. of every line as float64, one C-level pass.
+
+    `np.loadtxt` converts with the same correctly rounded
+    `PyOS_string_to_double` as `float()`, so the bits are the same.
+    """
+    return np.loadtxt(lines, dtype=np.float64, delimiter="\t",
+                      usecols=range(1, n_fields), comments=None,
+                      quotechar=None, ndmin=2)
+
+
+def _first_unparsable_line(path: Path, n_fields: int) -> int | None:
+    """Line number of the first data line `_parse_values` rejects."""
+    def parses(lines: list[str]) -> bool:
+        try:
+            _parse_values(lines, n_fields)
+        except ValueError:
+            return False
+        return True
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        lines = _data_lines(fh, start=2)
+        while chunk := list(islice(lines, _RESCAN_LINES)):
+            if not parses([line for _, line in chunk]):
+                return next((line_no for line_no, line in chunk
+                             if not parses([line])), None)
+    return None
 
 
 def read_genomics(matrix_path: str | Path, categories_path: str | Path,
@@ -159,80 +259,85 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
     """Returns per-patient profiles plus per-category gene id lists.
 
     Categories follow the canonical fixed order; genes keep file order
-    within each category.
+    within each category. The matrix is streamed: each line is checked as
+    the parser pulls it, and the file text is never held whole.
     """
-    categories_path = Path(categories_path)
-    gene_category: dict[str, str] = {}
-    with open(categories_path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header != ["gene_id", "category"]:
-            raise DataFormatError(f"{categories_path}: line 1: expected header "
-                                  f"'gene_id\\tcategory', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataFormatError(f"{categories_path}: line {line_no}: "
-                                      f"expected 2 fields, got {len(row)}")
-            gene_id, category = row
-            if category not in CATEGORY_NAMES:
-                raise DataFormatError(
-                    f"{categories_path}: line {line_no}: unknown category "
-                    f"'{category}' (expected one of {', '.join(CATEGORY_NAMES)})")
-            if gene_id in gene_category:
-                raise DataFormatError(f"{categories_path}: line {line_no}: "
-                                      f"duplicate gene id '{gene_id}'")
-            gene_category[gene_id] = category
-
+    gene_category = _read_gene_categories(Path(categories_path))
     matrix_path = Path(matrix_path)
-    per_category_ids: dict[str, list[str]] = {name: [] for name in CATEGORY_NAMES}
-    per_category_rows: dict[str, list[np.ndarray]] = {name: [] for name in CATEGORY_NAMES}
-    with open(matrix_path, newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if not header or header[0] != "gene_id" or len(header) < 2:
+    rows_by_category: dict[str, list[int]] = {}
+    ids_by_category: dict[str, list[str]] = {}
+    line_numbers: list[int] = []
+    with open(matrix_path, newline="", encoding="utf-8") as fh:
+        header_line = fh.readline().rstrip("\r\n")
+        if '"' in header_line:
+            raise DataFormatError(f"{matrix_path}: line 1: '\"' in a field; the "
+                                  f"matrix has no quoting")
+        header = header_line.split("\t")
+        if header[0] != "gene_id" or len(header) < 2:
             raise DataFormatError(f"{matrix_path}: line 1: expected header "
                                   f"'gene_id' then patient ids")
         patient_ids = header[1:]
         if len(set(patient_ids)) != len(patient_ids):
             raise DataFormatError(f"{matrix_path}: line 1: duplicate patient ids")
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + len(patient_ids):
-                raise DataFormatError(
-                    f"{matrix_path}: line {line_no}: expected "
-                    f"{1 + len(patient_ids)} fields, got {len(row)}")
-            gene_id = row[0]
-            if gene_id in seen:
-                raise DataFormatError(f"{matrix_path}: line {line_no}: duplicate "
-                                      f"gene id '{gene_id}'")
-            seen.add(gene_id)
-            category = gene_category.get(gene_id)
-            if category is None:
-                raise DataFormatError(f"{matrix_path}: line {line_no}: gene "
-                                      f"'{gene_id}' missing from category sidecar")
-            try:
-                values = np.array([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataFormatError(f"{matrix_path}: line {line_no}: "
-                                      f"non-numeric expression value") from None
-            if not np.all(np.isfinite(values)):
-                raise DataFormatError(f"{matrix_path}: line {line_no}: "
-                                      f"non-finite expression value")
-            per_category_ids[category].append(gene_id)
-            per_category_rows[category].append(values)
+        n_fields = len(header)
 
-    present = [name for name in CATEGORY_NAMES if per_category_ids[name]]
-    if not present:
-        raise DataFormatError(f"{matrix_path}: no gene rows")
-    gene_ids = tuple(tuple(per_category_ids[name]) for name in present)
-    stacks = {name: np.stack(per_category_rows[name]) for name in present}
+        def gene_rows() -> Iterator[str]:
+            seen: set[str] = set()
+            for line_no, line in _data_lines(fh, start=2):
+                if '"' in line:
+                    raise DataFormatError(f"{matrix_path}: line {line_no}: '\"' "
+                                          f"in a field; the matrix has no quoting")
+                n_tabs = line.count("\t")
+                if n_tabs != n_fields - 1:
+                    raise DataFormatError(
+                        f"{matrix_path}: line {line_no}: expected "
+                        f"{n_fields} fields, got {n_tabs + 1}")
+                gene_id = line[:line.index("\t")]
+                if gene_id in seen:
+                    raise DataFormatError(f"{matrix_path}: line {line_no}: "
+                                          f"duplicate gene id '{gene_id}'")
+                seen.add(gene_id)
+                category = gene_category.get(gene_id)
+                if category is None:
+                    raise DataFormatError(f"{matrix_path}: line {line_no}: gene "
+                                          f"'{gene_id}' missing from category sidecar")
+                rows_by_category.setdefault(category, []).append(len(line_numbers))
+                ids_by_category.setdefault(category, []).append(gene_id)
+                line_numbers.append(line_no)
+                yield line
+
+        rows = gene_rows()
+        first = next(rows, None)
+        if first is None:
+            raise DataFormatError(f"{matrix_path}: no gene rows")
+        try:
+            values = _parse_values(chain((first,), rows), n_fields)
+        except DataFormatError:
+            raise
+        except ValueError:
+            line_no = _first_unparsable_line(matrix_path, n_fields)
+            if line_no is None:
+                raise
+            raise DataFormatError(f"{matrix_path}: line {line_no}: "
+                                  f"non-numeric expression value") from None
+
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        line_no = line_numbers[int(np.argmin(finite))]
+        raise DataFormatError(f"{matrix_path}: line {line_no}: "
+                              f"non-finite expression value")
+    present = [name for name in CATEGORY_NAMES if name in rows_by_category]
+    gene_ids = tuple(tuple(ids_by_category[name]) for name in present)
+    # one row take into category order, skipped for a file already in it
+    # (as `write_genomics` writes): the stacks are then views, and no second
+    # copy of the matrix raises peak RSS
+    order = np.concatenate([rows_by_category[name] for name in present])
+    if (order != np.arange(order.size)).any():
+        values = values.take(order, axis=0)
+    stacks = np.split(values, np.cumsum([len(ids) for ids in gene_ids])[:-1])
     profiles = {}
     for j, patient_id in enumerate(patient_ids):
-        vectors = tuple(stacks[name][:, j] for name in present)
+        vectors = tuple(stack[:, j] for stack in stacks)
         profiles[patient_id] = GenomicProfile(tuple(present), vectors)
     return profiles, gene_ids
 

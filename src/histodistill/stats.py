@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import UndefinedResultError
+from .io import write_atomic
 
 
 def c_index(risks: np.ndarray, times: np.ndarray, censor: np.ndarray) -> float:
@@ -196,17 +198,19 @@ def spearman_report(predicted: Sequence[Sequence[np.ndarray]],
 def write_km_tsv(path: str | Path,
                  groups: Sequence[tuple[str, KmCurve]]) -> None:
     """TSV: group, time, survival, at_risk (one row per curve step)."""
-    with open(path, "w", newline="") as fh:
+    with StringIO(newline="") as fh:
         writer = csv.writer(fh, delimiter="\t")
         writer.writerow(["group", "time", "survival", "at_risk"])
         for name, curve in groups:
             for t, s, n in zip(curve.times, curve.survival, curve.at_risk):
                 writer.writerow([name, repr(float(t)), repr(float(s)), int(n)])
+        data = fh.getvalue().encode()
+    write_atomic(path, lambda out: out.write(data))
 
 
 def write_spearman_tsv(path: str | Path, report: SpearmanReport) -> None:
     """TSV: category, mean, std, n, then the raw per-patient values."""
-    with open(path, "w", newline="") as fh:
+    with StringIO(newline="") as fh:
         writer = csv.writer(fh, delimiter="\t")
         writer.writerow(["category", "mean", "std", "n", "values"])
         means = report.means()
@@ -220,3 +224,5 @@ def write_spearman_tsv(path: str | Path, report: SpearmanReport) -> None:
                 name, repr(float(means[c])), repr(float(stds[c])), values.size,
                 ",".join(repr(float(v)) for v in values),
             ])
+        data = fh.getvalue().encode()
+    write_atomic(path, lambda out: out.write(data))

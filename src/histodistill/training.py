@@ -29,6 +29,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, replace
+from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
@@ -615,11 +616,13 @@ def sweep_k(cohort: Cohort, config: TrainConfig, out_dir: str | Path,
                              out_dir / f"k{k:g}")
         rows.append({"k": float(k), "c_index_mean": sub.c_index_mean,
                      "c_index_std": sub.c_index_std})
-    with open(out_dir / "sweep_k.tsv", "w", newline="") as fh:
+    with StringIO() as fh:
         fh.write("k\tc_index_mean\tc_index_std\n")
         for row in rows:
             fh.write(f"{row['k']:g}\t{row['c_index_mean']!r}\t"
                      f"{row['c_index_std']!r}\n")
+        data = fh.getvalue().encode()
+    write_atomic(out_dir / "sweep_k.tsv", lambda out: out.write(data))
     return rows
 
 
@@ -638,7 +641,7 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
     scores = result.assoc_scores
     masked = result.diagnostics.masked_assoc
     names = ckpt.category_names or [f"category_{c}" for c in range(scores.shape[0])]
-    with open(path, "w", newline="") as fh:
+    with StringIO() as fh:
         for c, name in enumerate(names):
             fh.write("\t".join(["raw", name,
                                 *(repr(float(v)) for v in scores[c])]) + "\n")
@@ -650,6 +653,8 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
             top = np.argsort(-masked[c], kind="stable")[:n_top]
             fh.write("\t".join(["topk", name,
                                 *(str(int(i)) for i in top)]) + "\n")
+        data = fh.getvalue().encode()
+    write_atomic(path, lambda out: out.write(data))
 
 
 def write_json(path: str | Path, obj) -> None:

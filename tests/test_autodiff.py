@@ -216,6 +216,23 @@ def test_sigmoid_matches_the_two_sided_closed_form_bit_for_bit():
     np.testing.assert_array_equal(ad.sigmoid(tensor(v)).values, expected)
 
 
+def _sigmoid_two_sided_select(v):
+    """The former sigmoid, kept as the oracle for the select-free one."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_keeps_the_bits_of_the_two_sided_select():
+    special = np.array([0.0, 5e-324, 1e-320, 709.0, 745.0, 800.0, 1e308])
+    special = np.concatenate([special, -special])
+    rng = np.random.default_rng(36)
+    for v in (special, rng.normal(scale=8.0, size=(2586, 64)),
+              rng.uniform(-40.0, 40.0, size=5000)):
+        got = ad.sigmoid(tensor(v)).values
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      _sigmoid_two_sided_select(v).view(np.int64))
+
+
 def test_sigmoid_extreme_inputs_do_not_overflow():
     out = ad.sigmoid(tensor([-800.0, 800.0]))
     np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-12)
