@@ -12,7 +12,7 @@ import numpy as np
 
 from histodistill import autodiff as ad
 from histodistill.autodiff import tensor
-from histodistill.blocks import (MhcaParams, PatchLayout, init_tokens, linear, linear_params,
+from histodistill.blocks import (MhcaParams, PatchLayout, init_tokens, linear_params,
                                  mhca_forward, mhsa_forward, patch_keys)
 from histodistill.model import topk_masked_softmax
 
@@ -22,12 +22,12 @@ width, heads = 8, 2
 n_patches, feature_dim = 6, 5
 n_tokens = 3
 
-# project raw patch features into the working width, exactly as the
-# association branch does on entry
+# the association branch projects raw patch features into the working
+# width; the projection is composed into each key and value map, so the
+# projected bag itself is never built
 w_in, b_in = linear_params(rng, feature_dim, width)
 bag = tensor(rng.normal(size=(n_patches, feature_dim)))
-projected = linear(bag, w_in, b_in)
-print("projected bag:", projected.shape)
+print("raw bag:", bag.shape, " input projection:", w_in.shape)
 
 # learnable query tokens, one per genomic category
 tokens = init_tokens(rng, n_tokens, width)
@@ -37,11 +37,11 @@ print("tokens:", tokens.shape)
 # cross-attention: tokens query the bag
 # ---------------------------------------------------------------------------
 
-# keys and values are projected once per bag; both association rounds
-# reuse them. Scores come back per bag, padded to a multiple of 8 patches,
+# keys and values are projected once per bag, each as one composed
+# product over the raw rows; both association rounds reuse them. Scores come back per bag, padded to a multiple of 8 patches,
 # so take bag 0 of this one-bag stack and its real patches.
 mhca = MhcaParams.init(rng, width, heads)
-keys = patch_keys(mhca, projected, PatchLayout.of([n_patches]))
+keys = patch_keys(mhca, bag, PatchLayout.of([n_patches]), w_in, b_in)
 out, stacked_scores = mhca_forward(mhca, tokens, keys)
 scores = stacked_scores[0, :, :n_patches]
 print("\ncross-attention output:", out.shape, " scores:", scores.shape)
@@ -60,9 +60,9 @@ print("token self-attention output:", mixed.shape)
 # Training packs consecutive patients' patch rows one bag after another and
 # pads them per bag; the patch mask gives pads exactly zero attention.
 second_bag = tensor(rng.normal(size=(4, feature_dim)))
-packed = linear(tensor(np.concatenate([bag.values, second_bag.values])), w_in, b_in)
+packed = tensor(np.concatenate([bag.values, second_bag.values]))
 layout = PatchLayout.of([n_patches, 4])
-both, both_scores = mhca_forward(mhca, tokens, patch_keys(mhca, packed, layout))
+both, both_scores = mhca_forward(mhca, tokens, patch_keys(mhca, packed, layout, w_in, b_in))
 print("\nstack of bags with", layout.lengths, "patches: output", both.shape,
       " scores", both_scores.shape)
 print("bag 0 output matches its own pass:", np.allclose(both.values[:n_tokens], out.values))

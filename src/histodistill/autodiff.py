@@ -4,15 +4,15 @@ Covers exactly the operations the attention architecture needs:
 broadcast arithmetic, softmax with an optional mask, the usual
 activations, concatenation and row gathering, and a finite-difference
 gradient checker. Composites that run many times per training step are
-single nodes with closed-form backwards: the affine map, layer
-normalization, head split/merge with batched matmul, the row gather that
-pads a stack of bags, the two row-wise reconstruction error terms, and the
-running product of survival. Ops are plain functions (`add`, `mul`, ...);
-`Tensor` has no operator overloads. A value that must not carry gradient
-leaves the tape as a plain array. Tensors are immutable during an active
-forward/backward pass, and no backward function writes into the gradient
-it is handed; the optimizer mutates leaf values between passes via
-`assign_`.
+single nodes with closed-form backwards: the affine map, two affine maps
+composed into one, layer normalization, head split/merge with batched
+matmul, the row gather that pads a stack of bags, the two row-wise
+reconstruction error terms, and the running product of survival. Ops are
+plain functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
+A value that must not carry gradient leaves the tape as a plain array.
+Tensors are immutable during an active forward/backward pass, and no
+backward function writes into the gradient it is handed; the optimizer
+mutates leaf values between passes via `assign_`.
 """
 
 from __future__ import annotations
@@ -196,10 +196,10 @@ def transpose(x: Tensor) -> Tensor:
     return _make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
 
 
-# Under `no_grad`, `linear` runs its rows in whole blocks of ROW_ALIGN
-# and its inner dimension in blocks of at most INNER_BLOCK (see
-# `_row_invariant_product`); `blocks.aligned` rounds patch counts up to
-# ROW_ALIGN.
+# Under `no_grad`, `linear` and `composed_linear` run their rows in whole
+# blocks of ROW_ALIGN and their inner dimension in blocks of at most
+# INNER_BLOCK (see `_row_invariant_product`); `blocks.aligned` rounds patch
+# counts up to ROW_ALIGN.
 ROW_ALIGN = 8
 INNER_BLOCK = 256
 
@@ -275,6 +275,48 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out_values, (x, weight, bias), backward_fn, "linear")
 
 
+def composed_linear(x: Tensor, w0: Tensor, b0: Tensor, w1: Tensor,
+                    b1: Tensor) -> Tensor:
+    """Two affine maps in a row, (x @ w0 + b0) @ w1 + b1, as one node.
+
+    Computed as x @ (w0 @ w1) + (b0 @ w1 + b1), so the (rows, mid)
+    intermediate is never formed: on a bag of patches with fan_in < mid
+    that is one narrow product over the rows instead of two. The composed
+    weight is built from the current leaf values on every call. Under
+    `no_grad` the row product is `_row_invariant_product`, as in `linear`.
+    The backward forms one x.T @ g and derives all four parameter
+    gradients from that (fan_in, fan_out) matrix; it skips the input
+    gradient for a constant x.
+    """
+    x, w0, b0, w1, b1 = (_as_tensor(t) for t in (x, w0, b0, w1, b1))
+    if x.values.ndim != 2 or w0.values.ndim != 2 or w1.values.ndim != 2:
+        raise ShapeError(f"composed_linear needs 2-d operands, got {x.shape}, "
+                         f"{w0.shape} and {w1.shape}")
+    if (x.shape[1] != w0.shape[0] or b0.shape != (w0.shape[1],)
+            or w1.shape[0] != w0.shape[1] or b1.shape != (w1.shape[1],)):
+        raise ShapeError(f"composed_linear shapes do not chain: ({x.shape} @ "
+                         f"{w0.shape} + {b0.shape}) @ {w1.shape} + {b1.shape}")
+    weight = w0.values @ w1.values
+    bias = b0.values @ w1.values + b1.values
+    if _grad_enabled:
+        out_values = x.values @ weight
+    else:
+        out_values = _row_invariant_product(x.values, weight)
+    out_values += bias
+
+    def backward_fn(g):
+        if x.requires_grad:
+            _accumulate(x, g @ weight.T)
+        grad_weight = x.values.T @ g
+        grad_bias = g.sum(axis=0)
+        _accumulate(w0, grad_weight @ w1.values.T)
+        _accumulate(b0, w1.values @ grad_bias)
+        _accumulate(w1, w0.values.T @ grad_weight + np.outer(b0.values, grad_bias))
+        _accumulate(b1, grad_bias)
+
+    return _make(out_values, (x, w0, b0, w1, b1), backward_fn, "composed_linear")
+
+
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                    scale: float = 1.0) -> Tensor:
     """scale * (a[i] @ b[i]) over the leading axes of two stacks of matrices.
@@ -306,10 +348,11 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
         # Reads b, not b_mat, so the transposed copy is freed after the forward.
         b_back = b.values if transpose_b else b.values.swapaxes(-1, -2)
         _accumulate(a, _unbroadcast(g @ b_back, a.shape))
-        grad_b = a.values.swapaxes(-1, -2) @ g
-        if transpose_b:
-            grad_b = grad_b.swapaxes(-1, -2)
-        _accumulate(b, _unbroadcast(grad_b, b.shape))
+        if b.requires_grad:     # skips the product for a constant bag
+            grad_b = a.values.swapaxes(-1, -2) @ g
+            if transpose_b:
+                grad_b = grad_b.swapaxes(-1, -2)
+            _accumulate(b, _unbroadcast(grad_b, b.shape))
 
     return _make(out_values, (a, b), backward_fn, "batched_matmul")
 

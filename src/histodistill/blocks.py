@@ -7,6 +7,17 @@ over patches, gated pooling) see them padded to (B, W) as laid out by a
 `PatchLayout`, whose patch mask the softmax over patches takes so pads
 get exactly zero weight. Token-level inputs and outputs hold each bag's
 rows as one consecutive block. Scores leave a block as plain arrays.
+
+The per-patch blocks (`patch_keys`, `gated_attention_weights`) take the
+raw bag together with the affine projection (proj_w, proj_b) that maps it
+to the working width. Up to their first nonlinearity their maps are
+affine in the raw rows, so each projection-then-map chain runs as one
+`autodiff.composed_linear` on the raw rows: the keys, the values and the
+gate's tanh and sigmoid pre-activations. No (N, width) projection of the
+bag is built or recorded on the tape. Pooling over projected rows runs
+as pooling over the padded raw rows followed by the projection
+(`pooled_projection`), which is exact up to rounding because every
+pooling row sums to 1.
 """
 
 from __future__ import annotations
@@ -138,17 +149,20 @@ class PatchKeys:
     mask: np.ndarray        # (B, 1, 1, W): True at real patches
 
 
-def patch_keys(params: MhcaParams, bag: Tensor, layout: PatchLayout) -> PatchKeys:
-    """Project packed patch rows to keys and values, padded per bag.
+def patch_keys(params: MhcaParams, bag: Tensor, layout: PatchLayout,
+               proj_w: Tensor, proj_b: Tensor) -> PatchKeys:
+    """Keys and values of packed raw patch rows, padded per bag.
 
+    The rows are first projected by (proj_w, proj_b) to the attention
+    width; each key or value map runs composed with that projection.
     `layout` says which rows belong to which bag.
     """
-    _check_width(params, bag)
     layout.check(bag)
     rows = layout.index.reshape(-1)
 
     def heads(weight: Tensor, bias: Tensor) -> Tensor:
-        return ad.split_heads(ad.gather_rows(linear(bag, weight, bias), rows),
+        projected = ad.composed_linear(bag, proj_w, proj_b, weight, bias)
+        return ad.split_heads(ad.gather_rows(projected, rows),
                               params.heads, layout.batch)
 
     return PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
@@ -248,19 +262,40 @@ class GatedAttentionParams:
 
 
 def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
-                            layout: PatchLayout) -> tuple[Tensor, np.ndarray]:
+                            layout: PatchLayout, proj_w: Tensor,
+                            proj_b: Tensor) -> tuple[Tensor, np.ndarray]:
     """Instance weights after softmax over each bag, shape (B, W, 1).
 
-    Scores are computed on the packed rows; each bag's column sums to 1
-    and pads get weight 0. Also returns the pre-softmax scores as a plain
-    (B, 1, W) array, 0 at pads, through which no gradient can flow.
+    Scores are computed on the packed raw rows projected by (proj_w,
+    proj_b), each gate map composed with that projection; each bag's
+    column sums to 1 and pads get weight 0. Also returns the pre-softmax
+    scores as a plain (B, 1, W) array, 0 at pads, through which no
+    gradient can flow.
     """
     layout.check(bag)
-    gate = ad.mul(ad.tanh(linear(bag, params.u_w, params.u_b)),
-                  ad.sigmoid(linear(bag, params.v_w, params.v_b)))
+    gate = ad.mul(
+        ad.tanh(ad.composed_linear(bag, proj_w, proj_b, params.u_w, params.u_b)),
+        ad.sigmoid(ad.composed_linear(bag, proj_w, proj_b, params.v_w, params.v_b)))
     raw = ad.gather_rows(linear(gate, params.score_w, params.score_b), layout.index)
     weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
     return weights, raw.values.transpose(0, 2, 1)
+
+
+def pooled_projection(pooling: Tensor, bag: Tensor, layout: PatchLayout,
+                      proj_w: Tensor, proj_b: Tensor) -> Tensor:
+    """Pooled projected patch rows, (B * n, width) in bag blocks.
+
+    `pooling` is (B, n, W): n pooling rows per bag over its padded patches,
+    each summing to 1. Projecting the pooled raw rows equals pooling the
+    projected rows up to rounding, since a row's weights on the bias sum
+    to 1; only (B * n) rows are projected, and the padded raw bag is a
+    plain array, off the tape.
+    """
+    raw = bag.values.take(layout.index, axis=0)        # (B, W, feature_dim)
+    raw[~layout.mask] = 0.0
+    pooled = ad.batched_matmul(pooling, raw)
+    return linear(ad.reshape(pooled, (pooled.shape[0] * pooled.shape[1], bag.shape[1])),
+                  proj_w, proj_b)
 
 
 @dataclass

@@ -60,6 +60,22 @@ def _check_linear(eps: float) -> float:
         params, eps)
 
 
+def _check_composed_linear(eps: float) -> float:
+    rng = np.random.default_rng(32)
+    probe = rng.normal(size=(5, 4))
+    params = {
+        "x": ad.tensor(rng.normal(size=(5, 3)), requires_grad=True),
+        "w0": ad.tensor(rng.normal(size=(3, 6)), requires_grad=True),
+        "b0": ad.tensor(rng.normal(size=6), requires_grad=True),
+        "w1": ad.tensor(rng.normal(size=(6, 4)), requires_grad=True),
+        "b1": ad.tensor(rng.normal(size=4), requires_grad=True),
+    }
+    return grad_check(
+        lambda p: _scalarize(ad.composed_linear(p["x"], p["w0"], p["b0"], p["w1"],
+                                                p["b1"]), probe),
+        params, eps)
+
+
 def _check_layer_norm(eps: float) -> float:
     rng = np.random.default_rng(12)
     probe = rng.normal(size=(4, 6))
@@ -139,16 +155,17 @@ def _check_mhca(eps: float) -> float:
     rng = np.random.default_rng(13)
     shared = ad.tensor(rng.normal(size=(3, 8)), requires_grad=True)
     per_bag = ad.tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    bag = np.asarray(rng.normal(size=(7, 8)))
+    bag = ad.tensor(rng.normal(size=(7, 5)))
     layout = PatchLayout.of([2, 5])
     mhca = blocks.MhcaParams.init(rng, 8, 2)
+    proj_w, proj_b = blocks.linear_params(rng, 5, 8)
+    proj_b.assign_(rng.normal(size=8))
     probes = rng.normal(size=(2, 6, 8))
     params = dict(mhca.named_tensors("mhca"))
-    params["shared"] = shared
-    params["per_bag"] = per_bag
+    params.update(shared=shared, per_bag=per_bag, proj_w=proj_w, proj_b=proj_b)
 
     def f(p):
-        keys = blocks.patch_keys(mhca, ad.tensor(bag), layout)
+        keys = blocks.patch_keys(mhca, bag, layout, proj_w, proj_b)
         first, _ = blocks.mhca_forward(mhca, shared, keys)
         second, _ = blocks.mhca_forward(mhca, per_bag, keys, per_bag=True)
         return ad.add(_scalarize(first, probes[0]), _scalarize(second, probes[1]))
@@ -191,15 +208,18 @@ def _check_ffn(eps: float) -> float:
 
 def _check_gated_attention(eps: float) -> float:
     rng = np.random.default_rng(16)
-    bag = ad.tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    bag = ad.tensor(rng.normal(size=(6, 3)), requires_grad=True)
     layout = PatchLayout.of([4, 2])
     gate = blocks.GatedAttentionParams.init(rng, 5)
+    proj_w, proj_b = blocks.linear_params(rng, 3, 5)
+    proj_b.assign_(rng.normal(size=5))
     probe = rng.normal(size=(2, 8, 1))
     params = dict(gate.named_tensors("gate"))
-    params["bag"] = bag
+    params.update(bag=bag, proj_w=proj_w, proj_b=proj_b)
 
     def f(p):
-        return _scalarize(blocks.gated_attention_weights(gate, bag, layout)[0], probe)
+        weights, _ = blocks.gated_attention_weights(gate, bag, layout, proj_w, proj_b)
+        return _scalarize(weights, probe)
 
     # The score bias shifts every score of a bag alike, which the softmax
     # over the bag cancels; see _exact_zero_error.
@@ -324,6 +344,7 @@ def _check_end_to_end(eps: float) -> float:
 
 _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("linear", _check_linear),
+    ("composed_linear", _check_composed_linear),
     ("layer_norm", _check_layer_norm),
     ("split_heads", _check_split_heads),
     ("merge_heads", _check_merge_heads),

@@ -191,16 +191,19 @@ def write_genomics(matrix_path: str | Path, categories_path: str | Path,
 
 
 def _read_gene_categories(path: Path) -> dict[str, str]:
+    """gene id -> category from the sidecar, read by the matrix's own rules:
+    tab-separated, no quoting, blank lines skipped."""
     gene_category: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
+        header = fh.readline().rstrip("\r\n").split("\t")
         if header != ["gene_id", "category"]:
             raise DataFormatError(f"{path}: line 1: expected header "
                                   f"'gene_id\\tcategory', got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        for line_no, line in _data_lines(fh, start=2):
+            if '"' in line:
+                raise DataFormatError(f"{path}: line {line_no}: '\"' in a field; "
+                                      f"the category sidecar has no quoting")
+            row = line.split("\t")
             if len(row) != 2:
                 raise DataFormatError(f"{path}: line {line_no}: "
                                       f"expected 2 fields, got {len(row)}")

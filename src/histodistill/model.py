@@ -19,6 +19,15 @@ reconstruction heads run only when a caller reads `ForwardResult.recon`:
 the training losses, the gradient checker and the gene-profile export do;
 inference does not. `model_forward` is the one-bag case, with the stack
 axis dropped.
+
+Neither branch projects the bag itself. The association keys and values
+are `in_w` composed with `wk`/`wv`, and the survival gate's pre-activations
+are `value_w` composed with `u_w`/`v_w` (and `in_w` with each category
+gate's under `gated_recon`), one `autodiff.composed_linear` each over the
+raw patch rows. Pooled values are the pooled raw rows projected by
+`value_w` (or `in_w`), `blocks.pooled_projection`: every pooling row,
+morphology softmax, top-k mask or their mean, sums to 1, so this equals
+pooling the projected rows up to rounding.
 """
 
 from __future__ import annotations
@@ -161,11 +170,11 @@ def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
     """Two cross-attention rounds with one shared parameter set.
 
     Both rounds attend over the same projected bag, so its keys and values
-    are computed once. The second round queries with tokens + round-one
-    features; its pre-softmax scores are the exported association matrix.
+    are computed once, each composed with the input projection `in_w`.
+    The second round queries with tokens + round-one features; its
+    pre-softmax scores are the exported association matrix.
     """
-    proj = linear(bag, params.in_w, params.in_b)
-    keys = blocks.patch_keys(params.mhca, proj, layout)
+    keys = blocks.patch_keys(params.mhca, bag, layout, params.in_w, params.in_b)
     batch = keys.keys.shape[0]
     n_tokens, width = params.tokens.shape
     pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, keys, score_head)
@@ -179,18 +188,20 @@ def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
 
 def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
                         layout: PatchLayout) -> AssocOutput:
-    """One gated pooling per category; its scores are the association rows."""
-    proj = linear(bag, params.in_w, params.in_b)
-    values = ad.gather_rows(proj, layout.index)               # (B, W, width)
-    feature_rows = []
+    """One gated pooling per category; its scores are the association rows.
+
+    Every category pools the raw rows, and the pooled rows are projected
+    by `in_w` once (see `blocks.pooled_projection`).
+    """
+    weight_rows = []
     score_rows = []
     for gate in params.gates:
-        weights, scores = blocks.gated_attention_weights(gate, proj, layout)
-        feature_rows.append(ad.batched_matmul(ad.transpose(weights), values))
+        weights, scores = blocks.gated_attention_weights(gate, bag, layout,
+                                                         params.in_w, params.in_b)
+        weight_rows.append(ad.transpose(weights))
         score_rows.append(scores)
-    batch, width = layout.batch, proj.shape[1]
-    features = ad.reshape(ad.concat(feature_rows, axis=1),
-                          (batch * len(params.gates), width))
+    features = blocks.pooled_projection(ad.concat(weight_rows, axis=1), bag, layout,
+                                        params.in_w, params.in_b)
     return AssocOutput(None, features, np.concatenate(score_rows, axis=1))
 
 
@@ -328,18 +339,16 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLay
     branch-to-branch gradient flows only through `features`); passing
     `masked_assoc` pins it explicitly, which the gradient checker uses.
     """
-    proj = linear(bag, params.value_w, params.value_b)
     if masked_assoc is None:
         masked_assoc = topk_masked_softmax(scores, cfg.k_percent, layout.lengths)
     if cfg.assoc_only:
         morph = None
         fused = ad.tensor(masked_assoc)
     else:
-        morph, _ = blocks.gated_attention_weights(params.gate, proj, layout)
+        morph, _ = blocks.gated_attention_weights(params.gate, bag, layout,
+                                                  params.value_w, params.value_b)
         fused = fused_attention(morph, masked_assoc)
-    rows = layout.batch * cfg.n_tokens
-    pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
-                        (rows, proj.shape[1]))
+    pooled = blocks.pooled_projection(fused, bag, layout, params.value_w, params.value_b)
     if cfg.cut_bridge or features is None:
         merged = pooled
     else:
@@ -356,12 +365,11 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLay
 
 
 def baseline_forward(params: BaselineParams, bag: Tensor, layout: PatchLayout) -> Tensor:
-    proj = linear(bag, params.value_w, params.value_b)
-    weights, _ = blocks.gated_attention_weights(params.gate, proj, layout)
-    pooled = ad.batched_matmul(ad.transpose(weights),
-                               ad.gather_rows(proj, layout.index))
-    flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))
-    return ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
+    weights, _ = blocks.gated_attention_weights(params.gate, bag, layout,
+                                                params.value_w, params.value_b)
+    pooled = blocks.pooled_projection(ad.transpose(weights), bag, layout,
+                                      params.value_w, params.value_b)
+    return ad.sigmoid(linear(pooled, params.cls_w, params.cls_b))
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,25 @@ def one_bag(bag):
     return blocks.PatchLayout.of(bag.shape[:1])
 
 
+def identity_projection(bag):
+    """A projection of the bag onto itself: composed with it, a map keeps
+    its own weight and bias bit for bit."""
+    width = bag.shape[1]
+    return tensor(np.eye(width)), tensor(np.zeros(width))
+
+
 def attend(params, queries, bag, score_head=None):
     """Cross-attention over one bag; scores without the stack axis and pads."""
-    keys = blocks.patch_keys(params, bag, one_bag(bag))
+    keys = blocks.patch_keys(params, bag, one_bag(bag), *identity_projection(bag))
     out, scores = blocks.mhca_forward(params, queries, keys, score_head)
     return out, scores[0, :, :bag.shape[0]]
 
 
 def one_bag_weights(params, bag):
     """Gated-attention weights of one bag as an (N_p, 1) array."""
-    weights = blocks.gated_attention_weights(params, bag, one_bag(bag))[0].values
-    return weights[0, :bag.shape[0]]
+    weights, _ = blocks.gated_attention_weights(params, bag, one_bag(bag),
+                                                *identity_projection(bag))
+    return weights.values[0, :bag.shape[0]]
 
 
 def identity_mhca(width):

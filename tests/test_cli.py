@@ -7,7 +7,7 @@ import pytest
 
 from histodistill import cli
 from histodistill.datasets import SynthConfig, synth_generate
-from histodistill.io import write_cohort
+from histodistill.io import load_cohort, write_cohort
 
 
 SYNTH_SECTION = {
@@ -284,6 +284,46 @@ def test_cross_validate_cli(workspace, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "c-index mean" in printed
     assert "pooled log-rank p" in printed
+
+
+def test_single_patch_bags_at_k_10(tmp_path, monkeypatch):
+    # k = 10% of one patch rounds to 0; the mask keeps m = 1, and one-row
+    # bags are the edge case of the row-aligned per-patch products
+    from histodistill import model as gm
+    from histodistill.checkpoint import load_checkpoint
+    from histodistill.training import evaluate
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "synth": {**SYNTH_SECTION, "n_patients": 24, "patch_range": [1, 1]},
+        "train": {**TRAIN_SECTION, "k_percent": 10.0}}))
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--config", str(config), "--out-dir", str(data)]) == 0
+    masks = []
+    real_topk = gm.topk_masked_softmax
+
+    def recording_topk(scores, k_percent, lengths=None):
+        out = real_topk(scores, k_percent, lengths)
+        masks.append((k_percent, lengths, out))
+        return out
+
+    monkeypatch.setattr(gm, "topk_masked_softmax", recording_topk)
+    out = tmp_path / "cv"
+    assert cli.main(["cross-validate", "--config", str(config),
+                     "--manifest", str(data / "synthetic_manifest.json"),
+                     "--out-dir", str(out)]) == 0
+    assert len(json.loads((out / "metrics.json").read_text())["folds"]) == 2
+    assert masks
+    for k_percent, lengths, mask in masks:
+        assert k_percent == 10.0 and set(lengths) == {1}
+        assert (mask[:, :, 0] == 1.0).all() and (mask[:, :, 1:] == 0.0).all()
+
+    monkeypatch.undo()
+    ckpt = load_checkpoint(out / "fold0.ghck")
+    cohort = load_cohort(data / "synthetic_manifest.json", with_genomics=False)
+    risks = evaluate(ckpt, cohort).risks
+    alone = [gm.predict(ckpt.model, patient.bag.features).risk for patient in cohort]
+    assert risks.tolist() == alone
 
 
 def test_sweep_k_cli(workspace, tmp_path, capsys):

@@ -1,0 +1,231 @@
+"""The composed per-patch products against the unfolded chain they replace.
+
+The oracle below is the model's earlier per-patch code: the bag is
+projected by `in_w` or `value_w` on the tape, keys, values and the gate's
+pre-activations are linear maps of that projection, and pooling runs over
+the gathered projected rows. The model now composes each chain into one
+`autodiff.composed_linear` over the raw rows and pools raw rows before
+projecting; both must give the same hazards, losses and gradients up to
+rounding.
+"""
+
+import numpy as np
+import pytest
+
+from histodistill import autodiff as ad
+from histodistill import blocks
+from histodistill import model as gm
+from histodistill.datasets import SynthConfig
+from histodistill.training import TrainConfig, TrainEntry, stack_loss
+
+SYNTH = SynthConfig()
+LENGTHS = (1, 9, 40, 17, 64, 3)
+CONFIGS = ("default", "gated_recon", "cut_bridge", "assoc_only", "gated_baseline")
+# Parameters whose gradient is zero in exact arithmetic: a key bias shifts
+# every score of a softmax row alike, and so does a gate's score bias.
+DEAD = ("mhca.bk", "mhsa.bk", "score_b")
+
+
+# ---------------------------------------------------------------------------
+# the unfolded chain
+# ---------------------------------------------------------------------------
+
+def oracle_patch_keys(params, proj, layout):
+    rows = layout.index.reshape(-1)
+
+    def heads(weight, bias):
+        return ad.split_heads(ad.gather_rows(ad.linear(proj, weight, bias), rows),
+                              params.heads, layout.batch)
+
+    return blocks.PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
+                            layout.mask[:, None, None, :])
+
+
+def oracle_gated_attention_weights(params, proj, layout):
+    gate = ad.mul(ad.tanh(ad.linear(proj, params.u_w, params.u_b)),
+                  ad.sigmoid(ad.linear(proj, params.v_w, params.v_b)))
+    raw = ad.gather_rows(ad.linear(gate, params.score_w, params.score_b), layout.index)
+    weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
+    return weights, raw.values.transpose(0, 2, 1)
+
+
+def oracle_assoc_forward(params, bag, layout, score_head=None):
+    proj = ad.linear(bag, params.in_w, params.in_b)
+    keys = oracle_patch_keys(params.mhca, proj, layout)
+    batch = keys.keys.shape[0]
+    n_tokens, width = params.tokens.shape
+    pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, keys, score_head)
+    first = blocks.ffn_forward(params.ffn_first, pooled)
+    queries = ad.reshape(ad.add(ad.reshape(first, (batch, n_tokens, width)),
+                                params.tokens), (batch * n_tokens, width))
+    pooled2, scores = blocks.mhca_forward(params.mhca, queries, keys, score_head,
+                                          per_bag=True)
+    return gm.AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
+
+
+def oracle_gated_assoc_forward(params, bag, layout):
+    proj = ad.linear(bag, params.in_w, params.in_b)
+    values = ad.gather_rows(proj, layout.index)
+    feature_rows, score_rows = [], []
+    for gate in params.gates:
+        weights, scores = oracle_gated_attention_weights(gate, proj, layout)
+        feature_rows.append(ad.batched_matmul(ad.transpose(weights), values))
+        score_rows.append(scores)
+    features = ad.reshape(ad.concat(feature_rows, axis=1),
+                          (layout.batch * len(params.gates), proj.shape[1]))
+    return gm.AssocOutput(None, features, np.concatenate(score_rows, axis=1))
+
+
+def oracle_survival_forward(params, bag, layout, scores, features, cfg,
+                            masked_assoc=None):
+    proj = ad.linear(bag, params.value_w, params.value_b)
+    if masked_assoc is None:
+        masked_assoc = gm.topk_masked_softmax(scores, cfg.k_percent, layout.lengths)
+    if cfg.assoc_only:
+        morph = None
+        fused = ad.tensor(masked_assoc)
+    else:
+        morph, _ = oracle_gated_attention_weights(params.gate, proj, layout)
+        fused = gm.fused_attention(morph, masked_assoc)
+    pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
+                        (layout.batch * cfg.n_tokens, proj.shape[1]))
+    if cfg.cut_bridge or features is None:
+        merged = pooled
+    else:
+        merged = ad.concat([pooled, features], axis=1)
+    x = blocks.ffn_forward(params.ffn, blocks.mhsa_forward(params.mhsa, merged,
+                                                           layout.batch))
+    compressed = ad.relu(ad.layer_norm(ad.linear(x, params.comp_w, params.comp_b),
+                                       params.comp_gain, params.comp_bias))
+    flat = ad.reshape(compressed, (layout.batch, cfg.n_tokens * cfg.compress_width))
+    hazards = ad.sigmoid(ad.linear(flat, params.cls_w, params.cls_b))
+    diag = gm.SurvivalDiagnostics(None if morph is None else morph.values.copy(),
+                                  masked_assoc, fused.values.copy())
+    return hazards, diag
+
+
+def oracle_baseline_forward(params, bag, layout):
+    proj = ad.linear(bag, params.value_w, params.value_b)
+    weights, _ = oracle_gated_attention_weights(params.gate, proj, layout)
+    pooled = ad.batched_matmul(ad.transpose(weights), ad.gather_rows(proj, layout.index))
+    flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))
+    return ad.sigmoid(ad.linear(flat, params.cls_w, params.cls_b))
+
+
+@pytest.fixture
+def unfolded(monkeypatch):
+    """Switches `model.stack_forward` to the unfolded chain while active."""
+    def switch():
+        monkeypatch.setattr(gm, "assoc_forward", oracle_assoc_forward)
+        monkeypatch.setattr(gm, "gated_assoc_forward", oracle_gated_assoc_forward)
+        monkeypatch.setattr(gm, "survival_forward", oracle_survival_forward)
+        monkeypatch.setattr(gm, "baseline_forward", oracle_baseline_forward)
+    return switch
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+# ---------------------------------------------------------------------------
+
+def train_config(name: str) -> TrainConfig:
+    return TrainConfig(**({} if name == "default" else {name: True}))
+
+
+def make_model(config: TrainConfig):
+    sizes = () if config.gated_baseline else SYNTH.gene_counts
+    model = gm.build_model(config.model_config(SYNTH.feature_dim, sizes), seed=3)
+    # Nonzero biases, so the composed bias b0 @ w1 + b1 and its gradients
+    # are exercised. Tokens spread apart: at init they lie within 0.02 of
+    # each other, which leaves the self-attention's query and key gradients
+    # near roundoff scale (see `gradcheck._check_end_to_end`).
+    jitter = np.random.default_rng(4)
+    for name, tensor in model.named_tensors():
+        if name == "assoc.tokens":
+            tensor.assign_(jitter.normal(scale=0.8, size=tensor.shape))
+        elif name.endswith(("_b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
+            tensor.assign_(jitter.normal(scale=0.1, size=tensor.shape))
+    return model
+
+
+def make_entries(config: TrainConfig):
+    rng = np.random.default_rng(5)
+    return [TrainEntry(f"p{i}", rng.normal(size=(n, SYNTH.feature_dim)), i % 4, i % 2,
+                       None if config.gated_baseline
+                       else [rng.normal(size=c) for c in SYNTH.gene_counts])
+            for i, n in enumerate(LENGTHS)]
+
+
+def step(model, entries, config):
+    """Hazards, losses and leaf gradients of one stack."""
+    ad.zero_grads(model.tensors())
+    with ad.no_grad():
+        inference = gm.stack_forward(model, [e.bag for e in entries]).hazards.values
+    out = stack_loss(model, entries, config)
+    ad.backward(out.total)
+    grads = {name: np.zeros_like(t.values) if t.grad is None else np.array(t.grad)
+             for name, t in model.named_tensors()}
+    ad.zero_grads(model.tensors())
+    losses = [out.total.item(), out.nll.item()]
+    if out.recon is not None:
+        losses.append(out.recon.item())
+    return inference, np.array(losses), grads
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_composed_chain_matches_the_unfolded_chain(name, unfolded):
+    config = train_config(name)
+    model = make_model(config)
+    entries = make_entries(config)
+    hazards, losses, grads = step(model, entries, config)
+    unfolded()
+    want_hazards, want_losses, want_grads = step(model, entries, config)
+
+    np.testing.assert_allclose(hazards, want_hazards, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+    assert grads.keys() == want_grads.keys()
+    dead = 0
+    for param, want in want_grads.items():
+        err = np.abs(grads[param] - want).max()
+        if param.endswith(DEAD):
+            dead += 1
+            assert err <= 1e-15, f"{name}: {param} off by {err:.1e}"
+            continue
+        # an unused tensor (the gate under assoc_only) gets no gradient at
+        # all, so its scale is 0 and its gradient must be exactly 0 too
+        scale = np.abs(want).max()
+        assert err <= 1e-12 * scale, f"{name}: {param} off by {err:.1e} of {scale:.1e}"
+    assert dead == {"gated_recon": 2 + len(SYNTH.gene_counts),
+                    "gated_baseline": 1}.get(name, 3)
+
+
+def test_the_raw_bag_feeds_only_composed_products():
+    config = train_config("default")
+    model = make_model(config)
+    entries = make_entries(config)
+    loss = stack_loss(model, entries, config).total
+    consumers = []
+    for node in ad._topological_order(loss):
+        for parent in node._parents:
+            if parent._op == "leaf" and parent.shape == (sum(LENGTHS), SYNTH.feature_dim):
+                consumers.append(node._op)
+    # keys, values, and the survival gate's tanh and sigmoid inputs
+    assert consumers == ["composed_linear"] * 4
+
+
+def test_composed_linear_equals_two_linear_maps():
+    rng = np.random.default_rng(6)
+    x = ad.tensor(rng.normal(size=(13, 5)))
+    w0, b0 = ad.tensor(rng.normal(size=(5, 7))), ad.tensor(rng.normal(size=7))
+    w1, b1 = ad.tensor(rng.normal(size=(7, 3))), ad.tensor(rng.normal(size=3))
+    want = ad.linear(ad.linear(x, w0, b0), w1, b1).values
+    np.testing.assert_allclose(ad.composed_linear(x, w0, b0, w1, b1).values, want,
+                               rtol=1e-13, atol=1e-13)
+    with ad.no_grad():
+        # inference rows come out alike alone and with other rows around
+        alone = ad.composed_linear(ad.tensor(x.values[4:5]), w0, b0, w1, b1).values
+        stacked = ad.composed_linear(x, w0, b0, w1, b1).values
+    np.testing.assert_array_equal(alone[0], stacked[4])
+    with pytest.raises(ad.ShapeError):
+        ad.composed_linear(x, w0, b0, ad.tensor(rng.normal(size=(5, 3))), b1)
+    with pytest.raises(ad.ShapeError):
+        ad.composed_linear(x, w0, ad.tensor(np.zeros(5)), w1, b1)

@@ -161,6 +161,33 @@ def test_genomics_rejects_unknown_category(tmp_path):
         read_genomics(tmp_path / "expr.tsv", tmp_path / "cats.tsv")
 
 
+@pytest.mark.parametrize("sidecar, line_no", [
+    pytest.param('gene_id\tcategory\n"g0"\toncogenesis\n', 2, id="quoted_gene_id"),
+    pytest.param('gene_id\tcategory\ng0\t"oncogenesis"\n', 2, id="quoted_category"),
+    pytest.param('gene_id\tcategory\r\n\r\ng1\toncogenesis\r\ng0"\toncogenesis\r\n', 4,
+                 id="stray_quote_after_blank_line"),
+    pytest.param('"gene_id"\tcategory\ng0\toncogenesis\n', 1, id="quoted_header"),
+])
+def test_genomics_sidecar_has_no_quoting_either(tmp_path, sidecar, line_no):
+    # csv would read '"g0"' as g0; the sidecar follows the matrix's rule
+    cats = tmp_path / "cats.tsv"
+    cats.write_bytes(sidecar.encode())
+    (tmp_path / "expr.tsv").write_text("gene_id\tp0\ng0\t1.0\n")
+    with pytest.raises(DataFormatError) as caught:
+        read_genomics(tmp_path / "expr.tsv", cats)
+    assert str(caught.value).startswith(f"{cats}: line {line_no}: ")
+
+
+def test_genomics_sidecar_line_ends_and_blank_lines(tmp_path):
+    (tmp_path / "expr.tsv").write_text("gene_id\tp0\ng0\t1.0\ng1\t2.0\n")
+    for ending in ("\n", "\r\n", "\r"):
+        cats = tmp_path / "cats.tsv"
+        cats.write_bytes(ending.join(["gene_id\tcategory", "g0\toncogenesis", "",
+                                      "g1\ttranscription"]).encode())
+        _, gene_ids = read_genomics(tmp_path / "expr.tsv", cats)
+        assert gene_ids == (("g0",), ("g1",))
+
+
 def test_genomics_rejects_matrix_problems(tmp_path):
     (tmp_path / "cats.tsv").write_text(
         "gene_id\tcategory\ng0\toncogenesis\ng1\toncogenesis\n")

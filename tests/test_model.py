@@ -60,9 +60,9 @@ def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
     params.ffn_first.b2.assign_(np.zeros_like(params.ffn_first.b2.values))
     bag = np.random.default_rng(2).normal(size=(4, 8))
     out = gm.assoc_forward(params, tensor(bag), one_bag(bag))
-    proj = ad.linear(tensor(bag), params.in_w, params.in_b)
-    _, direct_scores = blocks.mhca_forward(
-        params.mhca, params.tokens, blocks.patch_keys(params.mhca, proj, one_bag(bag)))
+    keys = blocks.patch_keys(params.mhca, tensor(bag), one_bag(bag),
+                             params.in_w, params.in_b)
+    _, direct_scores = blocks.mhca_forward(params.mhca, params.tokens, keys)
     np.testing.assert_allclose(out.scores, direct_scores,
                                atol=1e-12)
 

@@ -90,8 +90,12 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     assert (diag.fused.transpose(0, 2, 1)[pads] == 0.0).all()
 
     loss = nll_loss(result.hazards, [0, 1, 2, 0], [0, 0, 1, 1])
-    weights, pad_grads = [], []
+    weights, pad_grads, raw_bags = [], [], []
     for node in ad._topological_order(loss):
+        # the pooled raw rows: a constant padded bag, off the tape
+        if node._op == "leaf" and node.shape == pads.shape + (FEATURES,):
+            assert not node.requires_grad
+            raw_bags.append(node.values)
         # softmax over patches; the self-attention's softmax runs over tokens
         if node._op == "softmax" and pads.shape[1] in node.shape:
             weights.append(node.values)
@@ -111,10 +115,12 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
         # cross-attention weights are (B, heads, N_g, N_max), gated (B, N_max, 1)
         at_pads = pads[:, None, None, :] if w.ndim == 4 else pads[:, :, None]
         assert (w[np.broadcast_to(at_pads, w.shape)] == 0.0).all()
-    # padded keys, values, value rows and gated scores
-    assert len(pad_grads) == 4
+    # padded keys, values and gated scores; the value rows are pooled raw
+    assert len(pad_grads) == 3
     for g in pad_grads:
         assert (g == 0.0).all()
+    assert len(raw_bags) == 1
+    assert (raw_bags[0][pads] == 0.0).all()
 
 
 def test_topk_count_follows_each_patients_own_patch_count():
