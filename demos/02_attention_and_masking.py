@@ -11,8 +11,7 @@ a toy bag so the shapes and the masking rule are visible.
 import numpy as np
 
 from histodistill import autodiff as ad
-from histodistill.autodiff import tensor
-from histodistill.blocks import (MhcaParams, PatchLayout, init_tokens, linear_params,
+from histodistill.blocks import (BagStack, MhcaParams, init_tokens, linear_params,
                                  mhca_forward, mhsa_forward, patch_keys)
 from histodistill.model import topk_masked_softmax
 
@@ -26,7 +25,7 @@ n_tokens = 3
 # width; the projection is composed into each key and value map, so the
 # projected bag itself is never built
 w_in, b_in = linear_params(rng, feature_dim, width)
-bag = tensor(rng.normal(size=(n_patches, feature_dim)))
+bag = rng.normal(size=(n_patches, feature_dim))
 print("raw bag:", bag.shape, " input projection:", w_in.shape)
 
 # learnable query tokens, one per genomic category
@@ -37,11 +36,14 @@ print("tokens:", tokens.shape)
 # cross-attention: tokens query the bag
 # ---------------------------------------------------------------------------
 
-# keys and values are projected once per bag, each as one composed
-# product over the raw rows; both association rounds reuse them. Scores come back per bag, padded to a multiple of 8 patches,
-# so take bag 0 of this one-bag stack and its real patches.
+# The bag is padded once, with a trailing ones column. The key and value
+# maps, each composed with the input projection, are built once and both
+# association rounds reuse them: the key map folds into the queries and the
+# value map applies after pooling, so no per-patch key or value is formed.
+# Scores come back per bag, padded to a multiple of 8 patches, so take bag 0
+# of this one-bag stack and its real patches.
 mhca = MhcaParams.init(rng, width, heads)
-keys = patch_keys(mhca, bag, PatchLayout.of([n_patches]), w_in, b_in)
+keys = patch_keys(mhca, BagStack.of([bag]), w_in, b_in)
 out, stacked_scores = mhca_forward(mhca, tokens, keys)
 scores = stacked_scores[0, :, :n_patches]
 print("\ncross-attention output:", out.shape, " scores:", scores.shape)
@@ -59,11 +61,10 @@ print("token self-attention output:", mixed.shape)
 
 # Training packs consecutive patients' patch rows one bag after another and
 # pads them per bag; the patch mask gives pads exactly zero attention.
-second_bag = tensor(rng.normal(size=(4, feature_dim)))
-packed = tensor(np.concatenate([bag.values, second_bag.values]))
-layout = PatchLayout.of([n_patches, 4])
-both, both_scores = mhca_forward(mhca, tokens, patch_keys(mhca, packed, layout, w_in, b_in))
-print("\nstack of bags with", layout.lengths, "patches: output", both.shape,
+second_bag = rng.normal(size=(4, feature_dim))
+stack = BagStack.of([bag, second_bag])
+both, both_scores = mhca_forward(mhca, tokens, patch_keys(mhca, stack, w_in, b_in))
+print("\nstack of bags with", stack.layout.lengths, "patches: output", both.shape,
       " scores", both_scores.shape)
 print("bag 0 output matches its own pass:", np.allclose(both.values[:n_tokens], out.values))
 print("pad columns of bag 1's scores:", both_scores[1, 0, 4:])

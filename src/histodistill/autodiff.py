@@ -5,7 +5,8 @@ broadcast arithmetic, softmax with an optional mask, the usual
 activations, concatenation and row gathering, and a finite-difference
 gradient checker. Composites that run many times per training step are
 single nodes with closed-form backwards: the affine map, two affine maps
-composed into one, layer normalization, head split/merge with batched
+composed into one (applied to rows, or as an augmented weight split into
+heads), layer normalization, head split/merge with batched
 matmul, the row gather that pads a stack of bags, the two row-wise
 reconstruction error terms, and the running product of survival. Ops are
 plain functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
@@ -59,7 +60,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor created with non-finite values")
         self.values = arr
         self.requires_grad = bool(requires_grad)
@@ -317,6 +318,46 @@ def composed_linear(x: Tensor, w0: Tensor, b0: Tensor, w1: Tensor,
     return _make(out_values, (x, w0, b0, w1, b1), backward_fn, "composed_linear")
 
 
+def affine_compose(w0: Tensor, b0: Tensor, w1: Tensor, b1: Tensor,
+                   heads: int) -> Tensor:
+    """Two affine maps in a row as one augmented weight, split into heads.
+
+    (x @ w0 + b0) @ w1 + b1 equals [x, 1] @ A for the (fan_in + 1, fan_out)
+    matrix A = [[w0], [b0]] @ w1 with b1 added to its last row. Returns
+    A's column blocks of fan_out // heads as (1, heads, fan_in + 1, d), the
+    right-hand operand of a `batched_matmul` over the rows of [x, 1]. The
+    weight is built from the current leaf values on every call. The
+    backward merges the heads back into one (fan_in + 1, fan_out) gradient
+    and derives all four parameter gradients from it.
+    """
+    w0, b0, w1, b1 = (_as_tensor(t) for t in (w0, b0, w1, b1))
+    if w0.values.ndim != 2 or w1.values.ndim != 2:
+        raise ShapeError(f"affine_compose needs 2-d weights, got {w0.shape} and "
+                         f"{w1.shape}")
+    if (b0.shape != (w0.shape[1],) or w1.shape[0] != w0.shape[1]
+            or b1.shape != (w1.shape[1],)):
+        raise ShapeError(f"affine_compose shapes do not chain: ({w0.shape} + "
+                         f"{b0.shape}) @ {w1.shape} + {b1.shape}")
+    rows, width = w0.shape[0] + 1, w1.shape[1]
+    if heads < 1 or width % heads != 0:
+        raise ShapeError(f"cannot split {width} columns into {heads} heads")
+    first = np.concatenate([w0.values, b0.values[None]])
+    weight = first @ w1.values
+    weight[-1] += b1.values
+    out_values = np.ascontiguousarray(
+        weight.reshape(rows, heads, width // heads).transpose(1, 0, 2)[None])
+
+    def backward_fn(g):
+        grad = g[0].transpose(1, 0, 2).reshape(rows, width)
+        grad_first = grad @ w1.values.T
+        _accumulate(w0, grad_first[:-1])
+        _accumulate(b0, grad_first[-1])
+        _accumulate(w1, first.T @ grad)
+        _accumulate(b1, grad[-1])
+
+    return _make(out_values, (w0, b0, w1, b1), backward_fn, "affine_compose")
+
+
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
                    scale: float = 1.0) -> Tensor:
     """scale * (a[i] @ b[i]) over the leading axes of two stacks of matrices.
@@ -524,12 +565,21 @@ def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     v = x.values
     # exp(min(v, 0)) / (1 + exp(-|v|)): the numerator is 1 for v >= 0 and
-    # exp(v) below, so no exp overflows and no select runs per element
-    y = np.exp(np.minimum(v, 0.0))
-    y /= 1.0 + np.exp(-np.abs(v))
+    # exp(v) below, so no exp overflows and no select runs per element.
+    # Each step writes into one of the two arrays made here (a 0-d input
+    # too, which a ufunc without `out` would turn into a scalar).
+    y = np.minimum(v, 0.0, out=np.empty_like(v))
+    np.exp(y, out=y)
+    denom = np.abs(v, out=np.empty_like(v))
+    np.negative(denom, out=denom)
+    np.exp(denom, out=denom)
+    denom += 1.0
+    y /= denom
 
     def backward_fn(g):
-        _accumulate(x, g * y * (1.0 - y))
+        grad = g * y            # (g * y) * (1 - y), in a fresh array
+        grad *= 1.0 - y
+        _accumulate(x, grad)
 
     return _make(y, (x,), backward_fn, "sigmoid")
 
@@ -539,7 +589,10 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.values)
 
     def backward_fn(g):
-        _accumulate(x, g * (1.0 - y * y))
+        grad = np.multiply(y, y, out=np.empty_like(y))   # g * (1 - y * y)
+        np.subtract(1.0, grad, out=grad)
+        grad *= g
+        _accumulate(x, grad)
 
     return _make(y, (x,), backward_fn, "tanh")
 

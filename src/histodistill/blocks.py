@@ -1,23 +1,28 @@
 """Differentiable building blocks: multi-head cross/self attention, FFN,
 gated attention pooling, and the per-category reconstruction heads.
 
-Blocks work on a stack of B bags at once. Per-patch layers see the bags'
-patch rows packed one bag after another; the per-bag mixers (attention
-over patches, gated pooling) see them padded to (B, W) as laid out by a
-`PatchLayout`, whose patch mask the softmax over patches takes so pads
-get exactly zero weight. Token-level inputs and outputs hold each bag's
-rows as one consecutive block. Scores leave a block as plain arrays.
+Blocks work on a stack of B bags at once, a `BagStack`. Per-patch layers
+see the bags' patch rows packed one bag after another; the per-bag mixers
+(attention over patches, gated pooling) see them padded to (B, W) as laid
+out by a `PatchLayout`, whose patch mask the softmax over patches takes so
+pads get exactly zero weight. Token-level inputs and outputs hold each
+bag's rows as one consecutive block. Scores leave a block as plain arrays.
 
-The per-patch blocks (`patch_keys`, `gated_attention_weights`) take the
-raw bag together with the affine projection (proj_w, proj_b) that maps it
-to the working width. Up to their first nonlinearity their maps are
-affine in the raw rows, so each projection-then-map chain runs as one
-`autodiff.composed_linear` on the raw rows: the keys, the values and the
-gate's tanh and sigmoid pre-activations. No (N, width) projection of the
-bag is built or recorded on the tape. Pooling over projected rows runs
-as pooling over the padded raw rows followed by the projection
-(`pooled_projection`), which is exact up to rounding because every
-pooling row sums to 1.
+No block projects the bag to the working width. Every map of a patch row
+up to its first nonlinearity is affine in the raw row, so each map runs
+composed with the projection (proj_w, proj_b) that precedes it:
+- cross-attention (`patch_keys`, `mhca_forward`) attends over the padded
+  raw rows with a trailing ones column, X~ = [X, 1]. The key map, composed
+  into an augmented weight Wk~ (`autodiff.affine_compose`), folds into the
+  queries: a head's scores are (q_h Wk~_h^T) X~^T. The value map applies
+  after pooling: a head's output is (A_h X~) Wv~_h, exact up to rounding
+  because every attention row sums to 1 over real patches and the ones
+  column carries the bias;
+- the gate's tanh and sigmoid pre-activations are one
+  `autodiff.composed_linear` each over the packed raw rows;
+- pooling (`pooled_projection`) pools the padded raw rows and projects
+  the pooled rows, again exact up to rounding since every pooling row
+  sums to 1.
 """
 
 from __future__ import annotations
@@ -80,10 +85,45 @@ class PatchLayout:
     def batch(self) -> int:
         return len(self.lengths)
 
-    def check(self, bag: Tensor) -> None:
-        if bag.values.ndim != 2 or bag.shape[0] != sum(self.lengths):
-            raise ShapeError(f"bag rows {bag.shape} do not match bag lengths "
-                             f"{self.lengths}")
+
+@dataclass(frozen=True)
+class BagStack:
+    """The patch rows of a stack of B bags, packed and padded, built once.
+
+    `bag` is the packed (N, D) rows, one bag after another, for the
+    per-patch maps; `layout` places them in the padded (B, W) layout.
+    `rows` is X~, each bag's rows padded to W with a trailing ones column,
+    (B, 1, W, D + 1), zero at pads in every column, the ones column too;
+    the axis of 1 broadcasts over attention heads. `rows_t` is X~ with its
+    last two axes swapped, as a contiguous copy (see
+    `autodiff.batched_matmul`), and `raw` the (B, W, D) view of X~ without
+    the ones column. All four are constants.
+    """
+    bag: Tensor
+    layout: PatchLayout
+    rows: Tensor
+    rows_t: Tensor
+    raw: Tensor
+
+    @classmethod
+    def of(cls, bags: Sequence[np.ndarray]) -> "BagStack":
+        """Stack of (N_p, D) bags; row b of every padded array is bags[b]."""
+        layout = PatchLayout.of([np.shape(bag)[0] for bag in bags])
+        bag = ad.tensor(np.concatenate(bags, axis=0, dtype=np.float64))
+        if bag.values.ndim != 2:
+            raise ShapeError(f"bags must be 2-d (patches, features), got rows "
+                             f"{bag.shape}")
+        dim = bag.shape[1]
+        padded = np.zeros(layout.mask.shape + (dim + 1,))
+        start = 0
+        for b, n in enumerate(layout.lengths):
+            padded[b, :n, :dim] = bag.values[start:start + n]
+            padded[b, :n, dim] = 1.0
+            start += n
+        rows = padded[:, None]
+        return cls(bag, layout, ad.tensor(rows),
+                   ad.tensor(np.ascontiguousarray(rows.swapaxes(-1, -2))),
+                   ad.tensor(padded[..., :dim]))
 
 
 @dataclass
@@ -114,20 +154,15 @@ class MhcaParams:
             yield f"{prefix}.{field}", getattr(self, field)
 
 
-def _attend(params: MhcaParams, q: Tensor, k: Tensor, v: Tensor,
-            mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+def _attend(params: MhcaParams, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention over all bags and heads at once.
 
-    q, k and v are (batch, heads, n, d); a q batch of 1 is shared by every
-    bag. `mask`, when given, broadcasts against the scores and is False at
-    padded keys. Returns the projected output rows and the pre-softmax
-    scores, shape (batch, heads, n_queries, n_keys).
+    q, k and v are (batch, heads, n, d). Returns the projected output rows.
     """
     scores = ad.batched_matmul(q, k, transpose_b=True,
                                scale=1.0 / math.sqrt(q.shape[-1]))
-    weights = ad.softmax(scores, axis=-1, mask=mask)
-    attended = ad.batched_matmul(weights, v)
-    return linear(ad.merge_heads(attended), params.wo, params.bo), scores
+    attended = ad.batched_matmul(ad.softmax(scores, axis=-1), v)
+    return linear(ad.merge_heads(attended), params.wo, params.bo)
 
 
 def _check_width(params: MhcaParams, *inputs: Tensor) -> None:
@@ -139,34 +174,28 @@ def _check_width(params: MhcaParams, *inputs: Tensor) -> None:
 
 @dataclass
 class PatchKeys:
-    """Per-head keys and values of a stack of bags, (B, heads, W, d).
+    """The key and value maps of a stack's cross-attention, on its raw rows.
 
-    Computed once per stack; every cross-attention round with the same
-    parameters over the same bag reuses them.
+    `keys` and `values` are the augmented weights Wk~ and Wv~, each
+    (1, heads, D + 1, d): the input projection composed with wk/bk or
+    wv/bv (`autodiff.affine_compose`). A head's keys would be X~ @ Wk~_h
+    and its values X~ @ Wv~_h over the stack's padded rows X~; neither is
+    formed. Built once per stack; every cross-attention round with the
+    same parameters over the same bags reuses them.
     """
     keys: Tensor
     values: Tensor
-    mask: np.ndarray        # (B, 1, 1, W): True at real patches
+    stack: BagStack
 
 
-def patch_keys(params: MhcaParams, bag: Tensor, layout: PatchLayout,
-               proj_w: Tensor, proj_b: Tensor) -> PatchKeys:
-    """Keys and values of packed raw patch rows, padded per bag.
-
-    The rows are first projected by (proj_w, proj_b) to the attention
-    width; each key or value map runs composed with that projection.
-    `layout` says which rows belong to which bag.
-    """
-    layout.check(bag)
-    rows = layout.index.reshape(-1)
-
-    def heads(weight: Tensor, bias: Tensor) -> Tensor:
-        projected = ad.composed_linear(bag, proj_w, proj_b, weight, bias)
-        return ad.split_heads(ad.gather_rows(projected, rows),
-                              params.heads, layout.batch)
-
-    return PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
-                     layout.mask[:, None, None, :])
+def patch_keys(params: MhcaParams, stack: BagStack, proj_w: Tensor,
+               proj_b: Tensor) -> PatchKeys:
+    """Key and value maps of the stack's raw patch rows, each composed with
+    the projection (proj_w, proj_b) to the attention width."""
+    return PatchKeys(
+        ad.affine_compose(proj_w, proj_b, params.wk, params.bk, params.heads),
+        ad.affine_compose(proj_w, proj_b, params.wv, params.bv, params.heads),
+        stack)
 
 
 def mhca_forward(params: MhcaParams, queries: Tensor, keys: PatchKeys,
@@ -180,14 +209,25 @@ def mhca_forward(params: MhcaParams, queries: Tensor, keys: PatchKeys,
     together with the pre-softmax scores as a plain (B, n, W) array
     (head-averaged unless `score_head` picks one head; 0 at pads). No
     gradient can flow back through the scores.
+
+    A head's scores are (q_h Wk~_h^T / sqrt(d)) X~^T and its output
+    (A_h X~) Wv~_h: the bag is touched only by products over its D + 1
+    raw columns. Every product is a per-(bag, head) slice, the same shape
+    alone and in a stack of bags with one padded width.
     """
     _check_width(params, queries)
     if score_head is not None and not 0 <= score_head < params.heads:
         raise ShapeError(f"score head {score_head} out of range for "
                          f"{params.heads} heads")
-    batch = keys.keys.shape[0] if per_bag else 1
-    q = ad.split_heads(linear(queries, params.wq, params.bq), params.heads, batch)
-    out, scores = _attend(params, q, keys.keys, keys.values, keys.mask)
+    stack = keys.stack
+    q = ad.split_heads(linear(queries, params.wq, params.bq), params.heads,
+                       stack.layout.batch if per_bag else 1)
+    folded = ad.batched_matmul(q, keys.keys, transpose_b=True,
+                               scale=1.0 / math.sqrt(q.shape[-1]))
+    scores = ad.batched_matmul(folded, stack.rows_t)
+    weights = ad.softmax(scores, axis=-1, mask=stack.layout.mask[:, None, None, :])
+    attended = ad.batched_matmul(ad.batched_matmul(weights, stack.rows), keys.values)
+    out = linear(ad.merge_heads(attended), params.wo, params.bo)
     if score_head is None:
         return out, scores.values.sum(axis=1) * (1.0 / params.heads)
     return out, scores.values[:, score_head].copy()
@@ -204,8 +244,8 @@ def mhsa_forward(params: MhcaParams, x: Tensor, batch: int = 1) -> Tensor:
     def heads(weight: Tensor, bias: Tensor) -> Tensor:
         return ad.split_heads(linear(x, weight, bias), params.heads, batch)
 
-    out, _ = _attend(params, heads(params.wq, params.bq),
-                     heads(params.wk, params.bk), heads(params.wv, params.bv))
+    out = _attend(params, heads(params.wq, params.bq),
+                  heads(params.wk, params.bk), heads(params.wv, params.bv))
     return ad.add(x, out)
 
 
@@ -261,9 +301,9 @@ class GatedAttentionParams:
             yield f"{prefix}.{field}", getattr(self, field)
 
 
-def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
-                            layout: PatchLayout, proj_w: Tensor,
-                            proj_b: Tensor) -> tuple[Tensor, np.ndarray]:
+def gated_attention_weights(params: GatedAttentionParams, stack: BagStack,
+                            proj_w: Tensor, proj_b: Tensor
+                            ) -> tuple[Tensor, np.ndarray]:
     """Instance weights after softmax over each bag, shape (B, W, 1).
 
     Scores are computed on the packed raw rows projected by (proj_w,
@@ -272,7 +312,7 @@ def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
     scores as a plain (B, 1, W) array, 0 at pads, through which no
     gradient can flow.
     """
-    layout.check(bag)
+    bag, layout = stack.bag, stack.layout
     gate = ad.mul(
         ad.tanh(ad.composed_linear(bag, proj_w, proj_b, params.u_w, params.u_b)),
         ad.sigmoid(ad.composed_linear(bag, proj_w, proj_b, params.v_w, params.v_b)))
@@ -281,21 +321,18 @@ def gated_attention_weights(params: GatedAttentionParams, bag: Tensor,
     return weights, raw.values.transpose(0, 2, 1)
 
 
-def pooled_projection(pooling: Tensor, bag: Tensor, layout: PatchLayout,
-                      proj_w: Tensor, proj_b: Tensor) -> Tensor:
+def pooled_projection(pooling: Tensor, stack: BagStack, proj_w: Tensor,
+                      proj_b: Tensor) -> Tensor:
     """Pooled projected patch rows, (B * n, width) in bag blocks.
 
     `pooling` is (B, n, W): n pooling rows per bag over its padded patches,
-    each summing to 1. Projecting the pooled raw rows equals pooling the
-    projected rows up to rounding, since a row's weights on the bias sum
-    to 1; only (B * n) rows are projected, and the padded raw bag is a
-    plain array, off the tape.
+    each summing to 1. Projecting the pooled raw rows (the stack's `raw`)
+    equals pooling the projected rows up to rounding, since a row's
+    weights on the bias sum to 1; only (B * n) rows are projected.
     """
-    raw = bag.values.take(layout.index, axis=0)        # (B, W, feature_dim)
-    raw[~layout.mask] = 0.0
-    pooled = ad.batched_matmul(pooling, raw)
-    return linear(ad.reshape(pooled, (pooled.shape[0] * pooled.shape[1], bag.shape[1])),
-                  proj_w, proj_b)
+    pooled = ad.batched_matmul(pooling, stack.raw)
+    return linear(ad.reshape(pooled, (pooled.shape[0] * pooled.shape[1],
+                                      pooled.shape[2])), proj_w, proj_b)
 
 
 @dataclass

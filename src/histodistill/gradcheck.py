@@ -8,6 +8,7 @@ surfaces it as the `grad-check` subcommand.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import Tensor, grad_check
-from .blocks import PatchLayout
+from .blocks import BagStack
 from .model import (ModelConfig, build_model, mse_loss, nll_loss,
                     reconstruction_loss, sce_loss, stack_forward, total_loss)
 
@@ -73,6 +74,21 @@ def _check_composed_linear(eps: float) -> float:
     return grad_check(
         lambda p: _scalarize(ad.composed_linear(p["x"], p["w0"], p["b0"], p["w1"],
                                                 p["b1"]), probe),
+        params, eps)
+
+
+def _check_affine_compose(eps: float) -> float:
+    rng = np.random.default_rng(33)
+    probe = rng.normal(size=(1, 2, 4, 3))
+    params = {
+        "w0": ad.tensor(rng.normal(size=(3, 5)), requires_grad=True),
+        "b0": ad.tensor(rng.normal(size=5), requires_grad=True),
+        "w1": ad.tensor(rng.normal(size=(5, 6)), requires_grad=True),
+        "b1": ad.tensor(rng.normal(size=6), requires_grad=True),
+    }
+    return grad_check(
+        lambda p: _scalarize(ad.affine_compose(p["w0"], p["b0"], p["w1"], p["b1"],
+                                               heads=2), probe),
         params, eps)
 
 
@@ -155,8 +171,8 @@ def _check_mhca(eps: float) -> float:
     rng = np.random.default_rng(13)
     shared = ad.tensor(rng.normal(size=(3, 8)), requires_grad=True)
     per_bag = ad.tensor(rng.normal(size=(6, 8)), requires_grad=True)
-    bag = ad.tensor(rng.normal(size=(7, 5)))
-    layout = PatchLayout.of([2, 5])
+    raw = rng.normal(size=(7, 5))
+    stack = BagStack.of([raw[:2], raw[2:]])
     mhca = blocks.MhcaParams.init(rng, 8, 2)
     proj_w, proj_b = blocks.linear_params(rng, 5, 8)
     proj_b.assign_(rng.normal(size=8))
@@ -165,7 +181,7 @@ def _check_mhca(eps: float) -> float:
     params.update(shared=shared, per_bag=per_bag, proj_w=proj_w, proj_b=proj_b)
 
     def f(p):
-        keys = blocks.patch_keys(mhca, bag, layout, proj_w, proj_b)
+        keys = blocks.patch_keys(mhca, stack, proj_w, proj_b)
         first, _ = blocks.mhca_forward(mhca, shared, keys)
         second, _ = blocks.mhca_forward(mhca, per_bag, keys, per_bag=True)
         return ad.add(_scalarize(first, probes[0]), _scalarize(second, probes[1]))
@@ -209,7 +225,8 @@ def _check_ffn(eps: float) -> float:
 def _check_gated_attention(eps: float) -> float:
     rng = np.random.default_rng(16)
     bag = ad.tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    layout = PatchLayout.of([4, 2])
+    # the model's bag is a constant; here it is probed too
+    stack = dataclasses.replace(BagStack.of([bag.values[:4], bag.values[4:]]), bag=bag)
     gate = blocks.GatedAttentionParams.init(rng, 5)
     proj_w, proj_b = blocks.linear_params(rng, 3, 5)
     proj_b.assign_(rng.normal(size=5))
@@ -218,7 +235,7 @@ def _check_gated_attention(eps: float) -> float:
     params.update(bag=bag, proj_w=proj_w, proj_b=proj_b)
 
     def f(p):
-        weights, _ = blocks.gated_attention_weights(gate, bag, layout, proj_w, proj_b)
+        weights, _ = blocks.gated_attention_weights(gate, stack, proj_w, proj_b)
         return _scalarize(weights, probe)
 
     # The score bias shifts every score of a bag alike, which the softmax
@@ -345,6 +362,7 @@ def _check_end_to_end(eps: float) -> float:
 _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("linear", _check_linear),
     ("composed_linear", _check_composed_linear),
+    ("affine_compose", _check_affine_compose),
     ("layer_norm", _check_layer_norm),
     ("split_heads", _check_split_heads),
     ("merge_heads", _check_merge_heads),

@@ -4,7 +4,8 @@ Bag files are little-endian binary ("GHB1" magic, u32 patch count, u32
 feature dim, float32 row-major data), so write -> read round trips are
 bit-exact. Text formats are plain csv/tsv readable by anything.
 `write_atomic` is the write path for outputs that must never be left
-half-written: checkpoints, JSON results and gene selection reports.
+half-written: checkpoints, JSON results, reports, and every file of a
+cohort (`write_cohort`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import json
 import os
 import struct
+from io import StringIO
 from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -49,7 +51,12 @@ def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
 def write_bag(path: str | Path, bag: PatchBag) -> None:
     features = np.ascontiguousarray(bag.features, dtype="<f4")
     header = _BAG_HEADER.pack(BAG_MAGIC, bag.n_patches, bag.feature_dim)
-    Path(path).write_bytes(header + features.tobytes())
+
+    def write(fh):
+        fh.write(header)
+        fh.write(memoryview(features).cast("B"))
+
+    write_atomic(path, write)
 
 
 def read_bag(path: str | Path, patient_id: str | None = None) -> PatchBag:
@@ -87,11 +94,13 @@ CLINICAL_HEADER = ["patient_id", "time_months", "censor"]
 
 
 def write_clinical(path: str | Path, patients: list[tuple[str, float, int]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLINICAL_HEADER)
-        for patient_id, time_months, censor in patients:
-            writer.writerow([patient_id, repr(float(time_months)), censor])
+    text = StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CLINICAL_HEADER)
+    for patient_id, time_months, censor in patients:
+        writer.writerow([patient_id, repr(float(time_months)), censor])
+    data = text.getvalue().encode("utf-8")
+    write_atomic(path, lambda fh: fh.write(data))
 
 
 def read_clinical(path: str | Path) -> dict[str, SurvivalLabel]:
@@ -354,7 +363,7 @@ def write_cohort(out_dir: str | Path, cohort: Cohort,
     """Writes bags, clinical CSV, genomics (when present), and a manifest.
 
     Returns the manifest path; all entries inside it are relative to the
-    manifest's directory.
+    manifest's directory. Each file is replaced atomically (`write_atomic`).
     """
     out_dir = Path(out_dir)
     bag_dir = out_dir / "bags"
@@ -379,7 +388,8 @@ def write_cohort(out_dir: str | Path, cohort: Cohort,
         manifest["gene_categories"] = categories_rel
 
     manifest_path = out_dir / f"{name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    data = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    write_atomic(manifest_path, lambda fh: fh.write(data))
     return manifest_path
 
 

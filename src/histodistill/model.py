@@ -20,14 +20,18 @@ the training losses, the gradient checker and the gene-profile export do;
 inference does not. `model_forward` is the one-bag case, with the stack
 axis dropped.
 
-Neither branch projects the bag itself. The association keys and values
-are `in_w` composed with `wk`/`wv`, and the survival gate's pre-activations
-are `value_w` composed with `u_w`/`v_w` (and `in_w` with each category
-gate's under `gated_recon`), one `autodiff.composed_linear` each over the
-raw patch rows. Pooled values are the pooled raw rows projected by
-`value_w` (or `in_w`), `blocks.pooled_projection`: every pooling row,
-morphology softmax, top-k mask or their mean, sums to 1, so this equals
-pooling the projected rows up to rounding.
+Neither branch projects the bag itself (see `blocks`). The stack's raw
+rows are padded once, with a trailing ones column, into a
+`blocks.BagStack`. The association cross-attention attends over them with
+`in_w` composed into its key and value maps: the key map folds into the
+queries and the value map applies after pooling, so no per-patch key or
+value is formed. The survival gate's pre-activations are `value_w`
+composed with `u_w`/`v_w` (and `in_w` with each category gate's under
+`gated_recon`), one `autodiff.composed_linear` each over the packed raw
+rows. Pooled values are the pooled raw rows projected by `value_w` (or
+`in_w`), `blocks.pooled_projection`: every pooling row, morphology
+softmax, top-k mask or their mean, sums to 1, so this equals pooling the
+projected rows up to rounding.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import ShapeError, Tensor
-from .blocks import (FfnParams, GatedAttentionParams, MhcaParams,
-                     PatchLayout, SnnHeadParams, linear)
+from .blocks import (BagStack, FfnParams, GatedAttentionParams, MhcaParams,
+                     SnnHeadParams, linear)
 from .errors import ConfigError
 
 
@@ -165,17 +169,17 @@ def reconstruct(heads: Sequence[SnnHeadParams], features: Tensor) -> tuple[Tenso
                  for c, head in enumerate(heads))
 
 
-def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
+def assoc_forward(params: AssocBranchParams, stack: BagStack,
                   score_head: int | None = None) -> AssocOutput:
     """Two cross-attention rounds with one shared parameter set.
 
-    Both rounds attend over the same projected bag, so its keys and values
-    are computed once, each composed with the input projection `in_w`.
-    The second round queries with tokens + round-one features; its
+    Both rounds attend over the same bags, so the key and value maps,
+    each composed with the input projection `in_w`, are built once. The
+    second round queries with tokens + round-one features; its
     pre-softmax scores are the exported association matrix.
     """
-    keys = blocks.patch_keys(params.mhca, bag, layout, params.in_w, params.in_b)
-    batch = keys.keys.shape[0]
+    keys = blocks.patch_keys(params.mhca, stack, params.in_w, params.in_b)
+    batch = stack.layout.batch
     n_tokens, width = params.tokens.shape
     pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, keys, score_head)
     first = blocks.ffn_forward(params.ffn_first, pooled)
@@ -186,8 +190,8 @@ def assoc_forward(params: AssocBranchParams, bag: Tensor, layout: PatchLayout,
     return AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
 
 
-def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
-                        layout: PatchLayout) -> AssocOutput:
+def gated_assoc_forward(params: GatedAssocBranchParams,
+                        stack: BagStack) -> AssocOutput:
     """One gated pooling per category; its scores are the association rows.
 
     Every category pools the raw rows, and the pooled rows are projected
@@ -196,11 +200,11 @@ def gated_assoc_forward(params: GatedAssocBranchParams, bag: Tensor,
     weight_rows = []
     score_rows = []
     for gate in params.gates:
-        weights, scores = blocks.gated_attention_weights(gate, bag, layout,
-                                                         params.in_w, params.in_b)
+        weights, scores = blocks.gated_attention_weights(gate, stack, params.in_w,
+                                                         params.in_b)
         weight_rows.append(ad.transpose(weights))
         score_rows.append(scores)
-    features = blocks.pooled_projection(ad.concat(weight_rows, axis=1), bag, layout,
+    features = blocks.pooled_projection(ad.concat(weight_rows, axis=1), stack,
                                         params.in_w, params.in_b)
     return AssocOutput(None, features, np.concatenate(score_rows, axis=1))
 
@@ -329,7 +333,7 @@ class SurvivalDiagnostics:
     fused: np.ndarray
 
 
-def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLayout,
+def survival_forward(params: SurvivalBranchParams, stack: BagStack,
                      scores: np.ndarray, features: Tensor | None, cfg: ModelConfig,
                      masked_assoc: np.ndarray | None = None,
                      ) -> tuple[Tensor, SurvivalDiagnostics]:
@@ -340,34 +344,34 @@ def survival_forward(params: SurvivalBranchParams, bag: Tensor, layout: PatchLay
     `masked_assoc` pins it explicitly, which the gradient checker uses.
     """
     if masked_assoc is None:
-        masked_assoc = topk_masked_softmax(scores, cfg.k_percent, layout.lengths)
+        masked_assoc = topk_masked_softmax(scores, cfg.k_percent, stack.layout.lengths)
     if cfg.assoc_only:
         morph = None
         fused = ad.tensor(masked_assoc)
     else:
-        morph, _ = blocks.gated_attention_weights(params.gate, bag, layout,
-                                                  params.value_w, params.value_b)
+        morph, _ = blocks.gated_attention_weights(params.gate, stack, params.value_w,
+                                                  params.value_b)
         fused = fused_attention(morph, masked_assoc)
-    pooled = blocks.pooled_projection(fused, bag, layout, params.value_w, params.value_b)
+    pooled = blocks.pooled_projection(fused, stack, params.value_w, params.value_b)
     if cfg.cut_bridge or features is None:
         merged = pooled
     else:
         merged = ad.concat([pooled, features], axis=1)
     x = blocks.ffn_forward(params.ffn,
-                           blocks.mhsa_forward(params.mhsa, merged, layout.batch))
+                           blocks.mhsa_forward(params.mhsa, merged, stack.layout.batch))
     compressed = ad.relu(ad.layer_norm(linear(x, params.comp_w, params.comp_b),
                                        params.comp_gain, params.comp_bias))
-    flat = ad.reshape(compressed, (layout.batch, cfg.n_tokens * cfg.compress_width))
+    flat = ad.reshape(compressed, (stack.layout.batch, cfg.n_tokens * cfg.compress_width))
     hazards = ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
     diag = SurvivalDiagnostics(None if morph is None else morph.values.copy(),
                                masked_assoc, fused.values.copy())
     return hazards, diag
 
 
-def baseline_forward(params: BaselineParams, bag: Tensor, layout: PatchLayout) -> Tensor:
-    weights, _ = blocks.gated_attention_weights(params.gate, bag, layout,
-                                                params.value_w, params.value_b)
-    pooled = blocks.pooled_projection(ad.transpose(weights), bag, layout,
+def baseline_forward(params: BaselineParams, stack: BagStack) -> Tensor:
+    weights, _ = blocks.gated_attention_weights(params.gate, stack, params.value_w,
+                                                params.value_b)
+    pooled = blocks.pooled_projection(ad.transpose(weights), stack,
                                       params.value_w, params.value_b)
     return ad.sigmoid(linear(pooled, params.cls_w, params.cls_b))
 
@@ -429,23 +433,21 @@ def stack_forward(model: ModelParams, bags: Sequence[np.ndarray],
                   masked_assoc: np.ndarray | None = None) -> ForwardResult:
     """Differentiable forward pass over a stack of patients' bags.
 
-    The (N_p, feature_dim) bags are packed one after another and laid out
-    by `PatchLayout.of`; row b of every output belongs to bags[b], and the
+    The (N_p, feature_dim) bags are packed one after another and padded
+    once, `BagStack.of`; row b of every output belongs to bags[b], and the
     padded outputs are (B, ..., W) with zeros at pads. `masked_assoc`,
     (B, N_g, W), pins the top-k mask, which the gradient checker uses.
     """
-    layout = PatchLayout.of([np.shape(bag)[0] for bag in bags])
-    bag = ad.tensor(np.concatenate(bags, axis=0, dtype=np.float64))
-    layout.check(bag)
+    stack = BagStack.of(bags)
     cfg = model.config
     if cfg.gated_baseline:
-        hazards = baseline_forward(model.baseline, bag, layout)
+        hazards = baseline_forward(model.baseline, stack)
         return ForwardResult(hazards, None, None, None)
     if cfg.gated_recon:
-        out = gated_assoc_forward(model.assoc, bag, layout)
+        out = gated_assoc_forward(model.assoc, stack)
     else:
-        out = assoc_forward(model.assoc, bag, layout, cfg.score_head)
-    hazards, diag = survival_forward(model.survival, bag, layout, out.scores,
+        out = assoc_forward(model.assoc, stack, cfg.score_head)
+    hazards, diag = survival_forward(model.survival, stack, out.scores,
                                      out.features, cfg, masked_assoc)
     return ForwardResult(hazards, out.features, out.scores, diag, model.assoc.heads)
 

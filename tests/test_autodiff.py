@@ -233,6 +233,34 @@ def test_sigmoid_keeps_the_bits_of_the_two_sided_select():
                                       _sigmoid_two_sided_select(v).view(np.int64))
 
 
+def _gate_expressions(v, g):
+    """The gate arithmetic before it wrote into its own arrays, kept verbatim
+    as the oracle: sigmoid's forward, then both backwards."""
+    y = np.exp(np.minimum(v, 0.0))
+    y /= 1.0 + np.exp(-np.abs(v))
+    t = np.tanh(v)
+    return y, g * y * (1.0 - y), g * (1.0 - t * t)
+
+
+def test_in_place_gate_arithmetic_keeps_the_bits():
+    special = np.array([0.0, 5e-324, 1e-320, 709.0, 745.0, 800.0, 1e308])
+    rng = np.random.default_rng(37)
+    for v in (np.concatenate([special, -special]),
+              rng.normal(scale=3.0, size=(2560, 64))):
+        g = rng.normal(size=v.shape)
+        g.flags.writeable = False       # a backward must not write into g
+        want = _gate_expressions(v, g)
+        x = tensor(v, requires_grad=True)
+        y = ad.sigmoid(x)
+        y._backward_fn(g)
+        t = ad.tanh(x)
+        sigmoid_grad = x.grad
+        x.grad = None
+        t._backward_fn(g)
+        for got, expected in zip((y.values, sigmoid_grad, x.grad), want):
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_sigmoid_extreme_inputs_do_not_overflow():
     out = ad.sigmoid(tensor([-800.0, 800.0]))
     np.testing.assert_allclose(out.values, [0.0, 1.0], atol=1e-12)

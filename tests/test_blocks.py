@@ -21,7 +21,7 @@ def zero_mhca(width, heads):
 
 
 def one_bag(bag):
-    return blocks.PatchLayout.of(bag.shape[:1])
+    return blocks.BagStack.of([bag.values])
 
 
 def identity_projection(bag):
@@ -33,14 +33,14 @@ def identity_projection(bag):
 
 def attend(params, queries, bag, score_head=None):
     """Cross-attention over one bag; scores without the stack axis and pads."""
-    keys = blocks.patch_keys(params, bag, one_bag(bag), *identity_projection(bag))
+    keys = blocks.patch_keys(params, one_bag(bag), *identity_projection(bag))
     out, scores = blocks.mhca_forward(params, queries, keys, score_head)
     return out, scores[0, :, :bag.shape[0]]
 
 
 def one_bag_weights(params, bag):
     """Gated-attention weights of one bag as an (N_p, 1) array."""
-    weights, _ = blocks.gated_attention_weights(params, bag, one_bag(bag),
+    weights, _ = blocks.gated_attention_weights(params, one_bag(bag),
                                                 *identity_projection(bag))
     return weights.values[0, :bag.shape[0]]
 

@@ -2,12 +2,17 @@
 
 The oracle below is the model's earlier per-patch code: the bag is
 projected by `in_w` or `value_w` on the tape, keys, values and the gate's
-pre-activations are linear maps of that projection, and pooling runs over
-the gathered projected rows. The model now composes each chain into one
-`autodiff.composed_linear` over the raw rows and pools raw rows before
-projecting; both must give the same hazards, losses and gradients up to
-rounding.
+pre-activations are linear maps of that projection, cross-attention runs
+over the formed keys and values, and pooling runs over
+the gathered projected rows. The model now attends over the padded raw
+rows with the key map folded into the queries and the value map applied
+after pooling, runs each gate chain as one `autodiff.composed_linear`
+over the raw rows, and pools raw rows before projecting; both must give
+the same hazards, losses and gradients up to rounding.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +35,14 @@ DEAD = ("mhca.bk", "mhsa.bk", "score_b")
 # the unfolded chain
 # ---------------------------------------------------------------------------
 
+@dataclass
+class PatchKeys:
+    """Per-head keys and values of a stack of bags, (B, heads, W, d)."""
+    keys: ad.Tensor
+    values: ad.Tensor
+    mask: np.ndarray        # (B, 1, 1, W): True at real patches
+
+
 def oracle_patch_keys(params, proj, layout):
     rows = layout.index.reshape(-1)
 
@@ -37,8 +50,25 @@ def oracle_patch_keys(params, proj, layout):
         return ad.split_heads(ad.gather_rows(ad.linear(proj, weight, bias), rows),
                               params.heads, layout.batch)
 
-    return blocks.PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
-                            layout.mask[:, None, None, :])
+    return PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
+                     layout.mask[:, None, None, :])
+
+
+def oracle_attend(params, q, k, v, mask=None):
+    scores = ad.batched_matmul(q, k, transpose_b=True,
+                               scale=1.0 / math.sqrt(q.shape[-1]))
+    weights = ad.softmax(scores, axis=-1, mask=mask)
+    attended = ad.batched_matmul(weights, v)
+    return ad.linear(ad.merge_heads(attended), params.wo, params.bo), scores
+
+
+def oracle_mhca_forward(params, queries, keys, score_head=None, per_bag=False):
+    batch = keys.keys.shape[0] if per_bag else 1
+    q = ad.split_heads(ad.linear(queries, params.wq, params.bq), params.heads, batch)
+    out, scores = oracle_attend(params, q, keys.keys, keys.values, keys.mask)
+    if score_head is None:
+        return out, scores.values.sum(axis=1) * (1.0 / params.heads)
+    return out, scores.values[:, score_head].copy()
 
 
 def oracle_gated_attention_weights(params, proj, layout):
@@ -49,21 +79,23 @@ def oracle_gated_attention_weights(params, proj, layout):
     return weights, raw.values.transpose(0, 2, 1)
 
 
-def oracle_assoc_forward(params, bag, layout, score_head=None):
+def oracle_assoc_forward(params, stack, score_head=None):
+    bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.in_w, params.in_b)
     keys = oracle_patch_keys(params.mhca, proj, layout)
     batch = keys.keys.shape[0]
     n_tokens, width = params.tokens.shape
-    pooled, _ = blocks.mhca_forward(params.mhca, params.tokens, keys, score_head)
+    pooled, _ = oracle_mhca_forward(params.mhca, params.tokens, keys, score_head)
     first = blocks.ffn_forward(params.ffn_first, pooled)
     queries = ad.reshape(ad.add(ad.reshape(first, (batch, n_tokens, width)),
                                 params.tokens), (batch * n_tokens, width))
-    pooled2, scores = blocks.mhca_forward(params.mhca, queries, keys, score_head,
+    pooled2, scores = oracle_mhca_forward(params.mhca, queries, keys, score_head,
                                           per_bag=True)
     return gm.AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
 
 
-def oracle_gated_assoc_forward(params, bag, layout):
+def oracle_gated_assoc_forward(params, stack):
+    bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.in_w, params.in_b)
     values = ad.gather_rows(proj, layout.index)
     feature_rows, score_rows = [], []
@@ -76,8 +108,9 @@ def oracle_gated_assoc_forward(params, bag, layout):
     return gm.AssocOutput(None, features, np.concatenate(score_rows, axis=1))
 
 
-def oracle_survival_forward(params, bag, layout, scores, features, cfg,
+def oracle_survival_forward(params, stack, scores, features, cfg,
                             masked_assoc=None):
+    bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.value_w, params.value_b)
     if masked_assoc is None:
         masked_assoc = gm.topk_masked_softmax(scores, cfg.k_percent, layout.lengths)
@@ -104,7 +137,8 @@ def oracle_survival_forward(params, bag, layout, scores, features, cfg,
     return hazards, diag
 
 
-def oracle_baseline_forward(params, bag, layout):
+def oracle_baseline_forward(params, stack):
+    bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.value_w, params.value_b)
     weights, _ = oracle_gated_attention_weights(params.gate, proj, layout)
     pooled = ad.batched_matmul(ad.transpose(weights), ad.gather_rows(proj, layout.index))
@@ -203,13 +237,28 @@ def test_the_raw_bag_feeds_only_composed_products():
     model = make_model(config)
     entries = make_entries(config)
     loss = stack_loss(model, entries, config).total
-    consumers = []
+    batch, width = len(LENGTHS), blocks.aligned(max(LENGTHS))
+    packed, dim = sum(LENGTHS), SYNTH.feature_dim
+    constants = {(packed, dim): "bag", (batch, 1, width, dim + 1): "rows",
+                 (batch, 1, dim + 1, width): "rows_t", (batch, width, dim): "raw"}
+    consumers, per_patch = [], []
     for node in ad._topological_order(loss):
+        if node._op == "leaf":
+            continue
+        if node.shape[:1] == (packed,):
+            per_patch.append(node._op)
         for parent in node._parents:
-            if parent._op == "leaf" and parent.shape == (sum(LENGTHS), SYNTH.feature_dim):
-                consumers.append(node._op)
-    # keys, values, and the survival gate's tanh and sigmoid inputs
-    assert consumers == ["composed_linear"] * 4
+            if parent._op == "leaf" and parent.shape in constants:
+                consumers.append((constants[parent.shape], node._op))
+    # The packed rows feed the survival gate's tanh and sigmoid inputs; the
+    # padded rows feed the two cross-attention rounds' score and pooling
+    # products and the survival pooling.
+    assert sorted(consumers) == [("bag", "composed_linear")] * 2 + [
+        ("raw", "batched_matmul")] + [("rows", "batched_matmul")] * 2 + [
+        ("rows_t", "batched_matmul")] * 2
+    # no per-patch key or value: every per-patch node is the gate's
+    assert sorted(per_patch) == sorted(["composed_linear", "composed_linear",
+                                        "tanh", "sigmoid", "mul", "linear"])
 
 
 def test_composed_linear_equals_two_linear_maps():
@@ -229,3 +278,22 @@ def test_composed_linear_equals_two_linear_maps():
         ad.composed_linear(x, w0, b0, ad.tensor(rng.normal(size=(5, 3))), b1)
     with pytest.raises(ad.ShapeError):
         ad.composed_linear(x, w0, ad.tensor(np.zeros(5)), w1, b1)
+
+
+def test_affine_compose_is_the_augmented_weight_of_two_linear_maps():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(13, 5))
+    w0, b0 = ad.tensor(rng.normal(size=(5, 7))), ad.tensor(rng.normal(size=7))
+    w1, b1 = ad.tensor(rng.normal(size=(7, 6))), ad.tensor(rng.normal(size=6))
+    want = ad.linear(ad.linear(ad.tensor(x), w0, b0), w1, b1).values
+    heads = ad.affine_compose(w0, b0, w1, b1, heads=3).values
+    assert heads.shape == (1, 3, 6, 2)
+    # head h holds columns 2h, 2h + 1 of the augmented weight
+    augmented = np.concatenate(list(heads[0]), axis=1)
+    ones = np.ones((13, 1))
+    np.testing.assert_allclose(np.hstack([x, ones]) @ augmented, want,
+                               rtol=1e-13, atol=1e-13)
+    with pytest.raises(ad.ShapeError):
+        ad.affine_compose(w0, b0, w1, b1, heads=4)
+    with pytest.raises(ad.ShapeError):
+        ad.affine_compose(w0, ad.tensor(np.zeros(5)), w1, b1, heads=1)

@@ -594,6 +594,23 @@ def _write_genomics_sidecar(path, seed):
     write_genomics(path.with_name("expr.tsv"), path, _genomics_cohort(seed))
 
 
+def _write_bag(path, seed):
+    write_bag(path, PatchBag("p0", np.random.default_rng(seed).normal(size=(3, 4))))
+
+
+def _write_clinical(path, seed):
+    times = np.random.default_rng(seed).uniform(1.0, 60.0, size=4)
+    write_clinical(path, [(f"p{i}", t, i % 2) for i, t in enumerate(times)])
+
+
+def _write_manifest(path, seed):
+    # a cohort of 4 + seed patients lists a different set of bags
+    config = SynthConfig(n_patients=4 + seed, patch_range=(2, 2), feature_dim=3,
+                         n_prototypes=2)
+    write_cohort(path.parent, synth_generate(config, seed=seed)[0],
+                 name=path.name.removesuffix("_manifest.json"))
+
+
 @pytest.mark.parametrize("write, name", [
     pytest.param(_write_checkpoint, "out.bin", id="checkpoint"),
     pytest.param(_write_metrics, "out.bin", id="json"),
@@ -604,6 +621,9 @@ def _write_genomics_sidecar(path, seed):
     pytest.param(_write_associations, "assoc.tsv", id="export_assoc_tsv"),
     pytest.param(_write_genomics_matrix, "expr.tsv", id="genomics_matrix"),
     pytest.param(_write_genomics_sidecar, "cats.tsv", id="genomics_sidecar"),
+    pytest.param(_write_bag, "p0.bag", id="bag"),
+    pytest.param(_write_clinical, "clinical.csv", id="clinical_csv"),
+    pytest.param(_write_manifest, "c_manifest.json", id="manifest"),
 ])
 def test_a_write_failing_midway_keeps_the_previous_file(tmp_path, monkeypatch,
                                                        write, name):

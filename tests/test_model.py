@@ -9,7 +9,7 @@ from histodistill.errors import ConfigError
 
 
 def one_bag(bag):
-    return gm.PatchLayout.of(bag.shape[:1])
+    return gm.BagStack.of([bag])
 
 
 def small_config(**overrides):
@@ -26,7 +26,7 @@ def small_config(**overrides):
 def test_assoc_single_patch_one_column():
     model = gm.build_model(small_config(), seed=0)
     bag = np.random.default_rng(0).normal(size=(1, 8))
-    out = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    out = gm.assoc_forward(model.assoc, one_bag(bag))
     # one patch, padded to a layout 8 wide
     assert out.scores.shape == (1, 2, 8)
     assert (out.scores[:, :, 1:] == 0.0).all()
@@ -40,8 +40,8 @@ def test_assoc_duplicated_patches_leave_features_unchanged():
     rng = np.random.default_rng(1)
     bag = rng.normal(size=(5, 8))
     doubled = np.concatenate([bag, bag], axis=0)
-    a = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
-    b = gm.assoc_forward(model.assoc, tensor(doubled), one_bag(doubled))
+    a = gm.assoc_forward(model.assoc, one_bag(bag))
+    b = gm.assoc_forward(model.assoc, one_bag(doubled))
     np.testing.assert_allclose(a.features.values, b.features.values, atol=1e-12)
     # scores are per patch, so the block just repeats
     np.testing.assert_allclose(b.scores[0, :, :10], np.tile(a.scores[0, :, :5], (1, 2)),
@@ -59,9 +59,8 @@ def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
     params.ffn_first.w2.assign_(np.zeros_like(params.ffn_first.w2.values))
     params.ffn_first.b2.assign_(np.zeros_like(params.ffn_first.b2.values))
     bag = np.random.default_rng(2).normal(size=(4, 8))
-    out = gm.assoc_forward(params, tensor(bag), one_bag(bag))
-    keys = blocks.patch_keys(params.mhca, tensor(bag), one_bag(bag),
-                             params.in_w, params.in_b)
+    out = gm.assoc_forward(params, one_bag(bag))
+    keys = blocks.patch_keys(params.mhca, one_bag(bag), params.in_w, params.in_b)
     _, direct_scores = blocks.mhca_forward(params.mhca, params.tokens, keys)
     np.testing.assert_allclose(out.scores, direct_scores,
                                atol=1e-12)
@@ -72,8 +71,8 @@ def test_assoc_score_columns_permute_with_patches():
     rng = np.random.default_rng(3)
     bag = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    a = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
-    b = gm.assoc_forward(model.assoc, tensor(bag[perm]), one_bag(bag))
+    a = gm.assoc_forward(model.assoc, one_bag(bag))
+    b = gm.assoc_forward(model.assoc, one_bag(bag[perm]))
     np.testing.assert_allclose(a.scores[0][:, perm], b.scores[0, :, :6],
                                atol=1e-12)
 
@@ -81,9 +80,9 @@ def test_assoc_score_columns_permute_with_patches():
 def test_shared_mhca_parameters_drive_both_rounds():
     model = gm.build_model(small_config(), seed=4)
     bag = np.random.default_rng(4).normal(size=(3, 8))
-    before = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    before = gm.assoc_forward(model.assoc, one_bag(bag))
     model.assoc.mhca.wq.assign_(model.assoc.mhca.wq.values + 0.5)
-    after = gm.assoc_forward(model.assoc, tensor(bag), one_bag(bag))
+    after = gm.assoc_forward(model.assoc, one_bag(bag))
     # round one moved (features depend on it) and so did round-two scores
     assert not np.allclose(before.first_pass.values, after.first_pass.values)
     assert not np.allclose(before.scores, after.scores)
@@ -227,6 +226,26 @@ def test_hazard_output_consistency():
     out = gm.hazard_output(np.array([0.2, 0.3]))
     np.testing.assert_allclose(out.survival, [0.8, 0.56], atol=1e-15)
     np.testing.assert_allclose(out.risk, -(0.8 + 0.56), atol=1e-15)
+
+
+def test_one_bag_predict_builds_at_most_71_tape_nodes(monkeypatch):
+    # Default shapes; inference records no tape, but every op still makes a
+    # node, so the count is the forward's Python overhead per patient.
+    from histodistill.datasets import SynthConfig
+    from histodistill.training import TrainConfig
+    synth = SynthConfig()
+    model = gm.build_model(TrainConfig().model_config(synth.feature_dim,
+                                                      synth.gene_counts), seed=0)
+    made = []
+    make = ad._make
+
+    def counting_make(*args):
+        made.append(args[3])
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    gm.predict(model, np.random.default_rng(0).normal(size=(64, synth.feature_dim)))
+    assert 0 < len(made) <= 71, sorted(made)
 
 
 # ---------------------------------------------------------------------------
