@@ -16,19 +16,21 @@ from histodistill.autodiff import backward, tensor
 rng = np.random.default_rng(7)
 
 # ---------------------------------------------------------------------------
-# a scalar chain: y = tanh(w * x + b)
+# a scalar chain: y = sigmoid(w * x + b)
 # ---------------------------------------------------------------------------
 
 x = tensor(np.array([0.5]))
 w = tensor(np.array([1.2]), requires_grad=True)
 b = tensor(np.array([-0.3]), requires_grad=True)
 
-y = ad.tanh(ad.add(ad.mul(w, x), b))
+y = ad.sigmoid(ad.add(ad.mul(w, x), b))
 print("forward value:", y.values)
 
 grads = backward(y)
-print("dy/dw:", grads[w], " analytic:", (1 - np.tanh(1.2 * 0.5 - 0.3) ** 2) * 0.5)
-print("dy/db:", grads[b], " analytic:", (1 - np.tanh(1.2 * 0.5 - 0.3) ** 2))
+s = 1.0 / (1.0 + np.exp(-(1.2 * 0.5 - 0.3)))     # dy/dz = s * (1 - s)
+print("dy/dw:", grads[w], " analytic:", s * (1 - s) * 0.5)
+print("dy/db:", grads[b], " analytic:", s * (1 - s))
+assert np.allclose(grads[w], s * (1 - s) * 0.5) and np.allclose(grads[b], s * (1 - s))
 
 # ---------------------------------------------------------------------------
 # gradients accumulate
@@ -38,7 +40,7 @@ print("dy/db:", grads[b], " analytic:", (1 - np.tanh(1.2 * 0.5 - 0.3) ** 2))
 # is what lets the trainer sum gradients over an accumulation group before
 # one optimizer step. Calling it twice therefore doubles the stored grad:
 
-backward(ad.tanh(ad.add(ad.mul(w, x), b)))
+backward(ad.sigmoid(ad.add(ad.mul(w, x), b)))
 print("after a second backward, w.grad =", w.grad, "(twice dy/dw)")
 
 # start a fresh measurement by zeroing explicitly

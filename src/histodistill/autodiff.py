@@ -5,9 +5,9 @@ broadcast arithmetic, softmax with an optional mask, the usual
 activations, concatenation and row gathering, and a finite-difference
 gradient checker. Composites that run many times per training step are
 single nodes with closed-form backwards: the affine map, two affine maps
-composed into one (applied to rows, or as an augmented weight split into
-heads), layer normalization, head split/merge with batched
-matmul, the row gather that pads a stack of bags, the two row-wise
+composed into one augmented weight split into heads, the tanh/sigmoid
+gated scores of a stack's packed rows, layer normalization, head
+split/merge with batched matmul, the row gather, the two row-wise
 reconstruction error terms, and the running product of survival. Ops are
 plain functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
 A value that must not carry gradient leaves the tape as a plain array.
@@ -185,19 +185,7 @@ def mul(a, b) -> Tensor:
     return _make(out_values, (a, b), backward_fn, "mul")
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    x = _as_tensor(x)
-    if x.values.ndim < 2:
-        raise ShapeError(f"transpose needs at least 2 axes, got {x.shape}")
-
-    def backward_fn(g):
-        _accumulate(x, g.swapaxes(-1, -2))
-
-    return _make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
-
-
-# Under `no_grad`, `linear` and `composed_linear` run their rows in whole
+# Under `no_grad`, `linear` and `gated_scores` run their rows in whole
 # blocks of ROW_ALIGN and their inner dimension in blocks of at most
 # INNER_BLOCK (see `_row_invariant_product`); `blocks.aligned` rounds patch
 # counts up to ROW_ALIGN.
@@ -276,48 +264,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(out_values, (x, weight, bias), backward_fn, "linear")
 
 
-def composed_linear(x: Tensor, w0: Tensor, b0: Tensor, w1: Tensor,
-                    b1: Tensor) -> Tensor:
-    """Two affine maps in a row, (x @ w0 + b0) @ w1 + b1, as one node.
-
-    Computed as x @ (w0 @ w1) + (b0 @ w1 + b1), so the (rows, mid)
-    intermediate is never formed: on a bag of patches with fan_in < mid
-    that is one narrow product over the rows instead of two. The composed
-    weight is built from the current leaf values on every call. Under
-    `no_grad` the row product is `_row_invariant_product`, as in `linear`.
-    The backward forms one x.T @ g and derives all four parameter
-    gradients from that (fan_in, fan_out) matrix; it skips the input
-    gradient for a constant x.
-    """
-    x, w0, b0, w1, b1 = (_as_tensor(t) for t in (x, w0, b0, w1, b1))
-    if x.values.ndim != 2 or w0.values.ndim != 2 or w1.values.ndim != 2:
-        raise ShapeError(f"composed_linear needs 2-d operands, got {x.shape}, "
-                         f"{w0.shape} and {w1.shape}")
-    if (x.shape[1] != w0.shape[0] or b0.shape != (w0.shape[1],)
-            or w1.shape[0] != w0.shape[1] or b1.shape != (w1.shape[1],)):
-        raise ShapeError(f"composed_linear shapes do not chain: ({x.shape} @ "
-                         f"{w0.shape} + {b0.shape}) @ {w1.shape} + {b1.shape}")
-    weight = w0.values @ w1.values
-    bias = b0.values @ w1.values + b1.values
-    if _grad_enabled:
-        out_values = x.values @ weight
-    else:
-        out_values = _row_invariant_product(x.values, weight)
-    out_values += bias
-
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g @ weight.T)
-        grad_weight = x.values.T @ g
-        grad_bias = g.sum(axis=0)
-        _accumulate(w0, grad_weight @ w1.values.T)
-        _accumulate(b0, w1.values @ grad_bias)
-        _accumulate(w1, w0.values.T @ grad_weight + np.outer(b0.values, grad_bias))
-        _accumulate(b1, grad_bias)
-
-    return _make(out_values, (x, w0, b0, w1, b1), backward_fn, "composed_linear")
-
-
 def affine_compose(w0: Tensor, b0: Tensor, w1: Tensor, b1: Tensor,
                    heads: int) -> Tensor:
     """Two affine maps in a row as one augmented weight, split into heads.
@@ -356,6 +302,63 @@ def affine_compose(w0: Tensor, b0: Tensor, w1: Tensor, b1: Tensor,
         _accumulate(b1, grad[-1])
 
     return _make(out_values, (w0, b0, w1, b1), backward_fn, "affine_compose")
+
+
+def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
+                 score_b: Tensor, index: np.ndarray) -> Tensor:
+    """Gated-attention scores of packed rows, laid out as (B, 1, W) rows.
+
+    Per row x of `bag` (N, D), (tanh(x Wu + bu) * sigmoid(x Wv + bv)) @
+    score_w + score_b: u and v are augmented weights [[Wu], [bu]], (1, 1,
+    D + 1, width) as `affine_compose(..., heads=1)` gives them. Row
+    index[b, i] of the (B, W) `index` lands at [b, 0, i]; a negative index
+    is a pad and scores 0. Under `no_grad` all three products are
+    `_row_invariant_product`s, as in `linear`. The backward keeps only the
+    tanh and sigmoid outputs and skips the input gradient for a constant
+    bag.
+    """
+    bag, u, v, score_w, score_b = (_as_tensor(t) for t in (bag, u, v, score_w, score_b))
+    index = np.asarray(index)
+    if (bag.values.ndim != 2 or score_w.values.ndim != 2 or score_w.shape[1] != 1
+            or u.shape != (1, 1, bag.shape[1] + 1, score_w.shape[0]) or v.shape != u.shape
+            or score_b.shape != (1,) or index.ndim != 2):
+        raise ShapeError(f"gated_scores operands do not chain: rows {bag.shape}, maps "
+                         f"{u.shape} and {v.shape}, score {score_w.shape} + "
+                         f"{score_b.shape}, index {index.shape}")
+    product = np.matmul if _grad_enabled else _row_invariant_product
+    t, s = (product(bag.values, m.values[0, 0, :-1]) for m in (u, v))
+    t += u.values[0, 0, -1]
+    s += v.values[0, 0, -1]
+    np.tanh(t, out=t)
+    _sigmoid_into(s, s)
+    scores = product(t * s, score_w.values)[:, 0] + score_b.values
+    try:
+        out_values = np.where(index < 0, 0.0, scores.take(index))[:, None]
+    except IndexError as err:
+        raise ShapeError(f"gated_scores index out of range for {bag.shape[0]} "
+                         f"rows") from err
+
+    def backward_fn(g):
+        # One spare last entry takes every pad's gradient and is dropped.
+        g_scores = np.zeros((bag.shape[0] + 1, 1))
+        g_scores[index, 0] = g[:, 0]
+        g_scores = g_scores[:-1]
+        _accumulate(score_w, (t * s).T @ g_scores)
+        _accumulate(score_b, g_scores.sum(axis=0))
+        g_gate = g_scores * score_w.values[:, 0]
+        g_t = g_gate * s                            # g * s * (1 - t * t)
+        slope = np.multiply(t, t)
+        g_t *= np.subtract(1.0, slope, out=slope)
+        g_s = np.multiply(g_gate, t, out=g_gate)    # g * t * s * (1 - s)
+        g_s *= s
+        g_s *= np.subtract(1.0, s, out=slope)
+        for m, g_pre in ((u, g_t), (v, g_s)):
+            if bag.requires_grad:   # skips the product for a constant bag
+                _accumulate(bag, g_pre @ m.values[0, 0, :-1].T)
+            grad = np.concatenate([bag.values.T @ g_pre, g_pre.sum(axis=0)[None]])
+            _accumulate(m, grad[None, None])
+
+    return _make(out_values, (bag, u, v, score_w, score_b), backward_fn, "gated_scores")
 
 
 def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
@@ -445,9 +448,8 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Rows of x picked by an integer array; a negative index picks a zero row.
 
     The result has shape index.shape + x.shape[1:]. Each row of x may be
-    picked at most once, so the backward is a plain scatter. Padding a
-    stack of bags and picking one category's row from every bag are both
-    such gathers.
+    picked at most once, so the backward is a plain scatter. Picking one
+    category's row from every bag is such a gather.
     """
     x = _as_tensor(x)
     index = np.asarray(index)
@@ -561,20 +563,25 @@ def elu(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "elu")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    v = x.values
-    # exp(min(v, 0)) / (1 + exp(-|v|)): the numerator is 1 for v >= 0 and
-    # exp(v) below, so no exp overflows and no select runs per element.
-    # Each step writes into one of the two arrays made here (a 0-d input
-    # too, which a ufunc without `out` would turn into a scalar).
-    y = np.minimum(v, 0.0, out=np.empty_like(v))
-    np.exp(y, out=y)
+def _sigmoid_into(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigmoid(v) = exp(min(v, 0)) / (1 + exp(-|v|)) written into `out`, which
+    may be v: the numerator is 1 for v >= 0 and exp(v) below, so no exp
+    overflows and no select runs per element. Each step writes into `out`
+    or the one array made here (a 0-d input too, which a ufunc without
+    `out` would turn into a scalar)."""
     denom = np.abs(v, out=np.empty_like(v))
     np.negative(denom, out=denom)
     np.exp(denom, out=denom)
     denom += 1.0
-    y /= denom
+    np.minimum(v, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= denom
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    y = _sigmoid_into(x.values, np.empty_like(x.values))
 
     def backward_fn(g):
         grad = g * y            # (g * y) * (1 - y), in a fresh array
@@ -582,19 +589,6 @@ def sigmoid(x: Tensor) -> Tensor:
         _accumulate(x, grad)
 
     return _make(y, (x,), backward_fn, "sigmoid")
-
-
-def tanh(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.values)
-
-    def backward_fn(g):
-        grad = np.multiply(y, y, out=np.empty_like(y))   # g * (1 - y * y)
-        np.subtract(1.0, grad, out=grad)
-        grad *= g
-        _accumulate(x, grad)
-
-    return _make(y, (x,), backward_fn, "tanh")
 
 
 def clip_min(x: Tensor, lo: float) -> Tensor:

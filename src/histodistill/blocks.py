@@ -18,8 +18,8 @@ composed with the projection (proj_w, proj_b) that precedes it:
   after pooling: a head's output is (A_h X~) Wv~_h, exact up to rounding
   because every attention row sums to 1 over real patches and the ones
   column carries the bias;
-- the gate's tanh and sigmoid pre-activations are one
-  `autodiff.composed_linear` each over the packed raw rows;
+- the gate's tanh and sigmoid maps, composed into augmented weights, and
+  its score are one `autodiff.gated_scores` node over the packed raw rows;
 - pooling (`pooled_projection`) pools the padded raw rows and projects
   the pooled rows, again exact up to rounding since every pooling row
   sums to 1.
@@ -304,21 +304,22 @@ class GatedAttentionParams:
 def gated_attention_weights(params: GatedAttentionParams, stack: BagStack,
                             proj_w: Tensor, proj_b: Tensor
                             ) -> tuple[Tensor, np.ndarray]:
-    """Instance weights after softmax over each bag, shape (B, W, 1).
+    """Instance weights after softmax over each bag, one (B, 1, W) pooling
+    row per bag.
 
     Scores are computed on the packed raw rows projected by (proj_w,
-    proj_b), each gate map composed with that projection; each bag's
-    column sums to 1 and pads get weight 0. Also returns the pre-softmax
-    scores as a plain (B, 1, W) array, 0 at pads, through which no
-    gradient can flow.
+    proj_b), each gate map composed with that projection; each bag's row
+    sums to 1 and pads get weight 0. Also returns the pre-softmax scores
+    as a plain (B, 1, W) array, 0 at pads, through which no gradient can
+    flow.
     """
-    bag, layout = stack.bag, stack.layout
-    gate = ad.mul(
-        ad.tanh(ad.composed_linear(bag, proj_w, proj_b, params.u_w, params.u_b)),
-        ad.sigmoid(ad.composed_linear(bag, proj_w, proj_b, params.v_w, params.v_b)))
-    raw = ad.gather_rows(linear(gate, params.score_w, params.score_b), layout.index)
-    weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
-    return weights, raw.values.transpose(0, 2, 1)
+    layout = stack.layout
+    scores = ad.gated_scores(
+        stack.bag, ad.affine_compose(proj_w, proj_b, params.u_w, params.u_b, heads=1),
+        ad.affine_compose(proj_w, proj_b, params.v_w, params.v_b, heads=1),
+        params.score_w, params.score_b, layout.index)
+    weights = ad.softmax(scores, axis=-1, mask=layout.mask[:, None, :])
+    return weights, scores.values
 
 
 def pooled_projection(pooling: Tensor, stack: BagStack, proj_w: Tensor,

@@ -187,6 +187,15 @@ def assign_bins(times: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
                            side="right").astype(np.int64)
 
 
+def comparable_pairs(times: np.ndarray,
+                     censor: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The pairs a c-index compares: each patient i with an observed event,
+    with the mask of the patients whose time is strictly later."""
+    times = np.asarray(times, dtype=np.float64)
+    for i in np.flatnonzero(np.asarray(censor) == 0):
+        yield i, times > times[i]
+
+
 # ---------------------------------------------------------------------------
 # fold splitting
 # ---------------------------------------------------------------------------
@@ -197,12 +206,15 @@ def make_folds(cohort: Cohort, seed: int,
 
     Events and censored patients are shuffled separately, concatenated, and
     dealt round-robin, so each fold's censoring proportion tracks the
-    cohort's and validation sizes differ by at most one.
+    cohort's and validation sizes differ by at most one. A validation fold
+    without a comparable pair, whose c-index is undefined, is a
+    `ConfigError` naming the fold.
     """
     n = len(cohort)
     if n < n_folds:
         raise ConfigError(f"cannot split {n} patients into {n_folds} folds")
     rng = np.random.default_rng(seed)
+    times = cohort.times()
     censor = cohort.censor_flags()
     events = np.flatnonzero(censor == 0)
     censored = np.flatnonzero(censor == 1)
@@ -211,6 +223,9 @@ def make_folds(cohort: Cohort, seed: int,
     all_idx = np.arange(n)
     for f in range(n_folds):
         val = np.sort(order[f::n_folds])
+        if not any(later.any() for _, later in comparable_pairs(times[val], censor[val])):
+            raise ConfigError(f"validation fold {f} of {n_folds} has no comparable pair "
+                              f"(an event with a later time in the fold) to score")
         train = np.setdiff1d(all_idx, val)
         folds.append((train, val))
     return folds

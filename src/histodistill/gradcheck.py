@@ -61,22 +61,6 @@ def _check_linear(eps: float) -> float:
         params, eps)
 
 
-def _check_composed_linear(eps: float) -> float:
-    rng = np.random.default_rng(32)
-    probe = rng.normal(size=(5, 4))
-    params = {
-        "x": ad.tensor(rng.normal(size=(5, 3)), requires_grad=True),
-        "w0": ad.tensor(rng.normal(size=(3, 6)), requires_grad=True),
-        "b0": ad.tensor(rng.normal(size=6), requires_grad=True),
-        "w1": ad.tensor(rng.normal(size=(6, 4)), requires_grad=True),
-        "b1": ad.tensor(rng.normal(size=4), requires_grad=True),
-    }
-    return grad_check(
-        lambda p: _scalarize(ad.composed_linear(p["x"], p["w0"], p["b0"], p["w1"],
-                                                p["b1"]), probe),
-        params, eps)
-
-
 def _check_affine_compose(eps: float) -> float:
     rng = np.random.default_rng(33)
     probe = rng.normal(size=(1, 2, 4, 3))
@@ -230,7 +214,7 @@ def _check_gated_attention(eps: float) -> float:
     gate = blocks.GatedAttentionParams.init(rng, 5)
     proj_w, proj_b = blocks.linear_params(rng, 3, 5)
     proj_b.assign_(rng.normal(size=5))
-    probe = rng.normal(size=(2, 8, 1))
+    probe = rng.normal(size=(2, 1, 8))
     params = dict(gate.named_tensors("gate"))
     params.update(bag=bag, proj_w=proj_w, proj_b=proj_b)
 
@@ -361,7 +345,6 @@ def _check_end_to_end(eps: float) -> float:
 
 _CHECKS: tuple[tuple[str, Callable[[float], float]], ...] = (
     ("linear", _check_linear),
-    ("composed_linear", _check_composed_linear),
     ("affine_compose", _check_affine_compose),
     ("layer_norm", _check_layer_norm),
     ("split_heads", _check_split_heads),

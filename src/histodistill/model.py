@@ -25,13 +25,14 @@ rows are padded once, with a trailing ones column, into a
 `blocks.BagStack`. The association cross-attention attends over them with
 `in_w` composed into its key and value maps: the key map folds into the
 queries and the value map applies after pooling, so no per-patch key or
-value is formed. The survival gate's pre-activations are `value_w`
-composed with `u_w`/`v_w` (and `in_w` with each category gate's under
-`gated_recon`), one `autodiff.composed_linear` each over the packed raw
-rows. Pooled values are the pooled raw rows projected by `value_w` (or
-`in_w`), `blocks.pooled_projection`: every pooling row, morphology
-softmax, top-k mask or their mean, sums to 1, so this equals pooling the
-projected rows up to rounding.
+value is formed. The survival gate's maps are `value_w` composed with
+`u_w`/`v_w` (and `in_w` with each category gate's under `gated_recon`),
+and its scores are one `autodiff.gated_scores` node over the packed raw
+rows, laid out as one (B, 1, W) pooling row per bag. Pooled values are
+the pooled raw rows projected by `value_w` (or `in_w`),
+`blocks.pooled_projection`: every pooling row, morphology softmax, top-k
+mask or their mean, sums to 1, so this equals pooling the projected rows
+up to rounding.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def gated_assoc_forward(params: GatedAssocBranchParams,
     for gate in params.gates:
         weights, scores = blocks.gated_attention_weights(gate, stack, params.in_w,
                                                          params.in_b)
-        weight_rows.append(ad.transpose(weights))
+        weight_rows.append(weights)
         score_rows.append(scores)
     features = blocks.pooled_projection(ad.concat(weight_rows, axis=1), stack,
                                         params.in_w, params.in_b)
@@ -319,11 +320,11 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
 def fused_attention(morph_weights: Tensor, masked_assoc: np.ndarray) -> Tensor:
     """Mean of broadcast morphology weights and masked association rows.
 
-    morph_weights is (..., N_p, 1) and sums to 1 over patches; each row of
+    morph_weights is (..., 1, N_p) and sums to 1 over patches; each row of
     the (..., N_g, N_p) result is a distribution over patches (rows sum
     to 1).
     """
-    return ad.mul(ad.add(ad.transpose(morph_weights), masked_assoc), 0.5)
+    return ad.mul(ad.add(morph_weights, masked_assoc), 0.5)
 
 
 @dataclass
@@ -363,16 +364,15 @@ def survival_forward(params: SurvivalBranchParams, stack: BagStack,
                                        params.comp_gain, params.comp_bias))
     flat = ad.reshape(compressed, (stack.layout.batch, cfg.n_tokens * cfg.compress_width))
     hazards = ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
-    diag = SurvivalDiagnostics(None if morph is None else morph.values.copy(),
-                               masked_assoc, fused.values.copy())
+    morph_weights = None if morph is None else morph.values.swapaxes(1, 2).copy()
+    diag = SurvivalDiagnostics(morph_weights, masked_assoc, fused.values.copy())
     return hazards, diag
 
 
 def baseline_forward(params: BaselineParams, stack: BagStack) -> Tensor:
     weights, _ = blocks.gated_attention_weights(params.gate, stack, params.value_w,
                                                 params.value_b)
-    pooled = blocks.pooled_projection(ad.transpose(weights), stack,
-                                      params.value_w, params.value_b)
+    pooled = blocks.pooled_projection(weights, stack, params.value_w, params.value_b)
     return ad.sigmoid(linear(pooled, params.cls_w, params.cls_b))
 
 

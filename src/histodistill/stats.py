@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datasets import comparable_pairs
 from .errors import UndefinedResultError
 from .io import write_atomic
 
@@ -19,16 +20,13 @@ def c_index(risks: np.ndarray, times: np.ndarray, censor: np.ndarray) -> float:
     """Concordance over comparable pairs.
 
     A pair (i, j) is comparable when patient i has an observed event and
-    time_i < time_j; it is concordant when risk_i > risk_j, and risk ties
-    count half.
+    time_i < time_j (`datasets.comparable_pairs`); it is concordant when
+    risk_i > risk_j, and risk ties count half.
     """
     risks = np.asarray(risks, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    censor = np.asarray(censor)
     concordant = 0.0
     comparable = 0
-    for i in np.flatnonzero(censor == 0):
-        later = times > times[i]
+    for i, later in comparable_pairs(times, censor):
         comparable += int(later.sum())
         concordant += float((risks[i] > risks[later]).sum())
         concordant += 0.5 * float((risks[i] == risks[later]).sum())

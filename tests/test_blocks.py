@@ -42,7 +42,7 @@ def one_bag_weights(params, bag):
     """Gated-attention weights of one bag as an (N_p, 1) array."""
     weights, _ = blocks.gated_attention_weights(params, one_bag(bag),
                                                 *identity_projection(bag))
-    return weights.values[0, :bag.shape[0]]
+    return weights.values[0, 0, :bag.shape[0], None]
 
 
 def identity_mhca(width):

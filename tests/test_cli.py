@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from histodistill import cli
-from histodistill.datasets import SynthConfig, synth_generate
+from histodistill.datasets import SurvivalLabel, SynthConfig, synth_generate
 from histodistill.io import load_cohort, write_cohort
 
 
@@ -284,6 +284,25 @@ def test_cross_validate_cli(workspace, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "c-index mean" in printed
     assert "pooled log-rank p" in printed
+
+
+def test_a_validation_fold_without_comparable_pairs_fails_before_training(tmp_path,
+                                                                         capsys):
+    # 4 early events over 5 folds: folds 0-3 get one event each, with later
+    # censored times beside it, and fold 4 none, so its c-index is undefined
+    cohort, _ = synth_generate(SynthConfig(**{**SYNTH_SECTION, "n_patients": 20}), seed=0)
+    for i, patient in enumerate(cohort):
+        patient.label = SurvivalLabel(1.0 + i, 0) if i < 4 else SurvivalLabel(50.0 + i, 1)
+    manifest = write_cohort(tmp_path / "data", cohort)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {**TRAIN_SECTION, "n_folds": 5}}))
+    for command in (["cross-validate"], ["train", "--fold", "0"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(config), "--manifest", str(manifest),
+                         "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "validation fold 4 of 5 has no comparable pair" in err, err
+        assert not list(out.glob("fold*.ghck"))
 
 
 def test_single_patch_bags_at_k_10(tmp_path, monkeypatch):

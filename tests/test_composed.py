@@ -2,13 +2,15 @@
 
 The oracle below is the model's earlier per-patch code: the bag is
 projected by `in_w` or `value_w` on the tape, keys, values and the gate's
-pre-activations are linear maps of that projection, cross-attention runs
-over the formed keys and values, and pooling runs over
-the gathered projected rows. The model now attends over the padded raw
-rows with the key map folded into the queries and the value map applied
-after pooling, runs each gate chain as one `autodiff.composed_linear`
-over the raw rows, and pools raw rows before projecting; both must give
-the same hazards, losses and gradients up to rounding.
+pre-activations are linear maps of that projection, the gate is built
+from tanh, sigmoid, product and score nodes into (B, W, 1) weights,
+cross-attention runs over the formed keys and values, and pooling runs
+over the gathered projected rows. The model now attends over the padded
+raw rows with the key map folded into the queries and the value map
+applied after pooling, scores each gate as one `autodiff.gated_scores`
+node over the raw rows with its maps composed into augmented weights,
+and pools raw rows before projecting; both must give the same hazards,
+losses and gradients up to rounding.
 """
 
 import math
@@ -34,6 +36,41 @@ DEAD = ("mhca.bk", "mhsa.bk", "score_b")
 # ---------------------------------------------------------------------------
 # the unfolded chain
 # ---------------------------------------------------------------------------
+
+def tanh(x):
+    x = ad._as_tensor(x)
+    y = np.tanh(x.values)
+
+    def backward_fn(g):
+        grad = np.multiply(y, y, out=np.empty_like(y))   # g * (1 - y * y)
+        np.subtract(1.0, grad, out=grad)
+        grad *= g
+        ad._accumulate(x, grad)
+
+    return ad._make(y, (x,), backward_fn, "tanh")
+
+
+def transpose(x):
+    """Swap the last two axes."""
+    x = ad._as_tensor(x)
+    if x.values.ndim < 2:
+        raise ad.ShapeError(f"transpose needs at least 2 axes, got {x.shape}")
+
+    def backward_fn(g):
+        ad._accumulate(x, g.swapaxes(-1, -2))
+
+    return ad._make(x.values.swapaxes(-1, -2).copy(), (x,), backward_fn, "transpose")
+
+
+def fused_attention(morph_weights, masked_assoc):
+    """Mean of broadcast morphology weights and masked association rows.
+
+    morph_weights is (..., N_p, 1) and sums to 1 over patches; each row of
+    the (..., N_g, N_p) result is a distribution over patches (rows sum
+    to 1).
+    """
+    return ad.mul(ad.add(transpose(morph_weights), masked_assoc), 0.5)
+
 
 @dataclass
 class PatchKeys:
@@ -72,7 +109,7 @@ def oracle_mhca_forward(params, queries, keys, score_head=None, per_bag=False):
 
 
 def oracle_gated_attention_weights(params, proj, layout):
-    gate = ad.mul(ad.tanh(ad.linear(proj, params.u_w, params.u_b)),
+    gate = ad.mul(tanh(ad.linear(proj, params.u_w, params.u_b)),
                   ad.sigmoid(ad.linear(proj, params.v_w, params.v_b)))
     raw = ad.gather_rows(ad.linear(gate, params.score_w, params.score_b), layout.index)
     weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
@@ -101,7 +138,7 @@ def oracle_gated_assoc_forward(params, stack):
     feature_rows, score_rows = [], []
     for gate in params.gates:
         weights, scores = oracle_gated_attention_weights(gate, proj, layout)
-        feature_rows.append(ad.batched_matmul(ad.transpose(weights), values))
+        feature_rows.append(ad.batched_matmul(transpose(weights), values))
         score_rows.append(scores)
     features = ad.reshape(ad.concat(feature_rows, axis=1),
                           (layout.batch * len(params.gates), proj.shape[1]))
@@ -119,7 +156,7 @@ def oracle_survival_forward(params, stack, scores, features, cfg,
         fused = ad.tensor(masked_assoc)
     else:
         morph, _ = oracle_gated_attention_weights(params.gate, proj, layout)
-        fused = gm.fused_attention(morph, masked_assoc)
+        fused = fused_attention(morph, masked_assoc)
     pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
                         (layout.batch * cfg.n_tokens, proj.shape[1]))
     if cfg.cut_bridge or features is None:
@@ -141,7 +178,7 @@ def oracle_baseline_forward(params, stack):
     bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.value_w, params.value_b)
     weights, _ = oracle_gated_attention_weights(params.gate, proj, layout)
-    pooled = ad.batched_matmul(ad.transpose(weights), ad.gather_rows(proj, layout.index))
+    pooled = ad.batched_matmul(transpose(weights), ad.gather_rows(proj, layout.index))
     flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))
     return ad.sigmoid(ad.linear(flat, params.cls_w, params.cls_b))
 
@@ -250,34 +287,42 @@ def test_the_raw_bag_feeds_only_composed_products():
         for parent in node._parents:
             if parent._op == "leaf" and parent.shape in constants:
                 consumers.append((constants[parent.shape], node._op))
-    # The packed rows feed the survival gate's tanh and sigmoid inputs; the
-    # padded rows feed the two cross-attention rounds' score and pooling
-    # products and the survival pooling.
-    assert sorted(consumers) == [("bag", "composed_linear")] * 2 + [
-        ("raw", "batched_matmul")] + [("rows", "batched_matmul")] * 2 + [
-        ("rows_t", "batched_matmul")] * 2
-    # no per-patch key or value: every per-patch node is the gate's
-    assert sorted(per_patch) == sorted(["composed_linear", "composed_linear",
-                                        "tanh", "sigmoid", "mul", "linear"])
+    # The packed rows feed only the survival gate's score node, which lays
+    # its scores out padded; the padded rows feed the two cross-attention
+    # rounds' score and pooling products and the survival pooling.
+    assert sorted(consumers) == [("bag", "gated_scores"), ("raw", "batched_matmul")] + [
+        ("rows", "batched_matmul")] * 2 + [("rows_t", "batched_matmul")] * 2
+    # no per-patch key, value or gate activation is left on the tape
+    assert per_patch == []
 
 
-def test_composed_linear_equals_two_linear_maps():
+def test_gated_scores_equals_the_unfolded_gate():
     rng = np.random.default_rng(6)
+    layout = blocks.PatchLayout.of([5, 1, 7])
     x = ad.tensor(rng.normal(size=(13, 5)))
     w0, b0 = ad.tensor(rng.normal(size=(5, 7))), ad.tensor(rng.normal(size=7))
-    w1, b1 = ad.tensor(rng.normal(size=(7, 3))), ad.tensor(rng.normal(size=3))
-    want = ad.linear(ad.linear(x, w0, b0), w1, b1).values
-    np.testing.assert_allclose(ad.composed_linear(x, w0, b0, w1, b1).values, want,
-                               rtol=1e-13, atol=1e-13)
+    maps = [(ad.tensor(rng.normal(size=(7, 3))), ad.tensor(rng.normal(size=3)))
+            for _ in range(2)]
+    score_w, score_b = ad.tensor(rng.normal(size=(3, 1))), ad.tensor(rng.normal(size=1))
+    u, v = (ad.affine_compose(w0, b0, w1, b1, heads=1) for w1, b1 in maps)
+    proj = ad.linear(x, w0, b0)
+    gate = (np.tanh(ad.linear(proj, *maps[0]).values)
+            * ad.sigmoid(ad.linear(proj, *maps[1])).values)
+    scores = (gate @ score_w.values)[:, 0] + score_b.values
+    want = np.where(layout.mask, scores.take(layout.index), 0.0)[:, None]
+    got = ad.gated_scores(x, u, v, score_w, score_b, layout.index).values
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     with ad.no_grad():
         # inference rows come out alike alone and with other rows around
-        alone = ad.composed_linear(ad.tensor(x.values[4:5]), w0, b0, w1, b1).values
-        stacked = ad.composed_linear(x, w0, b0, w1, b1).values
-    np.testing.assert_array_equal(alone[0], stacked[4])
+        alone = ad.gated_scores(ad.tensor(x.values[6:]), u, v, score_w, score_b,
+                                blocks.PatchLayout.of([7]).index).values
+        stacked = ad.gated_scores(x, u, v, score_w, score_b, layout.index).values
+    np.testing.assert_array_equal(alone[0], stacked[2])
     with pytest.raises(ad.ShapeError):
-        ad.composed_linear(x, w0, b0, ad.tensor(rng.normal(size=(5, 3))), b1)
+        ad.gated_scores(x, u, ad.tensor(np.zeros((1, 1, 6, 4))), score_w, score_b,
+                        layout.index)
     with pytest.raises(ad.ShapeError):
-        ad.composed_linear(x, w0, ad.tensor(np.zeros(5)), w1, b1)
+        ad.gated_scores(x, u, v, score_w, score_b, layout.index + 1)
 
 
 def test_affine_compose_is_the_augmented_weight_of_two_linear_maps():

@@ -155,7 +155,7 @@ def test_fused_rows_are_distributions():
     rng = np.random.default_rng(7)
     morph = rng.dirichlet(np.ones(6)).reshape(6, 1)
     masked = gm.topk_masked_softmax(rng.normal(size=(4, 6)), 50.0)
-    fused = gm.fused_attention(tensor(morph), masked).values
+    fused = gm.fused_attention(tensor(morph.T), masked).values
     np.testing.assert_allclose(fused.sum(axis=1), np.ones(4), atol=1e-12)
     assert (fused >= 0).all()
 
@@ -163,14 +163,14 @@ def test_fused_rows_are_distributions():
 def test_fused_mean_of_equal_rows_is_identity():
     morph = np.array([[0.2], [0.3], [0.5]])
     masked = np.tile(morph.T, (2, 1))
-    fused = gm.fused_attention(tensor(morph), masked).values
+    fused = gm.fused_attention(tensor(morph.T), masked).values
     np.testing.assert_allclose(fused, masked, atol=1e-15)
 
 
 def test_fused_uniform_plus_one_hot():
     morph = np.full((4, 1), 0.25)
     masked = np.array([[1.0, 0.0, 0.0, 0.0]])
-    fused = gm.fused_attention(tensor(morph), masked).values
+    fused = gm.fused_attention(tensor(morph.T), masked).values
     np.testing.assert_allclose(fused, [[0.625, 0.125, 0.125, 0.125]],
                                atol=1e-15)
 
@@ -228,7 +228,7 @@ def test_hazard_output_consistency():
     np.testing.assert_allclose(out.risk, -(0.8 + 0.56), atol=1e-15)
 
 
-def test_one_bag_predict_builds_at_most_71_tape_nodes(monkeypatch):
+def test_one_bag_predict_builds_at_most_its_tape_node_cap(monkeypatch):
     # Default shapes; inference records no tape, but every op still makes a
     # node, so the count is the forward's Python overhead per patient.
     from histodistill.datasets import SynthConfig
@@ -245,7 +245,7 @@ def test_one_bag_predict_builds_at_most_71_tape_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_make", counting_make)
     gm.predict(model, np.random.default_rng(0).normal(size=(64, synth.feature_dim)))
-    assert 0 < len(made) <= 71, sorted(made)
+    assert 0 < len(made) <= 66, sorted(made)
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,11 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
         if node._op == "softmax" and pads.shape[1] in node.shape:
             weights.append(node.values)
         # the cross-attention scores, X~^T's product, are (B, heads, N_g, W);
-        # the gated scores are gathered into (B, W, 1)
+        # the gated scores are laid out as (B, 1, W)
         scores = (node._op == "batched_matmul" and node.values.ndim == 4
                   and node.shape[-1] == pads.shape[1])
-        if scores or node._op == "gather_rows" and node.shape[:2] == pads.shape:
-            at_pads = pads[:, None, None, :] if scores else pads
+        if scores or node._op == "gated_scores":
+            at_pads = pads[:, None, None, :] if scores else pads[:, None, :]
             fn = node._backward_fn
 
             def record(g, fn=fn, at_pads=at_pads):
@@ -120,8 +120,8 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     # both cross-attention rounds and the gated pooling
     assert len(weights) == 3
     for w in weights:
-        # cross-attention weights are (B, heads, N_g, N_max), gated (B, N_max, 1)
-        at_pads = pads[:, None, None, :] if w.ndim == 4 else pads[:, :, None]
+        # cross-attention weights are (B, heads, N_g, N_max), gated (B, 1, N_max)
+        at_pads = pads[:, None, None, :] if w.ndim == 4 else pads[:, None, :]
         assert (w[np.broadcast_to(at_pads, w.shape)] == 0.0).all()
     # both rounds' scores and the gated scores
     assert len(pad_grads) == 3
@@ -184,15 +184,22 @@ def test_stacks_keep_order_and_a_bag_above_the_budget_trains_alone(monkeypatch):
     assert len(seen) == (3 if 0 < position < 5 else 2)
 
 
-def test_one_stack_of_eight_64_patch_bags_builds_at_most_141_nodes(monkeypatch):
-    # 140 for the stack's forward and losses, 1 for the accumulation scaling
+# The stack's forward and losses, plus 1 for the accumulation scaling.
+STACK_NODE_CAPS = {"default": 135 + 1, "gated_recon": 130 + 1, "gated_baseline": 21 + 1}
+
+
+@pytest.mark.parametrize("variant", STACK_NODE_CAPS)
+def test_one_stack_of_eight_64_patch_bags_builds_at_most_its_node_cap(variant,
+                                                                       monkeypatch):
     cohort, _ = synth_generate(SynthConfig(n_patients=8, patch_range=(64, 64)), seed=0)
-    config = TrainConfig(epochs=1, accumulation=8)
+    config = TrainConfig(epochs=1, accumulation=8,
+                         **({} if variant == "default" else {variant: True}))
     _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
     every = np.arange(len(cohort))
-    _, targets = gene_targets(cohort, every, None)
-    model = build_model(config.model_config(cohort.feature_dim,
-                                            SynthConfig().gene_counts), seed=0)
+    sizes, targets = (), None
+    if not config.gated_baseline:
+        sizes, (_, targets) = SynthConfig().gene_counts, gene_targets(cohort, every, None)
+    model = build_model(config.model_config(cohort.feature_dim, sizes), seed=0)
     made, losses = [], []
     make, backward = ad._make, ad.backward
 
@@ -210,7 +217,7 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_141_nodes(monkeypatch):
     train_model(model, cohort, every, bins, config, targets,
                 np.random.default_rng(0))
     assert len(losses) == 1, "the eight bags did not share one stack"
-    assert 0 < len(made) <= 141, sorted({node._op for node in made})
+    assert 0 < len(made) <= STACK_NODE_CAPS[variant], sorted({node._op for node in made})
     reachable = set()
     stack = list(losses)
     while stack:
