@@ -13,7 +13,9 @@ plain functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
 A value that must not carry gradient leaves the tape as a plain array.
 Tensors are immutable during an active forward/backward pass, and no
 backward function writes into the gradient it is handed; the optimizer
-mutates leaf values between passes via `assign_`.
+mutates leaf values between passes via `assign_`. `backward` consumes the
+graph it walks, so each interior node is walked by one backward only, and
+its activations are freed during that walk.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Tensor:
     """A dense float64 array plus the tape bookkeeping for backward."""
 
     __slots__ = ("values", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_op", "_backward_done")
+                 "_op", "_backward_done", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
@@ -85,7 +87,7 @@ class Tensor:
 
     def assign_(self, new_values: np.ndarray) -> None:
         """Overwrite leaf values in place (optimizer use, between passes)."""
-        if self._parents:
+        if self._parents or self._backward_done:
             raise GraphError("assign_ is only valid on leaf tensors")
         arr = np.asarray(new_values, dtype=np.float64)
         if arr.shape != self.values.shape:
@@ -445,27 +447,26 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Rows of x picked by an integer array; a negative index picks a zero row.
+    """Rows of x picked by an array of row numbers in [0, len(x)).
 
     The result has shape index.shape + x.shape[1:]. Each row of x may be
     picked at most once, so the backward is a plain scatter. Picking one
-    category's row from every bag is such a gather.
+    category's row from every bag is such a gather. A negative index is a
+    `ShapeError`, where numpy's `take` would count it from the end.
     """
     x = _as_tensor(x)
     index = np.asarray(index)
-    pads = index < 0
+    if index.size and index.min() < 0:
+        raise ShapeError(f"gather index {int(index.min())} is negative")
     try:
         out_values = x.values.take(index, axis=0)
     except IndexError as err:
         raise ShapeError(f"gather index out of range for shape {x.shape}") from err
-    if pads.any():
-        out_values[pads] = 0.0
 
     def backward_fn(g):
-        # One spare last row takes every pad's gradient and is dropped.
-        full = np.zeros((x.shape[0] + 1,) + x.shape[1:], dtype=np.float64)
+        full = np.zeros(x.shape)
         full[index] = g
-        _accumulate(x, full[:-1])
+        _accumulate(x, full)
 
     return _make(out_values, (x,), backward_fn, "gather_rows")
 
@@ -714,6 +715,11 @@ def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _topological_order(root: Tensor) -> list[Tensor]:
+    """Every node reachable from `root`, each after all of its parents.
+
+    Reaching a node an earlier backward has consumed is a `GraphError`:
+    its parents are gone, and it must never pass for a leaf.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -724,6 +730,9 @@ def _topological_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._backward_done:
+            raise GraphError(f"backward already ran through this {node._op} node; "
+                             f"rebuild the graph")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -736,9 +745,13 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Populate gradients for every requires_grad leaf reachable from `loss`.
 
     Returns a map from leaf tensors to their gradient arrays. Gradients
-    accumulate across calls on *different* losses (gradient accumulation);
-    a second backward on the same loss is rejected. Interior nodes drop
-    their gradient once it has been passed to their parents.
+    accumulate across calls on *different* losses (gradient accumulation).
+    The walk consumes the graph: once an interior node has passed its
+    gradient on, it drops its gradient, its backward function and its
+    parents, so each node's values are freed as soon as no node still to
+    be walked needs them. A consumed node is marked, and a later backward
+    that reaches it (the same loss again, or another loss built on it) is
+    rejected. Walk a graph before its backward to inspect it.
     """
     if loss.values.size != 1:
         raise GraphError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -746,20 +759,27 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         raise GraphError("backward on a non-finite loss")
     if loss._backward_done:
         raise GraphError("backward already ran on this loss; rebuild the graph")
-    loss._backward_done = True
     if not loss.requires_grad:
+        loss._backward_done = True
         return {}
     order = _topological_order(loss)
+    loss._backward_done = True
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
-            node.grad = None    # an interior gradient is spent once passed on
-    leaves = {}
-    for node in order:
-        if node.requires_grad and not node._parents and node.grad is not None:
-            leaves[node] = node.grad
-    return leaves
+    leaves = []
+    while order:
+        node = order.pop()
+        backward_fn = node._backward_fn
+        if backward_fn is None:
+            if node.requires_grad:
+                leaves.append(node)
+            continue
+        grad = node.grad
+        node.grad = node._backward_fn = None
+        node._parents = ()
+        node._backward_done = True
+        if grad is not None:
+            backward_fn(grad)
+    return {node: node.grad for node in reversed(leaves) if node.grad is not None}
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

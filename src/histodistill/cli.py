@@ -20,7 +20,8 @@ import numpy as np
 from . import gradcheck, stats
 from .autodiff import GradCheckError, GraphError
 from .checkpoint import load_checkpoint
-from .datasets import SynthConfig, discretize_survival, make_folds, synth_generate
+from .datasets import (SynthConfig, check_validation_fold, discretize_survival,
+                       make_folds, synth_generate)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      TrainingError, UndefinedResultError)
 from .geneselect import differential_select, split_risk_groups, write_selection_report
@@ -149,6 +150,7 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"--fold {args.fold} out of range for "
                           f"{len(folds)} folds")
     train_idx, val_idx = folds[args.fold]
+    check_validation_fold(cohort, val_idx, args.fold, len(folds))
     run = run_fold(cohort, train_idx, val_idx, cfg, boundaries, bins,
                    args.fold, out)
     write_json(out / f"fold{args.fold}_metrics.json", run.result.to_dict())

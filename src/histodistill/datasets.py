@@ -206,15 +206,14 @@ def make_folds(cohort: Cohort, seed: int,
 
     Events and censored patients are shuffled separately, concatenated, and
     dealt round-robin, so each fold's censoring proportion tracks the
-    cohort's and validation sizes differ by at most one. A validation fold
-    without a comparable pair, whose c-index is undefined, is a
-    `ConfigError` naming the fold.
+    cohort's and validation sizes differ by at most one. Whether a fold can
+    be scored is `check_validation_fold`'s question, asked only of the
+    folds a run trains.
     """
     n = len(cohort)
     if n < n_folds:
         raise ConfigError(f"cannot split {n} patients into {n_folds} folds")
     rng = np.random.default_rng(seed)
-    times = cohort.times()
     censor = cohort.censor_flags()
     events = np.flatnonzero(censor == 0)
     censored = np.flatnonzero(censor == 1)
@@ -223,12 +222,20 @@ def make_folds(cohort: Cohort, seed: int,
     all_idx = np.arange(n)
     for f in range(n_folds):
         val = np.sort(order[f::n_folds])
-        if not any(later.any() for _, later in comparable_pairs(times[val], censor[val])):
-            raise ConfigError(f"validation fold {f} of {n_folds} has no comparable pair "
-                              f"(an event with a later time in the fold) to score")
         train = np.setdiff1d(all_idx, val)
         folds.append((train, val))
     return folds
+
+
+def check_validation_fold(cohort: Cohort, val_idx: np.ndarray, fold: int,
+                          n_folds: int) -> None:
+    """`ConfigError` naming the fold when its validation patients hold no
+    comparable pair, so its c-index would be undefined; run before training."""
+    times = cohort.times()[val_idx]
+    censor = cohort.censor_flags()[val_idx]
+    if not any(later.any() for _, later in comparable_pairs(times, censor)):
+        raise ConfigError(f"validation fold {fold} of {n_folds} has no comparable pair "
+                          f"(an event with a later time in the fold) to score")
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,9 @@ def _check_batched_matmul(eps: float) -> float:
 
 def _check_gather_rows(eps: float) -> float:
     rng = np.random.default_rng(30)
-    index = np.array([[3, 0, -1], [1, 4, 2]])     # row 5 unused, one pad
+    index = np.array([[3, 0, 5], [1, 4, 2]])      # row 6 unused
     probe = rng.normal(size=(2, 3, 4))
-    params = {"x": ad.tensor(rng.normal(size=(6, 4)), requires_grad=True)}
+    params = {"x": ad.tensor(rng.normal(size=(7, 4)), requires_grad=True)}
     return grad_check(
         lambda p: _scalarize(ad.gather_rows(p["x"], index), probe), params, eps)
 

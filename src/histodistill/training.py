@@ -8,8 +8,11 @@ ragged, so per-patch layers see the stack's packed patch rows and the
 per-patient mixers a padded layout with a patch mask (`model.stack_forward`).
 A stack grows while its patch rows stay within ROW_BUDGET; a bag larger
 than that trains alone, so slide-scale bags keep the memory profile of
-one bag per pass. A fold's gene targets are its training split's selected
-genes, standardized by a fit on those same matrices (`gene_targets`).
+one bag per pass. `autodiff.backward` consumes each stack's tape as it
+walks it, and the loop drops the stack's losses once it has read them,
+so no stack's tape outlives its backward. A fold's gene targets are its
+training split's selected genes, standardized by a fit on those same
+matrices (`gene_targets`).
 
 Evaluation is image-only and runs no-grad stacks too (`inference_stacks`):
 bags sorted by length, each stack holding bags of one aligned length
@@ -39,7 +42,7 @@ from . import autodiff as ad
 from . import stats
 from .autodiff import GraphError
 from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
-from .datasets import Cohort, discretize_survival, make_folds
+from .datasets import Cohort, check_validation_fold, discretize_survival, make_folds
 from .errors import ConfigError, TrainingError
 from .geneselect import (GeneSelection, differential_select, split_risk_groups,
                          write_selection_report)
@@ -51,11 +54,15 @@ from .model import (ModelConfig, ModelParams, build_model, hazard_output,
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
-# Most patch rows one stack may hold. At 384 a training stack of default
-# bags (32-96 patches) holds about 6 patients and raises the process's peak
-# RSS by about 10%; 512 raised it by 16%, since a stack's padded copies grow
-# with its longest bag. Slide-scale bags (>= 1024 patches) always run alone.
-ROW_BUDGET = 384
+# Most patch rows one stack may hold. Each stack costs a fixed few
+# milliseconds of per-node overhead, so larger stacks train more patients
+# per second. Backward releases each stack's tape as it walks it, so one
+# stack's tape is alive at a time, but that tape grows with the stack's
+# patients. Cross-validating the default cohort (bags of 32-96 patches,
+# stacks of about 16 patients here) peaks 5% higher in RSS than a 384-row
+# budget did, and 1536 (stacks of up to 24) 11% higher. Any two
+# slide-scale bags (>= 1024 patches) exceed the budget, so each runs alone.
+ROW_BUDGET = 1024
 
 
 @dataclass
@@ -341,6 +348,7 @@ def train_model(model: ModelParams, cohort: Cohort, train_idx: np.ndarray,
                 sums["total"] += losses.total.item()
                 sums["nll"] += losses.nll.item()
                 sums["recon"] += losses.recon.item() if losses.recon is not None else 0.0
+                del losses      # nothing of this stack outlives its backward
             optimizer.step()
         trace.append({
             "epoch": epoch + 1,
@@ -558,6 +566,8 @@ def cross_validate(cohort: Cohort, config: TrainConfig,
     censor = cohort.censor_flags()
     boundaries, bins = discretize_survival(times, censor, config.n_bins)
     folds = make_folds(cohort, config.seed, config.n_folds)
+    for fold, (_, val_idx) in enumerate(folds):
+        check_validation_fold(cohort, val_idx, fold, len(folds))
 
     runs = []
     pooled_idx, pooled_s_mid = [], []

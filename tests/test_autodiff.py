@@ -345,6 +345,33 @@ def test_backward_drops_interior_gradients_and_keeps_leaves():
     assert x.grad is grads[x]
 
 
+def test_backward_leaves_interior_nodes_without_parents_or_closure():
+    x = tensor([1.0, 2.0], requires_grad=True)
+    y = ad.mul(x, x)
+    z = ad.mul(y, 3.0)
+    loss = ad.sum_(z)
+    grads = backward(loss)
+    for node in (y, z, loss):
+        assert node._parents == () and node._backward_fn is None and node.grad is None
+    np.testing.assert_array_equal(z.values, [3.0, 12.0])    # values stay readable
+    assert list(grads) == [x]
+    np.testing.assert_array_equal(x.grad, [6.0, 12.0])
+    with pytest.raises(GraphError):
+        y.assign_(np.array([5.0, 5.0]))
+
+
+def test_a_second_backward_through_a_consumed_node_is_rejected():
+    x = tensor([1.0, 2.0], requires_grad=True)
+    y = ad.mul(x, x)
+    backward(ad.sum_(y))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    # y has no parents left, but it must not pass for a leaf
+    with pytest.raises(GraphError, match="mul node"):
+        backward(ad.sum_(ad.mul(y, 3.0)))
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 def test_backward_through_shared_subexpression():
     # y appears twice; its gradient path must be counted twice
     x = tensor(2.0, requires_grad=True)
@@ -374,19 +401,20 @@ def test_concat_and_gather_round_trip_gradients():
     assert grads.get(b) is None or not np.any(grads[b])
 
 
-def test_gather_rows_pads_with_zero_rows_that_take_no_gradient():
+def test_gather_rows_scatters_back_and_rejects_negative_rows():
     rng = np.random.default_rng(33)
     x0 = rng.normal(size=(4, 3))
     x = tensor(x0, requires_grad=True)
-    index = np.array([[2, 0, -1], [3, -1, -1]])
+    index = np.array([[2, 0], [3, 1]])
     out = ad.gather_rows(x, index)
-    assert out.shape == (2, 3, 3)
-    np.testing.assert_array_equal(out.values[0, :2], x0[[2, 0]])
-    np.testing.assert_array_equal(out.values[1, 1:], 0.0)
-    probe = rng.normal(size=(2, 3, 3))
+    assert out.shape == (2, 2, 3)
+    np.testing.assert_array_equal(out.values, x0[index])
+    probe = rng.normal(size=(2, 2, 3))
     grads = backward(ad.sum_(ad.mul(out, probe)))
-    np.testing.assert_array_equal(grads[x][[2, 0, 3]], probe[[0, 0, 1], [0, 1, 0]])
-    np.testing.assert_array_equal(grads[x][1], 0.0)     # never picked
+    np.testing.assert_array_equal(grads[x][index], probe)
+    # take would wrap -1 around to the last row
+    with pytest.raises(ShapeError, match="negative"):
+        ad.gather_rows(x, np.array([[2, 0, -1]]))
     with pytest.raises(ShapeError):
         ad.gather_rows(x, np.array([4]))
 

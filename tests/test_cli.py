@@ -296,13 +296,19 @@ def test_a_validation_fold_without_comparable_pairs_fails_before_training(tmp_pa
     manifest = write_cohort(tmp_path / "data", cohort)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {**TRAIN_SECTION, "n_folds": 5}}))
-    for command in (["cross-validate"], ["train", "--fold", "0"]):
-        out = tmp_path / command[0]
+    for command in (["cross-validate"], ["train", "--fold", "4"]):
+        out = tmp_path / "-".join(command)
         assert cli.main([*command, "--config", str(config), "--manifest", str(manifest),
                          "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "validation fold 4 of 5 has no comparable pair" in err, err
         assert not list(out.glob("fold*.ghck"))
+    # fold 0 can be scored, whatever fold 4 holds
+    out = tmp_path / "train-fold-0"
+    assert cli.main(["train", "--fold", "0", "--config", str(config), "--manifest",
+                     str(manifest), "--out-dir", str(out)]) == 0
+    assert (out / "fold0.ghck").exists()
+    assert "no comparable pair" not in capsys.readouterr().err
 
 
 def test_single_patch_bags_at_k_10(tmp_path, monkeypatch):

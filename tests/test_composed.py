@@ -50,6 +50,24 @@ def tanh(x):
     return ad._make(y, (x,), backward_fn, "tanh")
 
 
+def gather_rows(x, index):
+    """Rows of x picked by index; a negative index picks a zero row."""
+    x = ad._as_tensor(x)
+    index = np.asarray(index)
+    pads = index < 0
+    out_values = x.values.take(index, axis=0)
+    if pads.any():
+        out_values[pads] = 0.0
+
+    def backward_fn(g):
+        # One spare last row takes every pad's gradient and is dropped.
+        full = np.zeros((x.shape[0] + 1,) + x.shape[1:], dtype=np.float64)
+        full[index] = g
+        ad._accumulate(x, full[:-1])
+
+    return ad._make(out_values, (x,), backward_fn, "gather_rows")
+
+
 def transpose(x):
     """Swap the last two axes."""
     x = ad._as_tensor(x)
@@ -84,7 +102,7 @@ def oracle_patch_keys(params, proj, layout):
     rows = layout.index.reshape(-1)
 
     def heads(weight, bias):
-        return ad.split_heads(ad.gather_rows(ad.linear(proj, weight, bias), rows),
+        return ad.split_heads(gather_rows(ad.linear(proj, weight, bias), rows),
                               params.heads, layout.batch)
 
     return PatchKeys(heads(params.wk, params.bk), heads(params.wv, params.bv),
@@ -111,7 +129,7 @@ def oracle_mhca_forward(params, queries, keys, score_head=None, per_bag=False):
 def oracle_gated_attention_weights(params, proj, layout):
     gate = ad.mul(tanh(ad.linear(proj, params.u_w, params.u_b)),
                   ad.sigmoid(ad.linear(proj, params.v_w, params.v_b)))
-    raw = ad.gather_rows(ad.linear(gate, params.score_w, params.score_b), layout.index)
+    raw = gather_rows(ad.linear(gate, params.score_w, params.score_b), layout.index)
     weights = ad.softmax(raw, axis=1, mask=layout.mask[:, :, None])
     return weights, raw.values.transpose(0, 2, 1)
 
@@ -134,7 +152,7 @@ def oracle_assoc_forward(params, stack, score_head=None):
 def oracle_gated_assoc_forward(params, stack):
     bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.in_w, params.in_b)
-    values = ad.gather_rows(proj, layout.index)
+    values = gather_rows(proj, layout.index)
     feature_rows, score_rows = [], []
     for gate in params.gates:
         weights, scores = oracle_gated_attention_weights(gate, proj, layout)
@@ -157,7 +175,7 @@ def oracle_survival_forward(params, stack, scores, features, cfg,
     else:
         morph, _ = oracle_gated_attention_weights(params.gate, proj, layout)
         fused = fused_attention(morph, masked_assoc)
-    pooled = ad.reshape(ad.batched_matmul(fused, ad.gather_rows(proj, layout.index)),
+    pooled = ad.reshape(ad.batched_matmul(fused, gather_rows(proj, layout.index)),
                         (layout.batch * cfg.n_tokens, proj.shape[1]))
     if cfg.cut_bridge or features is None:
         merged = pooled
@@ -178,7 +196,7 @@ def oracle_baseline_forward(params, stack):
     bag, layout = stack.bag, stack.layout
     proj = ad.linear(bag, params.value_w, params.value_b)
     weights, _ = oracle_gated_attention_weights(params.gate, proj, layout)
-    pooled = ad.batched_matmul(transpose(weights), ad.gather_rows(proj, layout.index))
+    pooled = ad.batched_matmul(transpose(weights), gather_rows(proj, layout.index))
     flat = ad.reshape(pooled, (layout.batch, proj.shape[1]))
     return ad.sigmoid(ad.linear(flat, params.cls_w, params.cls_b))
 

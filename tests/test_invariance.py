@@ -49,21 +49,12 @@ def ragged_lengths(rng, count: int = 48) -> list[int]:
     return [int(n) for n in rng.permutation(np.concatenate([spread, short]))]
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
-def test_stacked_forward_is_bit_identical_to_one_bag_forward(name):
-    model = make_model(name, seed=len(name))
-    rng = np.random.default_rng(sorted(CONFIGS).index(name))
-    lengths = ragged_lengths(rng)
-    bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
-    stacks = tr.inference_stacks(lengths)
-    assert sorted(pos for stack in stacks for pos in stack) == list(range(len(bags)))
-    assert max(len(stack) for stack in stacks) >= 4, "no stack of several bags"
-
+def assert_stacks_match_one_bag_forwards(name, model, bags, stacks):
     for stack in stacks:
         with ad.no_grad():
             stacked = stack_forward(model, [bags[pos] for pos in stack])
         for row, pos in enumerate(stack):
-            n = lengths[pos]
+            n = bags[pos].shape[0]
             with ad.no_grad():
                 alone = model_forward(model, bags[pos])
             where = f"{name}: bag {pos} ({n} patches) in a stack of {len(stack)}"
@@ -81,6 +72,30 @@ def test_stacked_forward_is_bit_identical_to_one_bag_forward(name):
                                                alone.diagnostics.morph_weights)
             for what, (got, want) in pairs.items():
                 assert np.array_equal(got, want), f"{where}: {what} differ"
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_stacked_forward_is_bit_identical_to_one_bag_forward(name):
+    model = make_model(name, seed=len(name))
+    rng = np.random.default_rng(sorted(CONFIGS).index(name))
+    lengths = ragged_lengths(rng)
+    bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
+    stacks = tr.inference_stacks(lengths)
+    assert sorted(pos for stack in stacks for pos in stack) == list(range(len(bags)))
+    assert max(len(stack) for stack in stacks) >= 4, "no stack of several bags"
+    assert_stacks_match_one_bag_forwards(name, model, bags, stacks)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_a_stack_that_fills_the_row_budget_is_bit_identical_to_one_bag_forward(name):
+    model = make_model(name, seed=len(name))
+    rng = np.random.default_rng(100 + sorted(CONFIGS).index(name))
+    # 64 is aligned, so the bags share one aligned length and fill one stack
+    lengths = [64] * (tr.ROW_BUDGET // 64)
+    stacks = tr.inference_stacks(lengths)
+    assert stacks == [list(range(len(lengths)))]
+    bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
+    assert_stacks_match_one_bag_forwards(name, model, bags, stacks)
 
 
 def test_evaluate_risks_do_not_depend_on_which_patients_it_scores(monkeypatch):

@@ -2,7 +2,10 @@
 exactly like its patients one at a time, with pads invisible."""
 
 import ast
+import gc
 import inspect
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +203,7 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_its_node_cap(variant,
     if not config.gated_baseline:
         sizes, (_, targets) = SynthConfig().gene_counts, gene_targets(cohort, every, None)
     model = build_model(config.model_config(cohort.feature_dim, sizes), seed=0)
-    made, losses = [], []
+    made, losses, reachable = [], [], set()
     make, backward = ad._make, ad.backward
 
     def counting_make(*args):
@@ -208,7 +211,14 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_its_node_cap(variant,
         return made[-1]
 
     def recording_backward(loss):
+        # walked here, before backward consumes the graph
         losses.append(loss)
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reachable:
+                reachable.add(id(node))
+                stack.extend(node._parents)
         return backward(loss)
 
     monkeypatch.setattr(tr, "ROW_BUDGET", 8 * 64)
@@ -218,15 +228,46 @@ def test_one_stack_of_eight_64_patch_bags_builds_at_most_its_node_cap(variant,
                 np.random.default_rng(0))
     assert len(losses) == 1, "the eight bags did not share one stack"
     assert 0 < len(made) <= STACK_NODE_CAPS[variant], sorted({node._op for node in made})
-    reachable = set()
-    stack = list(losses)
-    while stack:
-        node = stack.pop()
-        if id(node) not in reachable:
-            reachable.add(id(node))
-            stack.extend(node._parents)
     unreachable = [node._op for node in made if id(node) not in reachable]
     assert not unreachable, unreachable
+
+
+@pytest.mark.parametrize("variant", STACK_NODE_CAPS)
+def test_no_node_of_a_stack_outlives_its_backward(variant, monkeypatch):
+    synth = SynthConfig(n_patients=8, patch_range=(16, 40))
+    cohort, _ = synth_generate(synth, seed=3)
+    config = replace(variant_config(variant), epochs=2, accumulation=4)
+    _, bins = discretize_survival(cohort.times(), cohort.censor_flags(), config.n_bins)
+    every = np.arange(len(cohort))
+    sizes, targets = (), None
+    if not config.gated_baseline:
+        sizes, (_, targets) = synth.gene_counts, gene_targets(cohort, every, None)
+    model = build_model(config.model_config(cohort.feature_dim, sizes), seed=0)
+    alive, stacks = [], []
+    make, real_stack_loss = ad._make, tr.stack_loss
+
+    def weak_make(*args):
+        node = make(*args)
+        alive.append(weakref.ref(node))
+        return node
+
+    def checking_stack_loss(*args, **kwargs):
+        # the previous stack's nodes must be gone before this forward
+        assert not [ref() for ref in alive if ref() is not None]
+        stacks.append(len(alive))
+        return real_stack_loss(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "ROW_BUDGET", 64)
+    monkeypatch.setattr(ad, "_make", weak_make)
+    monkeypatch.setattr(tr, "stack_loss", checking_stack_loss)
+    gc.disable()        # refcounts alone must free the tape: no cycles
+    try:
+        train_model(model, cohort, every, bins, config, targets,
+                    np.random.default_rng(0))
+        assert len(stacks) >= 8 and alive
+        assert not [ref()._op for ref in alive if ref() is not None]
+    finally:
+        gc.enable()
 
 
 def test_backward_functions_leave_their_incoming_gradient_untouched():

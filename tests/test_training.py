@@ -288,6 +288,7 @@ def test_default_training_step_builds_at_most_its_tape_node_cap(monkeypatch):
                                             SynthConfig().gene_counts), seed=0)
     made = []
     losses = []
+    reachable = set()
     make = ad._make
     backward = ad.backward
 
@@ -296,7 +297,14 @@ def test_default_training_step_builds_at_most_its_tape_node_cap(monkeypatch):
         return made[-1]
 
     def recording_backward(loss):
+        # walked here, before backward consumes the graph
         losses.append(loss)
+        stack = [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in reachable:
+                reachable.add(id(node))
+                stack.extend(node._parents)
         return backward(loss)
 
     monkeypatch.setattr(ad, "_make", counting_make)
@@ -305,13 +313,6 @@ def test_default_training_step_builds_at_most_its_tape_node_cap(monkeypatch):
                 np.random.default_rng(0))
     assert cohort[0].bag.n_patches == 64
     assert 0 < len(made) <= 136, sorted({node._op for node in made})
-    reachable = set()
-    stack = list(losses)
-    while stack:
-        node = stack.pop()
-        if id(node) not in reachable:
-            reachable.add(id(node))
-            stack.extend(node._parents)
     unreachable = [node._op for node in made if id(node) not in reachable]
     assert len(losses) == 1 and not unreachable, unreachable
 
