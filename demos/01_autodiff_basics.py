@@ -48,16 +48,28 @@ ad.zero_grads([w, b])
 print("after zero_grads, w.grad =", w.grad)
 
 # ---------------------------------------------------------------------------
-# a matrix graph: affine map, softmax and a reduction
+# a matrix graph: affine map, softmax and a loss term
 # ---------------------------------------------------------------------------
+
+# There is no general reduction op: a scalar comes from a loss node. The
+# reconstruction loss's `squared_error` takes per-category lists of (rows,
+# n) predictions and targets and sums each row's mean square error over
+# the rows; with one category and zero targets, dividing it by the row
+# count gives the mean of probs ** 2.
 
 A = tensor(rng.normal(size=(3, 4)), requires_grad=True)
 v = tensor(rng.normal(size=(4, 2)), requires_grad=True)
 c = tensor(np.zeros(2))              # bias of the affine map, held constant
 
+
+def mean_square(t):
+    return ad.mul(ad.squared_error([t], [np.zeros(t.shape)]), 1.0 / t.shape[0])
+
+
 scores = ad.linear(A, v, c)          # A @ v + c, (3, 2)
 probs = ad.softmax(scores, axis=1)   # rows sum to one
-loss = ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)   # mean
+loss = mean_square(probs)
+assert np.isclose(loss.values, (probs.values ** 2).mean())
 
 print("\nloss:", loss.values)
 grads = backward(loss)
@@ -75,8 +87,7 @@ print("grad shapes:", grads[A].shape, grads[v].shape)
 
 def rebuild(params):
     scores = ad.linear(params["A"], params["v"], c)
-    probs = ad.softmax(scores, axis=1)
-    return ad.mul(ad.sum_(ad.mul(probs, probs)), 1.0 / probs.size)
+    return mean_square(ad.softmax(scores, axis=1))
 
 
 worst = ad.grad_check(rebuild, {"A": A, "v": v})
@@ -94,7 +105,7 @@ assert worst < 1e-6
 
 ad.zero_grads([A, v])
 frozen = tensor(ad.linear(A, v, c).values)
-leaked = backward(ad.sum_(ad.mul(frozen, frozen)))
+leaked = backward(mean_square(frozen))
 print("\ngrad reaching A through the detached copy:", leaked.get(A))
 
 with ad.no_grad():

@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
 Covers exactly the operations the attention architecture needs:
-broadcast arithmetic, softmax with an optional mask, the usual
-activations, concatenation and row gathering, and a finite-difference
-gradient checker. Composites that run many times per training step are
-single nodes with closed-form backwards: the affine map, two affine maps
-composed into one augmented weight split into heads, the tanh/sigmoid
-gated scores of a stack's packed rows, layer normalization, head
-split/merge with batched matmul, the row gather, the two row-wise
-reconstruction error terms, and the running product of survival. Ops are
-plain functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
+broadcast add and multiply, softmax with an optional mask, the
+activations, reshaping, concatenation and row gathering, and a
+finite-difference gradient checker. Composites that run many times per
+training step are single nodes with closed-form backwards: the affine
+map, two affine maps composed into one augmented weight split into heads,
+the tanh/sigmoid gated scores of a stack's packed rows, layer
+normalization, head split/merge with batched matmul, the row gather, and
+each loss term: the survival negative log likelihood, and the squared
+and cosine reconstruction errors, which average over the gene categories
+inside the node. There is no general reduction op. Ops are plain
+functions (`add`, `mul`, ...); `Tensor` has no operator overloads.
 A value that must not carry gradient leaves the tape as a plain array.
 Tensors are immutable during an active forward/backward pass, and no
 backward function writes into the gradient it is handed; the optimizer
@@ -21,7 +23,9 @@ its activations are freed during that walk.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import operator
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -163,17 +167,6 @@ def add(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_values, (a, b), backward_fn, "add")
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_values = a.values - b.values
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out_values, (a, b), backward_fn, "sub")
 
 
 def mul(a, b) -> Tensor:
@@ -404,20 +397,8 @@ def batched_matmul(a: Tensor, b: Tensor, transpose_b: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape ops
+# shape ops
 # ---------------------------------------------------------------------------
-
-def sum_(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    out_values = x.values.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape))
-
-    return _make(out_values, (x,), backward_fn, "sum")
-
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
@@ -532,16 +513,6 @@ def softmax(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     return _make(y, (x,), backward_fn, "softmax")
 
 
-def log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    y = np.log(x.values)
-
-    def backward_fn(g):
-        _accumulate(x, g / x.values)
-
-    return _make(y, (x,), backward_fn, "log")
-
-
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     y = np.maximum(x.values, 0.0)
@@ -592,17 +563,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "sigmoid")
 
 
-def clip_min(x: Tensor, lo: float) -> Tensor:
-    """Elementwise max(x, lo); gradient is zero where the floor is active."""
-    x = _as_tensor(x)
-    y = np.maximum(x.values, lo)
-
-    def backward_fn(g):
-        _accumulate(x, g * (x.values > lo))
-
-    return _make(y, (x,), backward_fn, "clip_min")
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row standardization over the last axis, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -632,65 +592,94 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # ---------------------------------------------------------------------------
 # survival and reconstruction loss terms
 # ---------------------------------------------------------------------------
+# Each loss is one node that repeats, in the same order, the arithmetic of
+# the chain of small ops it replaced: categories and terms add left to
+# right, then scale; the backward scales the incoming gradient first. The
+# bits therefore match that chain (tests/test_composed.py keeps it).
 
-def cumprod(x: Tensor) -> Tensor:
-    """Running product along the last axis."""
-    x = _as_tensor(x)
-    if x.values.ndim < 1:
-        raise ShapeError("cumprod needs at least one axis")
-    y = np.cumprod(x.values, axis=-1)
+def survival_nll(hazards: Tensor, event_picks: np.ndarray | None,
+                 survival_picks: np.ndarray | None, clamp: float) -> Tensor:
+    """Discrete-time survival negative log likelihood as one node.
 
-    def backward_fn(g):
-        # dy_j/dx_i = prod_{k<i} x_k * prod_{i<k<=j} x_k for j >= i. The
-        # suffix sums run right to left, so no x is ever divided out (an x
-        # of exactly 0 is legal: a hazard of 1).
-        suffix = np.array(g, dtype=np.float64, copy=True)
-        for i in range(x.shape[-1] - 2, -1, -1):
-            suffix[..., i] += x.values[..., i + 1] * suffix[..., i + 1]
-        prefix = np.ones_like(y)
-        prefix[..., 1:] = y[..., :-1]
-        _accumulate(x, prefix * suffix)
-
-    return _make(y, (x,), backward_fn, "cumprod")
-
-
-def _row_operands(pred, target, op: str) -> tuple[Tensor, np.ndarray]:
-    pred = _as_tensor(pred)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.values.ndim != 2 or pred.shape != target.shape:
-        raise ShapeError(f"{op} needs equal 2-d operands, got {pred.shape} vs "
-                         f"{target.shape}")
-    return pred, target
-
-
-def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Sum over rows of the row's mean of (pred - target)^2.
-
-    Both operands are (rows, n); `target` is a constant.
+    -(sum(log(max(h, clamp)) * event_picks)
+      + sum(log(max(S, clamp)) * survival_picks)), with S the running
+    product of 1 - h along the last axis. The pick arrays are constants
+    of the hazards' shape; a None drops its term, and one must be given.
+    A clamped entry gets no gradient. The backward of the running product
+    sums right to left and never divides by a factor, so a hazard of
+    exactly 1 is legal.
     """
-    pred, target = _row_operands(pred, target, "squared_error")
-    err = pred.values - target
-    scale = 1.0 / err.shape[1]
-    out_values = (err * err).sum() * scale
+    hazards = _as_tensor(hazards)
+    h = hazards.values
+    given = [p for p in (event_picks, survival_picks) if p is not None]
+    if h.ndim != 2 or not given or any(np.shape(p) != h.shape for p in given):
+        raise ShapeError(f"survival_nll needs (B, n_bins) hazards and at least one "
+                         f"pick array of their shape, got {h.shape}")
+    one_minus = 1.0 - h
+    survival = np.cumprod(one_minus, axis=-1)
+    terms = [(np.asarray(picks, dtype=np.float64), x, np.maximum(x, clamp))
+             for picks, x in ((event_picks, h), (survival_picks, survival))
+             if picks is not None]
+    values = [(np.log(clamped) * picks).sum() for picks, _, clamped in terms]
+    out_values = functools.reduce(operator.add, values) * -1.0
 
     def backward_fn(g):
-        _accumulate(pred, 2.0 * ((g * scale) * err))
+        g = g * -1.0
+        grad = None
+        for picks, x, clamped in terms:
+            part = (g * picks) / clamped
+            part *= x > clamp
+            if x is survival:
+                # dS_j/dh_i = -prod_{k<i} (1 - h_k) * prod_{i<k<=j} (1 - h_k)
+                # for j >= i, from suffix sums over the picked terms.
+                for i in range(h.shape[-1] - 2, -1, -1):
+                    part[:, i] += one_minus[:, i + 1] * part[:, i + 1]
+                prefix = np.ones_like(survival)
+                prefix[:, 1:] = survival[:, :-1]
+                part = -(prefix * part)
+            grad = part if grad is None else grad + part
+        _accumulate(hazards, grad)
 
-    return _make(out_values, (pred,), backward_fn, "squared_error")
+    return _make(out_values, (hazards,), backward_fn, "survival_nll")
+
+
+def _category_operands(preds, targets, op: str) -> tuple[list[Tensor], list[np.ndarray]]:
+    preds = [_as_tensor(p) for p in preds]
+    targets = [np.asarray(t, dtype=np.float64) for t in targets]
+    if not preds or len(preds) != len(targets):
+        raise ShapeError(f"{op} needs one target per category, got {len(preds)} "
+                         f"predictions and {len(targets)} targets")
+    for pred, target in zip(preds, targets):
+        if pred.values.ndim != 2 or pred.shape != target.shape:
+            raise ShapeError(f"{op} needs equal 2-d operands, got {pred.shape} vs "
+                             f"{target.shape}")
+    return preds, targets
+
+
+def squared_error(preds: Sequence[Tensor], targets: Sequence[np.ndarray]) -> Tensor:
+    """Mean over categories of the summed row means of (pred - target)^2.
+
+    preds[c] and targets[c] are (rows, n_c); the targets are constants.
+    """
+    preds, targets = _category_operands(preds, targets, "squared_error")
+    errs = [pred.values - target for pred, target in zip(preds, targets)]
+    values = [(err * err).sum() * (1.0 / err.shape[1]) for err in errs]
+    share = 1.0 / len(preds)
+    total = functools.reduce(operator.add, values) * share
+
+    def backward_fn(g):
+        g = g * share
+        for pred, err in zip(preds, errs):
+            _accumulate(pred, 2.0 * ((g * (1.0 / err.shape[1])) * err))
+
+    return _make(total, tuple(preds), backward_fn, "squared_error")
 
 
 NORM_FLOOR = 1e-12
 
 
-def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
-    """Sum over rows of (1 - cos(pred row, target row))^gamma.
-
-    Both operands are (rows, n); `target` is a constant. Every norm is
-    clamped below at NORM_FLOOR, so a zero row scores cos = 0. A row whose
-    prediction norm is clamped contributes no gradient at all; its forward
-    value is unchanged.
-    """
-    pred, target = _row_operands(pred, target, "cosine_error")
+def _cosine_term(pred: Tensor, target: np.ndarray, gamma: float):
+    """One category's sum over rows of (1 - cos)^gamma, and its backward."""
     p = pred.values
     target_norm = np.maximum(np.sqrt((target * target).sum(axis=1)), NORM_FLOOR)
     pred_norm = np.sqrt((p * p).sum(axis=1))
@@ -698,7 +687,6 @@ def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
     denom = np.maximum(pred_norm, NORM_FLOOR) * target_norm
     dot = (p * target).sum(axis=1)
     gap = 1.0 - dot / denom
-    out_values = (gap ** gamma).sum()
 
     def backward_fn(g):
         # Below the floor, 1/denom would scale the gradient by 1/NORM_FLOOR.
@@ -707,7 +695,30 @@ def cosine_error(pred: Tensor, target: np.ndarray, gamma: float) -> Tensor:
         _accumulate(pred, (g_cos / denom)[:, None] * target
                     + (g_norm / np.where(live, pred_norm, 1.0))[:, None] * p)
 
-    return _make(out_values, (pred,), backward_fn, "cosine_error")
+    return (gap ** gamma).sum(), backward_fn
+
+
+def cosine_error(preds: Sequence[Tensor], targets: Sequence[np.ndarray],
+                 gamma: float) -> Tensor:
+    """Mean over categories of the summed rows' (1 - cos(pred, target))^gamma.
+
+    preds[c] and targets[c] are (rows, n_c); the targets are constants.
+    Every norm is clamped below at NORM_FLOOR, so a zero row scores
+    cos = 0. A row whose prediction norm is clamped contributes no
+    gradient at all; its forward value is unchanged.
+    """
+    preds, targets = _category_operands(preds, targets, "cosine_error")
+    values, backwards = zip(*(_cosine_term(pred, target, gamma)
+                              for pred, target in zip(preds, targets)))
+    share = 1.0 / len(preds)
+    total = functools.reduce(operator.add, values) * share
+
+    def backward_fn(g):
+        g = g * share
+        for term_backward in backwards:
+            term_backward(g)
+
+    return _make(total, tuple(preds), backward_fn, "cosine_error")
 
 
 # ---------------------------------------------------------------------------

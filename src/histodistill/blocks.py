@@ -364,7 +364,8 @@ class SnnHeadParams:
 
 
 def snn_forward(params: SnnHeadParams, features: Tensor) -> Tensor:
-    """Reconstruct one category's gene vector from a (1, width) feature row."""
+    """Reconstruct one category's gene vectors, (B, len), from its (B, width)
+    feature rows, one per patient."""
     hidden = ad.elu(ad.layer_norm(linear(features, params.w1, params.b1),
                                   params.norm_gain, params.norm_bias))
     return linear(hidden, params.w2, params.b2)

@@ -46,7 +46,10 @@ def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: byte {err.object[err.start]:#04x} at offset "
+                          f"{err.start} is not UTF-8") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(raw, dict):

@@ -10,6 +10,7 @@ cohort (`write_cohort`).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -27,6 +28,24 @@ from .errors import DataFormatError
 
 BAG_MAGIC = b"GHB1"
 _BAG_HEADER = struct.Struct("<4sII")
+
+
+@contextlib.contextmanager
+def _utf8(path: Path) -> Iterator[None]:
+    """Text reads of `path` inside the block decode UTF-8; a byte that does
+    not decode is a DataFormatError naming the file and its line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    byte = line[err.start]
+                    raise DataFormatError(f"{path}: line {line_no}: byte {byte:#04x} "
+                                          f"is not UTF-8") from None
+        raise DataFormatError(f"{path}: not UTF-8 text") from None
 
 
 def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
@@ -106,7 +125,7 @@ def write_clinical(path: str | Path, patients: list[tuple[str, float, int]]) -> 
 def read_clinical(path: str | Path) -> dict[str, SurvivalLabel]:
     path = Path(path)
     labels: dict[str, SurvivalLabel] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, _utf8(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != CLINICAL_HEADER:
@@ -203,7 +222,7 @@ def _read_gene_categories(path: Path) -> dict[str, str]:
     """gene id -> category from the sidecar, read by the matrix's own rules:
     tab-separated, no quoting, blank lines skipped."""
     gene_category: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, _utf8(path):
         header = fh.readline().rstrip("\r\n").split("\t")
         if header != ["gene_id", "category"]:
             raise DataFormatError(f"{path}: line 1: expected header "
@@ -279,7 +298,7 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
     rows_by_category: dict[str, list[int]] = {}
     ids_by_category: dict[str, list[str]] = {}
     line_numbers: list[int] = []
-    with open(matrix_path, newline="", encoding="utf-8") as fh:
+    with open(matrix_path, newline="", encoding="utf-8") as fh, _utf8(matrix_path):
         header_line = fh.readline().rstrip("\r\n")
         if '"' in header_line:
             raise DataFormatError(f"{matrix_path}: line 1: '\"' in a field; the "
@@ -324,7 +343,7 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
             raise DataFormatError(f"{matrix_path}: no gene rows")
         try:
             values = _parse_values(chain((first,), rows), n_fields)
-        except DataFormatError:
+        except (DataFormatError, UnicodeDecodeError):
             raise
         except ValueError:
             line_no = _first_unparsable_line(matrix_path, n_fields)
@@ -401,12 +420,22 @@ def load_cohort(manifest_path: str | Path, with_genomics: bool = True) -> Cohort
     """
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        with _utf8(manifest_path):
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise DataFormatError(f"{manifest_path}: invalid JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: the manifest must be a JSON object")
     for key in ("clinical", "bags"):
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: missing '{key}' entry")
+    for key in ("clinical", "genomics", "gene_categories"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise DataFormatError(f"{manifest_path}: '{key}' must be a file path")
+    if not (isinstance(manifest["bags"], dict)
+            and all(isinstance(rel, str) for rel in manifest["bags"].values())):
+        raise DataFormatError(f"{manifest_path}: 'bags' must map patient ids to "
+                              f"bag file paths")
     base = manifest_path.parent
     labels = read_clinical(base / manifest["clinical"])
 

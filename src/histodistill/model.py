@@ -527,7 +527,8 @@ def nll_loss(hazards: Tensor, interval, censor) -> Tensor:
     censor[b]; one patient may pass plain ints. censor=0 pays
     -log S(y-1) - log h_y (event in interval y, having survived the ones
     before, with S(-1)=1); censor=1 pays -log S(y) (survived through
-    interval y). Probabilities are clamped at 1e-7.
+    interval y). Probabilities are clamped at 1e-7. The loss is one
+    `autodiff.survival_nll` node.
     """
     batch, n_bins = hazards.shape
     interval = np.asarray(interval).reshape(-1)
@@ -540,30 +541,29 @@ def nll_loss(hazards: Tensor, interval, censor) -> Tensor:
     if not np.isin(censor, (0, 1)).all():
         raise ValueError(f"censor flag must be 0 or 1, got {censor}")
 
-    def one_hot(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    def one_hot(rows: np.ndarray, columns: np.ndarray) -> np.ndarray | None:
+        if not rows.size:
+            return None
         out = np.zeros((batch, n_bins))
         out[rows, columns] = 1.0
         return out
-
-    def log_picked(t: Tensor, picks: np.ndarray) -> Tensor:
-        return ad.sum_(ad.mul(ad.log(ad.clip_min(t, _CLAMP)), picks))
 
     rows = np.arange(batch)
     event = censor == 0
     survived = np.where(event, interval - 1, interval)   # -1: nothing survived
     pays_survival = survived >= 0
-    terms = []
-    if event.any():
-        terms.append(log_picked(hazards, one_hot(rows[event], interval[event])))
-    if pays_survival.any():
-        terms.append(log_picked(ad.cumprod(ad.sub(1.0, hazards)),
-                                one_hot(rows[pays_survival], survived[pays_survival])))
-    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
-    return ad.mul(total, -1.0)
+    return ad.survival_nll(hazards, one_hot(rows[event], interval[event]),
+                           one_hot(rows[pays_survival], survived[pays_survival]),
+                           _CLAMP)
 
 
-def _row_targets(pred: Tensor, target: np.ndarray) -> np.ndarray:
-    return np.reshape(np.asarray(target, dtype=np.float64), (pred.shape[0], -1))
+def _category_targets(recon: Sequence[Tensor],
+                      targets: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each category's targets as (B, len) rows, one per reconstruction row."""
+    if len(recon) != len(targets):
+        raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
+    return [np.reshape(np.asarray(target, dtype=np.float64), (pred.shape[0], -1))
+            for pred, target in zip(recon, targets)]
 
 
 def mse_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray]) -> Tensor:
@@ -573,13 +573,7 @@ def mse_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray]) -> Tensor:
     target holds the same rows (one patient may pass a flat vector); the
     result is summed over patients.
     """
-    if len(recon) != len(targets):
-        raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
-    total = None
-    for pred, target in zip(recon, targets):
-        term = ad.squared_error(pred, _row_targets(pred, target))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / len(recon))
+    return ad.squared_error(recon, _category_targets(recon, targets))
 
 
 def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
@@ -592,19 +586,13 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
     gradient; the count of clamped rows, targets and predictions alike,
     lands in diagnostics["clamped_norms"] when a dict is supplied.
     """
-    if len(recon) != len(targets):
-        raise ShapeError(f"{len(recon)} reconstructions vs {len(targets)} targets")
-    clamped = 0
-    total = None
-    for pred, target in zip(recon, targets):
-        target = _row_targets(pred, target)
-        for rows in (target, pred.values):
-            clamped += int((np.linalg.norm(rows, axis=1) < ad.NORM_FLOOR).sum())
-        term = ad.cosine_error(pred, target, gamma)
-        total = term if total is None else ad.add(total, term)
+    targets = _category_targets(recon, targets)
     if diagnostics is not None:
+        clamped = sum(int((np.linalg.norm(rows, axis=1) < ad.NORM_FLOOR).sum())
+                      for pred, target in zip(recon, targets)
+                      for rows in (target, pred.values))
         diagnostics["clamped_norms"] = diagnostics.get("clamped_norms", 0) + clamped
-    return ad.mul(total, 1.0 / len(recon))
+    return ad.cosine_error(recon, targets, gamma)
 
 
 def reconstruction_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],

@@ -48,6 +48,8 @@ from .geneselect import (GeneSelection, differential_select, split_risk_groups,
                          write_selection_report)
 from .blocks import aligned
 from .io import write_atomic
+# `predict` is not called here, but stays importable from this module: the
+# benchmark's tracer (perfbench/tracing.py) rebinds it here by name.
 from .model import (ModelConfig, ModelParams, build_model, hazard_output,
                     model_forward, nll_loss, predict, reconstruction_loss,
                     stack_forward, total_loss)
@@ -109,21 +111,13 @@ class TrainConfig:
 
     def model_config(self, feature_dim: int,
                      category_sizes: tuple[int, ...]) -> ModelConfig:
-        return ModelConfig(
-            feature_dim=feature_dim,
-            category_sizes=category_sizes,
-            width=self.width,
-            heads=self.heads,
-            compress_width=self.compress_width,
-            n_bins=self.n_bins,
-            k_percent=self.k_percent,
-            gamma=self.gamma,
-            score_head=self.score_head,
-            gated_recon=self.gated_recon,
-            cut_bridge=self.cut_bridge,
-            assoc_only=self.assoc_only,
-            gated_baseline=self.gated_baseline,
-        )
+        """The model's config: every ModelConfig field this config shares
+        by name, plus the cohort's shapes."""
+        own = {f.name for f in dataclasses.fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)
+                  if f.name in own}
+        return ModelConfig(feature_dim=feature_dim, category_sizes=category_sizes,
+                           **shared)
 
 
 class Adam:
@@ -395,12 +389,11 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
              with_spearman: bool = False) -> EvalResult:
     """Image-only scoring of a cohort slice against its outcomes.
 
-    Runs the bags as no-grad `inference_stacks`, a bag that stacks alone
-    through `model.predict`; each patient's risk is bit-equal to `predict`
-    on its bag alone (see the module docstring for where that is checked),
-    and lands at its position in `indices`. Genomic profiles are touched
-    only when `with_spearman` asks for the reconstruction report (and must
-    then be present in the cohort).
+    Runs the bags as no-grad `inference_stacks`; each patient's risk is
+    bit-equal to `predict` on its bag alone (see the module docstring for
+    where that is checked), and lands at its position in `indices`.
+    Genomic profiles are touched only when `with_spearman` asks for the
+    reconstruction report (and must then be present in the cohort).
     """
     if indices is None:
         indices = np.arange(len(cohort))
@@ -411,13 +404,10 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
     risks = np.empty(indices.size)
     s_mid = np.empty(indices.size)
     for stack in inference_stacks([bag.shape[0] for bag in bags]):
-        if len(stack) == 1:     # as every slide-scale bag is
-            outs = [predict(model, bags[stack[0]])]
-        else:
-            with ad.no_grad():
-                hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards
-            outs = [hazard_output(row) for row in hazards.values]
-        for pos, out in zip(stack, outs):
+        with ad.no_grad():
+            hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards
+        for pos, row in zip(stack, hazards.values):
+            out = hazard_output(row)
             risks[pos] = out.risk
             s_mid[pos] = out.survival[mid]
     times = cohort.times()[indices]

@@ -7,6 +7,21 @@ from histodistill.autodiff import (GradCheckError, GraphError, ShapeError,
                                    Tensor, backward, grad_check, tensor)
 
 
+def sum_(x):
+    """Sum of every entry, as one test-local node: the package has no
+    reduction op, and these tests need a scalar of a whole tensor."""
+    x = ad._as_tensor(x)
+    return ad._make(x.values.sum(), (x,),
+                    lambda g: ad._accumulate(x, np.broadcast_to(g, x.shape)), "sum")
+
+
+def log(x):
+    """Elementwise log, as one test-local node."""
+    x = ad._as_tensor(x)
+    return ad._make(np.log(x.values), (x,),
+                    lambda g: ad._accumulate(x, g / x.values), "log")
+
+
 def fd_gradient(f, x, eps=1e-6):
     """Central differences of a scalar function of one array."""
     x = np.asarray(x, dtype=np.float64)
@@ -80,7 +95,7 @@ def test_batched_matmul_broadcasts_a_leading_extent_of_one():
     out = ad.batched_matmul(a_t, tensor(b))
     assert out.shape == (5, 2, 3, 6)
     np.testing.assert_allclose(out.values[3, 1], a[0, 1] @ b[3, 1], rtol=1e-14)
-    grads = backward(ad.sum_(out))
+    grads = backward(sum_(out))
     np.testing.assert_allclose(grads[a_t][0], np.ones((2, 3, 6)) @ b.sum(axis=0)
                                .swapaxes(-1, -2), rtol=1e-12)
     with pytest.raises(ShapeError):
@@ -92,35 +107,55 @@ def test_batched_matmul_broadcasts_a_leading_extent_of_one():
 # ---------------------------------------------------------------------------
 
 def test_cumprod_gradient_through_an_exact_zero():
-    x0 = np.array([[0.5, 0.0, 2.0, 3.0]])
-    probe = np.array([[1.0, -2.0, 0.5, 0.25]])
-    x = tensor(x0, requires_grad=True)
-    np.testing.assert_array_equal(ad.cumprod(x).values, [[0.5, 0.0, 0.0, 0.0]])
-    grads = backward(ad.sum_(ad.mul(ad.cumprod(x), probe)))
-    numeric = fd_gradient(
-        lambda v: float((np.cumprod(v, axis=-1) * probe).sum()), x0.copy())
-    np.testing.assert_allclose(grads[x], numeric, atol=1e-8)
+    # A hazard of 1 makes the running product of 1 - h exactly 0 from there
+    # on; the survival term's backward divides by no factor, so its
+    # gradient stays finite. Finite differences of 1e-8 keep every zero
+    # survival below the clamp, where it has no gradient.
+    h0 = np.array([[0.5, 1.0, 0.2, 0.3], [0.1, 0.4, 1.0, 0.6]])
+    events = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    survivals = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+    h = tensor(h0, requires_grad=True)
+    loss = ad.survival_nll(h, events, survivals, 1e-7)
+    np.testing.assert_allclose(loss.values, -2.0 * np.log(1e-7) - np.log(0.5 * 0.9 * 0.6),
+                               rtol=1e-14)
+    grads = backward(loss)
+
+    def nll(v):
+        survival = np.cumprod(1.0 - v, axis=-1)
+        return -float((np.log(np.maximum(v, 1e-7)) * events).sum()
+                      + (np.log(np.maximum(survival, 1e-7)) * survivals).sum())
+
+    numeric = fd_gradient(nll, h0.copy(), eps=1e-8)
+    assert np.isfinite(grads[h]).all()
+    np.testing.assert_allclose(grads[h], numeric, atol=1e-6)
+    with pytest.raises(ShapeError):
+        ad.survival_nll(h, None, None, 1e-7)
 
 
 def test_squared_and_cosine_error_values():
     pred = tensor([[3.0, 4.0]])
-    np.testing.assert_allclose(ad.squared_error(pred, [[0.0, 4.0]]).values, 4.5)
-    np.testing.assert_allclose(ad.cosine_error(pred, [[4.0, -3.0]], 2.0).values, 1.0)
-    np.testing.assert_allclose(ad.cosine_error(pred, [[6.0, 8.0]], 2.0).values, 0.0,
+    np.testing.assert_allclose(ad.squared_error([pred], [[[0.0, 4.0]]]).values, 4.5)
+    np.testing.assert_allclose(ad.cosine_error([pred], [[[4.0, -3.0]]], 2.0).values, 1.0)
+    np.testing.assert_allclose(ad.cosine_error([pred], [[[6.0, 8.0]]], 2.0).values, 0.0,
                                atol=1e-15)
+    # the mean over categories happens inside the node
+    np.testing.assert_allclose(
+        ad.squared_error([pred, pred], [[[0.0, 4.0]], [[3.0, 4.0]]]).values, 2.25)
     with pytest.raises(ShapeError):
-        ad.squared_error(pred, [[1.0]])
+        ad.squared_error([pred], [[[1.0]]])
+    with pytest.raises(ShapeError):
+        ad.squared_error([pred, pred], [[[0.0, 4.0]]])
 
 
 def test_squared_and_cosine_error_sum_over_rows():
     pred = tensor([[3.0, 4.0], [1.0, 0.0]])
     target = [[0.0, 4.0], [0.0, 1.0]]
     # row means 4.5 and 1.0; cos 0 and 0 with gamma 2
-    np.testing.assert_allclose(ad.squared_error(pred, target).values, 5.5)
-    np.testing.assert_allclose(ad.cosine_error(pred, [[4.0, -3.0], [0.0, 1.0]], 2.0).values,
-                               2.0)
+    np.testing.assert_allclose(ad.squared_error([pred], [target]).values, 5.5)
+    np.testing.assert_allclose(
+        ad.cosine_error([pred], [[[4.0, -3.0], [0.0, 1.0]]], 2.0).values, 2.0)
     with pytest.raises(ShapeError):
-        ad.cosine_error(tensor([1.0, 2.0]), [1.0, 2.0], 2.0)
+        ad.cosine_error([tensor([1.0, 2.0])], [[1.0, 2.0]], 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +197,7 @@ def test_softmax_gradient():
     probe = rng.normal(size=(3, 4))
 
     x = tensor(x0, requires_grad=True)
-    grads = backward(ad.sum_(ad.mul(ad.softmax(x, axis=1), probe)))
+    grads = backward(sum_(ad.mul(ad.softmax(x, axis=1), probe)))
 
     def scalar(v):
         e = np.exp(v - v.max(axis=1, keepdims=True))
@@ -183,7 +218,7 @@ def test_masked_softmax_zero_weight_and_gradient_off_mask():
     np.testing.assert_array_equal(out.values[1], ad.softmax(tensor(x0[1]), axis=0).values)
     np.testing.assert_array_equal(out.values[0, :3],
                                   ad.softmax(tensor(x0[0, :3]), axis=0).values)
-    grads = backward(ad.sum_(ad.mul(out, rng.normal(size=(2, 5)))))
+    grads = backward(sum_(ad.mul(out, rng.normal(size=(2, 5)))))
     assert (grads[x][0, 3:] == 0.0).all()
     assert np.all(grads[x][0, :3] != 0.0)
 
@@ -204,7 +239,7 @@ def test_elu_negative_closed_form():
 
 def test_relu_gradient_piecewise():
     x = tensor([2.0, -2.0], requires_grad=True)
-    grads = backward(ad.sum_(ad.relu(x)))
+    grads = backward(sum_(ad.relu(x)))
     np.testing.assert_array_equal(grads[x], [1.0, 0.0])
 
 
@@ -266,7 +301,7 @@ def test_activation_gradients(op):
     x0 = rng.normal(size=8) + 0.05   # nudge away from the relu kink
     probe = rng.normal(size=8)
     x = tensor(x0, requires_grad=True)
-    grads = backward(ad.sum_(ad.mul(op(x), probe)))
+    grads = backward(sum_(ad.mul(op(x), probe)))
     numeric = fd_gradient(
         lambda v: float((op(tensor(v)).values * probe).sum()), x0.copy())
     np.testing.assert_allclose(grads[x], numeric, atol=1e-7)
@@ -304,13 +339,13 @@ def test_layer_norm_gradient():
 
 def test_backward_sum_gives_ones():
     x = tensor(np.zeros((2, 3)), requires_grad=True)
-    grads = backward(ad.sum_(x))
+    grads = backward(sum_(x))
     np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
 
 def test_backward_elementwise_square():
     x = tensor([1.0, 2.0], requires_grad=True)
-    grads = backward(ad.sum_(ad.mul(x, x)))
+    grads = backward(sum_(ad.mul(x, x)))
     np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
 
@@ -322,7 +357,7 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_twice_on_same_loss_rejected():
     x = tensor([1.0], requires_grad=True)
-    loss = ad.sum_(ad.mul(x, x))
+    loss = sum_(ad.mul(x, x))
     backward(loss)
     with pytest.raises(GraphError):
         backward(loss)
@@ -330,15 +365,15 @@ def test_backward_twice_on_same_loss_rejected():
 
 def test_gradients_accumulate_across_losses():
     x = tensor([1.0, 2.0], requires_grad=True)
-    backward(ad.sum_(ad.mul(x, x)))
-    backward(ad.sum_(ad.mul(x, 3.0)))
+    backward(sum_(ad.mul(x, x)))
+    backward(sum_(ad.mul(x, 3.0)))
     np.testing.assert_array_equal(x.grad, [2.0 + 3.0, 4.0 + 3.0])
 
 
 def test_backward_drops_interior_gradients_and_keeps_leaves():
     x = tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(x, x)
-    loss = ad.sum_(ad.mul(y, 3.0))
+    loss = sum_(ad.mul(y, 3.0))
     grads = backward(loss)
     assert y.grad is None and loss.grad is None
     np.testing.assert_array_equal(grads[x], [6.0, 12.0])
@@ -349,7 +384,7 @@ def test_backward_leaves_interior_nodes_without_parents_or_closure():
     x = tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(x, x)
     z = ad.mul(y, 3.0)
-    loss = ad.sum_(z)
+    loss = sum_(z)
     grads = backward(loss)
     for node in (y, z, loss):
         assert node._parents == () and node._backward_fn is None and node.grad is None
@@ -363,11 +398,11 @@ def test_backward_leaves_interior_nodes_without_parents_or_closure():
 def test_a_second_backward_through_a_consumed_node_is_rejected():
     x = tensor([1.0, 2.0], requires_grad=True)
     y = ad.mul(x, x)
-    backward(ad.sum_(y))
+    backward(sum_(y))
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
     # y has no parents left, but it must not pass for a leaf
     with pytest.raises(GraphError, match="mul node"):
-        backward(ad.sum_(ad.mul(y, 3.0)))
+        backward(sum_(ad.mul(y, 3.0)))
     assert y.grad is None
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
@@ -385,7 +420,7 @@ def test_broadcast_add_gradient():
     x0 = rng.normal(size=(4, 3))
     b0 = rng.normal(size=3)
     b = tensor(b0, requires_grad=True)
-    grads = backward(ad.sum_(ad.add(tensor(x0), b)))
+    grads = backward(sum_(ad.add(tensor(x0), b)))
     np.testing.assert_array_equal(grads[b], np.full(3, 4.0))
 
 
@@ -396,7 +431,7 @@ def test_concat_and_gather_round_trip_gradients():
     merged = ad.concat([a, b], axis=0)
     assert merged.shape == (5, 2)
     back = ad.gather_rows(merged, np.arange(3))
-    grads = backward(ad.sum_(ad.mul(back, back)))
+    grads = backward(sum_(ad.mul(back, back)))
     np.testing.assert_allclose(grads[a], 2.0 * a.values)
     assert grads.get(b) is None or not np.any(grads[b])
 
@@ -410,7 +445,7 @@ def test_gather_rows_scatters_back_and_rejects_negative_rows():
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out.values, x0[index])
     probe = rng.normal(size=(2, 2, 3))
-    grads = backward(ad.sum_(ad.mul(out, probe)))
+    grads = backward(sum_(ad.mul(out, probe)))
     np.testing.assert_array_equal(grads[x][index], probe)
     # take would wrap -1 around to the last row
     with pytest.raises(ShapeError, match="negative"):
@@ -422,7 +457,7 @@ def test_gather_rows_scatters_back_and_rejects_negative_rows():
 def test_non_finite_forward_raises():
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            ad.log(tensor([0.0]))
+            log(tensor([0.0]))
 
 
 def test_tensor_rejects_non_finite_values():
@@ -440,7 +475,7 @@ def test_assign_only_on_leaves():
 def test_no_grad_suppresses_graph():
     x = tensor([1.0, 2.0], requires_grad=True)
     with ad.no_grad():
-        out = ad.sum_(ad.mul(x, x))
+        out = sum_(ad.mul(x, x))
     assert not out.requires_grad
     assert out._parents == ()
 
@@ -462,7 +497,7 @@ def test_grad_check_softmax_cross_entropy():
 
     def f(p):
         probs = ad.softmax(p["logits"], axis=1)
-        return ad.mul(ad.sum_(ad.mul(ad.log(probs), np.eye(5)[target])), -1.0)
+        return ad.mul(sum_(ad.mul(log(probs), np.eye(5)[target])), -1.0)
 
     assert grad_check(f, {"logits": logits}) < 1e-6
 
@@ -472,7 +507,7 @@ def test_grad_check_reports_offending_parameter():
 
     def f(p):
         # crosses into log(<=0) once perturbed downward far enough
-        return ad.log(ad.sum_(ad.sub(p["bad"], 0.5 - 1e-7)))
+        return log(sum_(ad.add(p["bad"], -(0.5 - 1e-7))))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(GradCheckError, match="bad"):
@@ -482,5 +517,5 @@ def test_grad_check_reports_offending_parameter():
 def test_grad_check_restores_values():
     x = tensor([1.0, -1.0], requires_grad=True)
     before = x.values.copy()
-    grad_check(lambda p: ad.sum_(ad.mul(p["x"], p["x"])), {"x": x})
+    grad_check(lambda p: sum_(ad.mul(p["x"], p["x"])), {"x": x})
     np.testing.assert_array_equal(x.values, before)

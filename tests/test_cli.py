@@ -112,6 +112,25 @@ def test_bad_config_file(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 1
 
 
+def test_config_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"synth": {"n_patients": 8}}\xff')
+    assert cli.main(["synth", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
+    assert f"error: {bad}: byte 0xff at offset 28 is not UTF-8" in capsys.readouterr().err
+
+
+def test_cohort_file_that_is_not_utf8(workspace, tmp_path, capsys):
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    clinical = next(data.glob("*_clinical.csv"))
+    clinical.write_bytes(clinical.read_bytes() + b"\xfe,1.0,0\n")
+    manifest = next(data.glob("*_manifest.json"))
+    assert cli.main(["select-genes", "--config", str(workspace["config"]),
+                     "--manifest", str(manifest), "--out-dir", str(tmp_path)]) == 1
+    assert f"error: {clinical}: line " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------

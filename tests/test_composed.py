@@ -360,3 +360,266 @@ def test_affine_compose_is_the_augmented_weight_of_two_linear_maps():
         ad.affine_compose(w0, b0, w1, b1, heads=4)
     with pytest.raises(ad.ShapeError):
         ad.affine_compose(w0, ad.tensor(np.zeros(5)), w1, b1, heads=1)
+
+
+# ---------------------------------------------------------------------------
+# the composed loss chain
+# ---------------------------------------------------------------------------
+#
+# The loss terms were once chains of small nodes: the survival NLL built
+# from clip_min, log, mul and a sum per term, a running product and a
+# subtraction; each reconstruction error one node per category, added up
+# and scaled by 1/C. The ops below are those nodes, and the three losses
+# after them are the chains verbatim. The one-node losses must repeat
+# their arithmetic in the same order, so values and gradients keep every
+# bit.
+
+def sub(a, b):
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    out_values = a.values - b.values
+
+    def backward_fn(g):
+        ad._accumulate(a, ad._unbroadcast(g, a.shape))
+        ad._accumulate(b, ad._unbroadcast(-g, b.shape))
+
+    return ad._make(out_values, (a, b), backward_fn, "sub")
+
+
+def sum_(x, axis=None, keepdims=False):
+    x = ad._as_tensor(x)
+    out_values = x.values.sum(axis=axis, keepdims=keepdims)
+
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        ad._accumulate(x, np.broadcast_to(g, x.shape))
+
+    return ad._make(out_values, (x,), backward_fn, "sum")
+
+
+def log(x):
+    x = ad._as_tensor(x)
+    y = np.log(x.values)
+
+    def backward_fn(g):
+        ad._accumulate(x, g / x.values)
+
+    return ad._make(y, (x,), backward_fn, "log")
+
+
+def clip_min(x, lo):
+    """Elementwise max(x, lo); gradient is zero where the floor is active."""
+    x = ad._as_tensor(x)
+    y = np.maximum(x.values, lo)
+
+    def backward_fn(g):
+        ad._accumulate(x, g * (x.values > lo))
+
+    return ad._make(y, (x,), backward_fn, "clip_min")
+
+
+def cumprod(x):
+    """Running product along the last axis."""
+    x = ad._as_tensor(x)
+    if x.values.ndim < 1:
+        raise ad.ShapeError("cumprod needs at least one axis")
+    y = np.cumprod(x.values, axis=-1)
+
+    def backward_fn(g):
+        # dy_j/dx_i = prod_{k<i} x_k * prod_{i<k<=j} x_k for j >= i. The
+        # suffix sums run right to left, so no x is ever divided out (an x
+        # of exactly 0 is legal: a hazard of 1).
+        suffix = np.array(g, dtype=np.float64, copy=True)
+        for i in range(x.shape[-1] - 2, -1, -1):
+            suffix[..., i] += x.values[..., i + 1] * suffix[..., i + 1]
+        prefix = np.ones_like(y)
+        prefix[..., 1:] = y[..., :-1]
+        ad._accumulate(x, prefix * suffix)
+
+    return ad._make(y, (x,), backward_fn, "cumprod")
+
+
+def _row_operands(pred, target, op):
+    pred = ad._as_tensor(pred)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.values.ndim != 2 or pred.shape != target.shape:
+        raise ad.ShapeError(f"{op} needs equal 2-d operands, got {pred.shape} vs "
+                            f"{target.shape}")
+    return pred, target
+
+
+def squared_error(pred, target):
+    """Sum over rows of the row's mean of (pred - target)^2."""
+    pred, target = _row_operands(pred, target, "squared_error")
+    err = pred.values - target
+    scale = 1.0 / err.shape[1]
+    out_values = (err * err).sum() * scale
+
+    def backward_fn(g):
+        ad._accumulate(pred, 2.0 * ((g * scale) * err))
+
+    return ad._make(out_values, (pred,), backward_fn, "squared_error")
+
+
+def cosine_error(pred, target, gamma):
+    """Sum over rows of (1 - cos(pred row, target row))^gamma."""
+    pred, target = _row_operands(pred, target, "cosine_error")
+    p = pred.values
+    target_norm = np.maximum(np.sqrt((target * target).sum(axis=1)), ad.NORM_FLOOR)
+    pred_norm = np.sqrt((p * p).sum(axis=1))
+    live = pred_norm > ad.NORM_FLOOR
+    denom = np.maximum(pred_norm, ad.NORM_FLOOR) * target_norm
+    dot = (p * target).sum(axis=1)
+    gap = 1.0 - dot / denom
+    out_values = (gap ** gamma).sum()
+
+    def backward_fn(g):
+        g_cos = np.where(live, -g * gamma * gap ** (gamma - 1.0), 0.0)
+        g_norm = -g_cos * dot / (denom * denom) * target_norm
+        ad._accumulate(pred, (g_cos / denom)[:, None] * target
+                       + (g_norm / np.where(live, pred_norm, 1.0))[:, None] * p)
+
+    return ad._make(out_values, (pred,), backward_fn, "cosine_error")
+
+
+_CLAMP = 1e-7
+
+
+def oracle_nll_loss(hazards, interval, censor):
+    batch, n_bins = hazards.shape
+    interval = np.asarray(interval).reshape(-1)
+    censor = np.asarray(censor).reshape(-1)
+
+    def one_hot(rows, columns):
+        out = np.zeros((batch, n_bins))
+        out[rows, columns] = 1.0
+        return out
+
+    def log_picked(t, picks):
+        return sum_(ad.mul(log(clip_min(t, _CLAMP)), picks))
+
+    rows = np.arange(batch)
+    event = censor == 0
+    survived = np.where(event, interval - 1, interval)   # -1: nothing survived
+    pays_survival = survived >= 0
+    terms = []
+    if event.any():
+        terms.append(log_picked(hazards, one_hot(rows[event], interval[event])))
+    if pays_survival.any():
+        terms.append(log_picked(cumprod(sub(1.0, hazards)),
+                                one_hot(rows[pays_survival], survived[pays_survival])))
+    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    return ad.mul(total, -1.0)
+
+
+def _row_targets(pred, target):
+    return np.reshape(np.asarray(target, dtype=np.float64), (pred.shape[0], -1))
+
+
+def oracle_mse_loss(recon, targets):
+    total = None
+    for pred, target in zip(recon, targets):
+        term = squared_error(pred, _row_targets(pred, target))
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, 1.0 / len(recon))
+
+
+def oracle_sce_loss(recon, targets, gamma=2.0):
+    total = None
+    for pred, target in zip(recon, targets):
+        target = _row_targets(pred, target)
+        term = cosine_error(pred, target, gamma)
+        total = term if total is None else ad.add(total, term)
+    return ad.mul(total, 1.0 / len(recon))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def loss_and_grads(build, leaves):
+    """The loss `build` makes of fresh leaves with these values, and their
+    gradients after a backward with an incoming gradient of 0.37, as a
+    training step's 1 / group scaling hands the loss."""
+    fresh = [ad.tensor(leaf, requires_grad=True) for leaf in leaves]
+    loss = build(fresh)
+    ad.backward(ad.mul(loss, 0.37))
+    return loss.values, [t.grad for t in fresh]
+
+
+def assert_same_loss(build, oracle, leaves):
+    got, want = loss_and_grads(build, leaves), loss_and_grads(oracle, leaves)
+    assert_same_bits(got[0], want[0])
+    for grad, want_grad in zip(got[1], want[1]):
+        assert_same_bits(grad, want_grad)
+
+
+def draw_intervals(rng, batch):
+    return rng.integers(0, 4, batch)
+
+
+def draw_censors(rng, batch):
+    return rng.integers(0, 2, batch)
+
+
+def zeros(rng, batch):
+    return np.zeros(batch, int)
+
+
+def ones(rng, batch):
+    return np.ones(batch, int)
+
+
+# (intervals, censor flags) of each case's stacks
+NLL_CASES = {
+    "mixed": (draw_intervals, draw_censors),
+    "event_only": (draw_intervals, zeros),
+    "censored_only": (draw_intervals, ones),
+    "interval_0": (zeros, draw_censors),
+    "interval_0_events": (zeros, zeros),
+}
+
+
+@pytest.mark.parametrize("case", NLL_CASES)
+def test_survival_nll_node_keeps_the_bits_of_the_composed_chain(case):
+    rng = np.random.default_rng(11)
+    intervals, censors = NLL_CASES[case]
+    for batch in (1, 2, 7, 16):
+        hazards = rng.uniform(0.0, 1.0, size=(batch, 4))
+        interval, censor = intervals(rng, batch), censors(rng, batch)
+        assert_same_loss(lambda t: gm.nll_loss(t[0], interval, censor),
+                         lambda t: oracle_nll_loss(t[0], interval, censor), [hazards])
+
+
+def test_survival_nll_node_keeps_the_bits_through_a_hazard_of_one():
+    rng = np.random.default_rng(12)
+    hazards = rng.uniform(0.0, 1.0, size=(6, 4))
+    hazards[:, 1] = 1.0             # every survival past interval 0 is exactly 0
+    hazards[0, 0] = 1e-9            # an event hazard below the clamp
+    interval = np.array([0, 1, 2, 3, 3, 2])
+    censor = np.array([0, 0, 0, 1, 0, 1])
+    assert_same_loss(lambda t: gm.nll_loss(t[0], interval, censor),
+                     lambda t: oracle_nll_loss(t[0], interval, censor), [hazards])
+    grads = loss_and_grads(lambda t: gm.nll_loss(t[0], interval, censor), [hazards])[1]
+    assert np.isfinite(grads[0]).all()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+def test_reconstruction_nodes_keep_the_bits_of_the_composed_chain(gamma):
+    rng = np.random.default_rng(13)
+    for batch, sizes in ((1, SYNTH.gene_counts), (3, (3, 7, 5, 11, 13, 9)),
+                         (8, SYNTH.gene_counts), (5, (1, 29, 2))):
+        preds = [rng.normal(size=(batch, n)) for n in sizes]
+        targets = [rng.normal(size=(batch, n)) for n in sizes]
+        preds[1][0] = 0.0           # a zero-norm prediction row
+        targets[2][-1] = 0.0        # and a zero-norm target row
+        assert_same_loss(lambda t: gm.mse_loss(t, targets),
+                         lambda t: oracle_mse_loss(t, targets), preds)
+        assert_same_loss(lambda t: gm.sce_loss(t, targets, gamma),
+                         lambda t: oracle_sce_loss(t, targets, gamma), preds)
+        # both terms add into the same predictions, as in training
+        assert_same_loss(lambda t: gm.reconstruction_loss(t, targets, gamma),
+                         lambda t: ad.add(oracle_mse_loss(t, targets),
+                                          oracle_sce_loss(t, targets, gamma)), preds)

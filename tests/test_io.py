@@ -507,6 +507,36 @@ def test_load_cohort_bag_without_clinical_row(tmp_path, synth_cohort):
         load_cohort(manifest)
 
 
+@pytest.mark.parametrize("name", ["toy_manifest.json", "toy_clinical.csv",
+                                  "toy_genomics.tsv", "toy_gene_categories.tsv"])
+def test_load_cohort_names_the_file_and_line_of_a_byte_that_is_not_utf8(
+        tmp_path, synth_cohort, name):
+    write_cohort(tmp_path, synth_cohort, name="toy")
+    path = tmp_path / name
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataFormatError, match=f"{name}: line 3: byte 0xff is not UTF-8"):
+        load_cohort(tmp_path / "toy_manifest.json")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: list(data), "must be a JSON object"),
+    (lambda data: {**data, "bags": list(data["bags"].values())}, "'bags' must map"),
+    (lambda data: {**data, "bags": dict.fromkeys(data["bags"], 3)}, "'bags' must map"),
+    (lambda data: {**data, "clinical": 7}, "'clinical' must be a file path"),
+    (lambda data: {**data, "genomics": ["a.tsv"]}, "'genomics' must be a file path"),
+])
+def test_load_cohort_rejects_a_manifest_of_the_wrong_shape(tmp_path, synth_cohort,
+                                                           edit, message):
+    import json
+    manifest = write_cohort(tmp_path, synth_cohort, name="toy")
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    with pytest.raises(DataFormatError, match=message) as err:
+        load_cohort(manifest)
+    assert str(manifest) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # atomic writes
 # ---------------------------------------------------------------------------

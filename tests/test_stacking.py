@@ -188,7 +188,7 @@ def test_stacks_keep_order_and_a_bag_above_the_budget_trains_alone(monkeypatch):
 
 
 # The stack's forward and losses, plus 1 for the accumulation scaling.
-STACK_NODE_CAPS = {"default": 135 + 1, "gated_recon": 130 + 1, "gated_baseline": 21 + 1}
+STACK_NODE_CAPS = {"default": 102 + 1, "gated_recon": 97 + 1, "gated_baseline": 10 + 1}
 
 
 @pytest.mark.parametrize("variant", STACK_NODE_CAPS)
