@@ -284,8 +284,10 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
     `scores` is (N_g, N_p) for one patient, or a padded (B, N_g, W) stack
     whose patient b has `lengths[b]` patches. Keeps
     m = max(1, round(k * N_p / 100)) entries per row from each patient's
-    own N_p; score ties are broken toward the lower patch index. Rows of
-    the result sum to 1 and pads get 0. A patient's rows come out the same
+    own N_p; score ties are broken toward the lower patch index. The kept
+    entries are found by selection, not by sorting the whole row: the
+    result equals the first m entries of a stable argsort. Rows of the
+    result sum to 1 and pads get 0. A patient's rows come out the same
     bits whatever else the stack holds. The output is a plain array,
     detached from any gradient tape.
     """
@@ -295,25 +297,38 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
     if scores.ndim == 2:
         return topk_masked_softmax(scores[None], k_percent, scores.shape[1:])[0]
     batch, rows, width = scores.shape
-    keep = np.array([min(n, max(1, round(k_percent * n / 100.0))) for n in lengths])
+    keep = [min(n, max(1, round(k_percent * n / 100.0))) for n in lengths]
+    m = max(keep)
     ranked = -scores
-    pads = np.arange(width) >= np.asarray(lengths)[:, None]
-    if pads.any():
+    if min(lengths) < width:
+        pads = np.arange(width) >= np.asarray(lengths)[:, None]
         ranked[np.broadcast_to(pads[:, None, :], ranked.shape)] = np.inf
-    top = np.argsort(ranked, axis=-1, kind="stable")[..., :keep.max()]
-    picks = (np.arange(batch)[:, None, None], np.arange(rows)[None, :, None], top)
-    kept = scores[picks]
+    # The first m columns of a stable argsort, by selection: each row's m-th
+    # smallest value, every entry below it and the lowest-index entries equal
+    # to it, then a stable sort of those m entries alone.
+    cut = ranked.copy()
+    cut.partition(m - 1)
+    cut = cut[..., m - 1:m]
+    chosen = ranked < cut
+    tied = ranked == cut
+    tied &= tied.cumsum(-1) <= m - chosen.sum(-1, keepdims=True)
+    chosen |= tied
+    # flat indices of each row's m entries, in patch order, then in rank order
+    picks = chosen.ravel().nonzero()[0].reshape(batch, rows, m)
+    order = ranked.take(picks).argsort(kind="stable")
+    picks = picks.take(order + np.arange(0, picks.size, m).reshape(batch, rows, 1))
+    kept = scores.take(picks)
     shifted = kept - kept[..., :1]
-    dropped = np.arange(top.shape[-1]) >= keep[:, None, None]   # beyond a short bag's m
-    if dropped.any():
+    if min(keep) < m:   # a short bag's entries beyond its own m
+        dropped = np.arange(m) >= np.array(keep)[:, None, None]
         shifted[np.broadcast_to(dropped, shifted.shape)] = -np.inf
-    shifted = np.exp(shifted)
-    # A running sum read at each patient's own m-th entry: a pairwise `sum`
-    # over the keep.max() columns would group the terms by the stack's
-    # widest m.
-    total = np.cumsum(shifted, axis=-1)[np.arange(batch), :, keep - 1]
-    out = np.zeros_like(scores)
-    out[picks] = shifted / total[..., None]
+    np.exp(shifted, out=shifted)
+    # A running sum: a pairwise `sum` over the m columns would group the
+    # terms by the stack's widest m. Its last column is each patient's own
+    # m-th entry, since every term beyond it is exactly 0.
+    shifted /= shifted.cumsum(-1)[..., -1:]
+    out = np.zeros(scores.shape)
+    out.put(picks, shifted)
     return out
 
 

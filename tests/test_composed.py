@@ -343,6 +343,107 @@ def test_gated_scores_equals_the_unfolded_gate():
         ad.gated_scores(x, u, v, score_w, score_b, layout.index + 1)
 
 
+# ---------------------------------------------------------------------------
+# the unblocked gate
+# ---------------------------------------------------------------------------
+#
+# `gated_scores` once ran its forward over all N rows at once: two (N,
+# width) products, tanh, sigmoid, their product and the score product,
+# each a whole-array pass. Below is that node verbatim. The node now runs
+# its no-grad forward in row blocks and must give the same bits: values,
+# (B, 1, W) layout and all five gradients, with and without a tape. CI
+# runs this test under every forced BLAS kernel and thread count, since
+# whether a row's bits survive blocking depends on the kernel BLAS picks.
+
+def oracle_gated_scores(bag, u, v, score_w, score_b, index):
+    bag, u, v, score_w, score_b = (ad._as_tensor(t) for t in (bag, u, v, score_w, score_b))
+    index = np.asarray(index)
+    if (bag.values.ndim != 2 or score_w.values.ndim != 2 or score_w.shape[1] != 1
+            or u.shape != (1, 1, bag.shape[1] + 1, score_w.shape[0]) or v.shape != u.shape
+            or score_b.shape != (1,) or index.ndim != 2):
+        raise ad.ShapeError(f"gated_scores operands do not chain: rows {bag.shape}, maps "
+                            f"{u.shape} and {v.shape}, score {score_w.shape} + "
+                            f"{score_b.shape}, index {index.shape}")
+    product = np.matmul if ad._grad_enabled else ad._row_invariant_product
+    t, s = (product(bag.values, m.values[0, 0, :-1]) for m in (u, v))
+    t += u.values[0, 0, -1]
+    s += v.values[0, 0, -1]
+    np.tanh(t, out=t)
+    ad._sigmoid_into(s, s)
+    scores = product(t * s, score_w.values)[:, 0] + score_b.values
+    try:
+        out_values = np.where(index < 0, 0.0, scores.take(index))[:, None]
+    except IndexError as err:
+        raise ad.ShapeError(f"gated_scores index out of range for {bag.shape[0]} "
+                            f"rows") from err
+
+    def backward_fn(g):
+        # One spare last entry takes every pad's gradient and is dropped.
+        g_scores = np.zeros((bag.shape[0] + 1, 1))
+        g_scores[index, 0] = g[:, 0]
+        g_scores = g_scores[:-1]
+        ad._accumulate(score_w, (t * s).T @ g_scores)
+        ad._accumulate(score_b, g_scores.sum(axis=0))
+        g_gate = g_scores * score_w.values[:, 0]
+        g_t = g_gate * s                            # g * s * (1 - t * t)
+        slope = np.multiply(t, t)
+        g_t *= np.subtract(1.0, slope, out=slope)
+        g_s = np.multiply(g_gate, t, out=g_gate)    # g * t * s * (1 - s)
+        g_s *= s
+        g_s *= np.subtract(1.0, s, out=slope)
+        for m, g_pre in ((u, g_t), (v, g_s)):
+            if bag.requires_grad:   # skips the product for a constant bag
+                ad._accumulate(bag, g_pre @ m.values[0, 0, :-1].T)
+            grad = np.concatenate([bag.values.T @ g_pre, g_pre.sum(axis=0)[None]])
+            ad._accumulate(m, grad[None, None])
+
+    return ad._make(out_values, (bag, u, v, score_w, score_b), backward_fn,
+                    "gated_scores")
+
+
+def gate_outputs(gate, leaves, index, probe):
+    """The gate's (B, 1, W) values, and the five gradients of sum(values *
+    probe) with respect to fresh leaves with these values."""
+    fresh = [ad.tensor(leaf, requires_grad=True) for leaf in leaves]
+    out = gate(*fresh, index)
+    ad.backward(ad.linear(ad.reshape(out, (1, out.size)),
+                          ad.tensor(probe.reshape(-1, 1)), ad.tensor(np.zeros(1))))
+    return out.values, [t.grad for t in fresh]
+
+
+BLOCK = ad.GATE_BLOCK
+GATE_STACKS = {
+    "1": (1,), "7": (7,), "8": (8,), "block-1": (BLOCK - 1,), "block": (BLOCK,),
+    "block+1": (BLOCK + 1,), "3block+5": (3 * BLOCK + 5,),
+    # bag boundaries inside blocks, bags spanning blocks, a one-patch bag
+    "ragged": (BLOCK // 2 + 3, 1, BLOCK + 17, 2 * BLOCK - 9, 40, BLOCK // 3),
+}
+
+
+@pytest.mark.parametrize("features", [32, 768])
+@pytest.mark.parametrize("stack", GATE_STACKS)
+def test_blocked_gate_keeps_the_bits_of_the_unblocked_gate(stack, features):
+    rng = np.random.default_rng([14, features, len(GATE_STACKS[stack])])
+    layout = blocks.PatchLayout.of(GATE_STACKS[stack])
+    (batch, padded), width = layout.index.shape, 64
+    leaves = [rng.normal(size=(int(layout.mask.sum()), features)),
+              rng.normal(size=(1, 1, features + 1, width)) / math.sqrt(features),
+              rng.normal(size=(1, 1, features + 1, width)) / math.sqrt(features),
+              rng.normal(size=(width, 1)), rng.normal(size=1)]
+    probe = rng.normal(size=(batch, 1, padded))
+    got = gate_outputs(ad.gated_scores, leaves, layout.index, probe)
+    want = gate_outputs(oracle_gated_scores, leaves, layout.index, probe)
+    assert got[0].shape == (batch, 1, padded)
+    assert_same_bits(got[0], want[0])
+    assert not got[0][~layout.mask[:, None, :]].any()
+    for grad, want_grad in zip(got[1], want[1]):
+        assert_same_bits(grad, want_grad)
+    with ad.no_grad():
+        got = ad.gated_scores(*leaves, layout.index).values
+        want = oracle_gated_scores(*leaves, layout.index).values
+    assert_same_bits(got, want)
+
+
 def test_affine_compose_is_the_augmented_weight_of_two_linear_maps():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(13, 5))

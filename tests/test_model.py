@@ -151,6 +151,77 @@ def test_topk_rows_sum_to_one_with_exact_counts():
             assert (np.count_nonzero(out, axis=1) == m).all()
 
 
+# The top-k mask once ranked every row with a full stable argsort over W.
+# Below is that function verbatim; selecting the m-th value and sorting
+# only the m kept entries must give the same bits.
+
+def oracle_topk_masked_softmax(scores, k_percent, lengths=None):
+    if not 0.0 < k_percent <= 100.0:
+        raise ConfigError(f"k_percent must be in (0, 100], got {k_percent}")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim == 2:
+        return oracle_topk_masked_softmax(scores[None], k_percent, scores.shape[1:])[0]
+    batch, rows, width = scores.shape
+    keep = np.array([min(n, max(1, round(k_percent * n / 100.0))) for n in lengths])
+    ranked = -scores
+    pads = np.arange(width) >= np.asarray(lengths)[:, None]
+    if pads.any():
+        ranked[np.broadcast_to(pads[:, None, :], ranked.shape)] = np.inf
+    top = np.argsort(ranked, axis=-1, kind="stable")[..., :keep.max()]
+    picks = (np.arange(batch)[:, None, None], np.arange(rows)[None, :, None], top)
+    kept = scores[picks]
+    shifted = kept - kept[..., :1]
+    dropped = np.arange(top.shape[-1]) >= keep[:, None, None]   # beyond a short bag's m
+    if dropped.any():
+        shifted[np.broadcast_to(dropped, shifted.shape)] = -np.inf
+    shifted = np.exp(shifted)
+    # A running sum read at each patient's own m-th entry: a pairwise `sum`
+    # over the keep.max() columns would group the terms by the stack's
+    # widest m.
+    total = np.cumsum(shifted, axis=-1)[np.arange(batch), :, keep - 1]
+    out = np.zeros_like(scores)
+    out[picks] = shifted / total[..., None]
+    return out
+
+
+def draw_scores(rng, shape, kind):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "rounded":       # a handful of distinct values: ties everywhere
+        return np.round(rng.normal(size=shape), 1)
+    return np.full(shape, 0.25)     # every row all equal
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+TOPK_PERCENTS = (1.0, 10.0, 20.0, 34.0, 50.0, 99.0, 100.0)
+
+
+@pytest.mark.parametrize("kind", ["normal", "rounded", "equal"])
+def test_topk_selection_keeps_the_bits_of_the_full_stable_argsort(kind):
+    rng = np.random.default_rng(["normal", "rounded", "equal"].index(kind))
+    # one patient: m runs from 1 to N_p
+    for n_p in (1, 2, 3, 8, 37, 64, 300):
+        scores = draw_scores(rng, (6, n_p), kind)
+        for k in TOPK_PERCENTS:
+            assert_same_bits(gm.topk_masked_softmax(scores, k),
+                             oracle_topk_masked_softmax(scores, k))
+    # padded stacks, a different m per bag, bags shorter than the widest m
+    for lengths in ((1, 5, 12, 37), (40, 40), (3, 96, 2, 64, 17), (200, 1)):
+        width = -(-max(lengths) // 8) * 8
+        scores = np.where(np.arange(width) < np.array(lengths)[:, None, None],
+                          draw_scores(rng, (len(lengths), 6, width), kind), 0.0)
+        for k in TOPK_PERCENTS:
+            got = gm.topk_masked_softmax(scores, k, lengths)
+            assert_same_bits(got, oracle_topk_masked_softmax(scores, k, lengths))
+            # one bag's rows come out alone as they do in the stack
+            for b, n in enumerate(lengths):
+                assert_same_bits(got[b, :, :n], gm.topk_masked_softmax(scores[b, :, :n], k))
+
+
 def test_fused_rows_are_distributions():
     rng = np.random.default_rng(7)
     morph = rng.dirichlet(np.ones(6)).reshape(6, 1)

@@ -7,7 +7,7 @@ from histodistill import autodiff as ad
 from histodistill import training as tr
 from histodistill.autodiff import tensor
 from histodistill.checkpoint import load_checkpoint
-from histodistill.datasets import (Cohort, Patient, SynthConfig,
+from histodistill.datasets import (Cohort, Patient, SurvivalLabel, SynthConfig,
                                    discretize_survival, make_folds,
                                    synth_generate)
 from histodistill.errors import ConfigError
@@ -371,6 +371,34 @@ def test_cross_validate_reruns_byte_identical(cv_run, tmp_path):
     cross_validate(cohort, config, again)
     for name in ("metrics.json", "km.tsv", "fold0.ghck", "fold1.ghck"):
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# Degenerate cohorts: (patients, folds, censor flag per patient, the
+# error's text). Every patient's time differs, so only the censoring and
+# the fold sizes decide.
+DEGENERATE = {
+    "all_censored": (16, 2, 1, "need at least 2 uncensored patients"),
+    "5_patients_in_5_folds": (5, 5, 0, "validation fold 0 of 5 has no comparable pair"),
+    "3_patients_in_2_folds": (3, 2, 0, "validation fold 1 of 2 has no comparable pair"),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_cross_validate_rejects_a_degenerate_cohort_before_any_fold_trains(
+        case, tmp_path, monkeypatch):
+    n, n_folds, censor, message = DEGENERATE[case]
+    drawn = tiny_cohort(n)
+    cohort = Cohort([Patient(p.bag, SurvivalLabel(10.0 + i, censor), p.genes)
+                     for i, p in enumerate(drawn)], gene_ids=drawn.gene_ids)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a fold trained")
+
+    monkeypatch.setattr(tr, "run_fold", no_training)
+    with pytest.raises(ConfigError, match=message):
+        cross_validate(cohort, tiny_train_config(n_folds=n_folds), tmp_path)
+    # no checkpoint, trace, selection report, km.tsv or metrics.json
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_is_image_only(cv_run):
