@@ -18,7 +18,7 @@ import numpy as np
 
 from histodistill.checkpoint import load_checkpoint
 from histodistill.datasets import SynthConfig, discretize_survival, make_folds, synth_generate
-from histodistill.training import TrainConfig, run_fold, spearman_report
+from histodistill.training import TrainConfig, evaluate, run_fold
 
 synth = SynthConfig(n_patients=60, patch_range=(8, 24), feature_dim=16,
                     n_prototypes=4, gene_counts=(4, 6, 8, 6, 10, 4))
@@ -59,7 +59,7 @@ print(f"median-risk split log-rank: stat {res.logrank_stat:.2f}, p {res.logrank_
 
 # rank agreement between reconstructed and true gene profiles, per category
 ckpt = load_checkpoint(run.checkpoint_path)
-rep = spearman_report(ckpt, cohort, run.val_idx)
+rep = evaluate(ckpt, cohort, run.val_idx, with_spearman=True).spearman
 print("\ncategory mean Spearman (validation patients):")
 for name, m, s in zip(rep.category_names, rep.means(), rep.stds()):
     note = " (skipped)" if name in rep.skipped else ""

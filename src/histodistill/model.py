@@ -16,9 +16,9 @@ scores and weights come out bit-identical alone and in any stack whose
 bags share its aligned length (see `PatchLayout`), so stacked inference
 and one-bag `predict` agree exactly. The per-category
 reconstruction heads run only when a caller reads `ForwardResult.recon`:
-the training losses, the gradient checker and the gene-profile export do;
-inference does not. `model_forward` is the one-bag case, with the stack
-axis dropped.
+the training losses, the gradient checker and `eval --spearman` do, the
+last in the same no-grad stacks as the hazards; plain inference does not.
+`model_forward` is the one-bag case, with the stack axis dropped.
 
 Neither branch projects the bag itself (see `blocks`). The stack's raw
 rows are padded once, with a trailing ones column, into a
@@ -440,7 +440,8 @@ class ForwardResult:
     def recon(self) -> tuple[Tensor, ...] | None:
         """Per-category reconstructions, each (B, len), or None without an
         association branch. The heads run on the first read, in the grad
-        mode of that read; inference never reads this, so it skips them."""
+        mode of that read; inference reads this only for a Spearman report,
+        so it otherwise skips them."""
         return None if self.features is None else reconstruct(self.heads, self.features)
 
 

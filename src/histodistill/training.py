@@ -19,8 +19,9 @@ bags sorted by length, each stack holding bags of one aligned length
 under ROW_BUDGET. On the BLAS kernels `autodiff._row_invariant_product`
 names, a patient's forward is bit-identical in such a stack and alone, so
 `evaluate` gives every patient the risk one-bag `predict` gives, whatever
-subset or order of patients it scores. Validation metrics are
-always computed from the saved checkpoint after reloading it, so `eval`
+subset or order of patients it scores, and a Spearman report reads the
+gene reconstructions off the same stacks. Validation metrics are always
+computed from the saved checkpoint after reloading it, so `eval`
 on the same file reproduces them exactly. Checkpoints and JSON outputs are
 written to a temporary file and renamed into place, so an interrupted run
 never leaves a truncated one.
@@ -393,23 +394,32 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
     bit-equal to `predict` on its bag alone (see the module docstring for
     where that is checked), and lands at its position in `indices`.
     Genomic profiles are touched only when `with_spearman` asks for the
-    reconstruction report (and must then be present in the cohort).
+    reconstruction report, which reads the same stacks' heads, checking
+    the cohort's gene panel (`reconstructed_genes`) before any forward.
     """
     if indices is None:
         indices = np.arange(len(cohort))
     indices = np.asarray(indices, dtype=np.int64)
     model = ckpt.model
+    genes = reconstructed_genes(ckpt, cohort) if with_spearman else None
     mid = model.config.n_bins // 2
     bags = [cohort[int(i)].bag.features for i in indices]
     risks = np.empty(indices.size)
     s_mid = np.empty(indices.size)
+    recon = (None if genes is None
+             else [np.empty((indices.size, n)) for n in model.config.category_sizes])
     for stack in inference_stacks([bag.shape[0] for bag in bags]):
         with ad.no_grad():
-            hazards = stack_forward(model, [bags[pos] for pos in stack]).hazards
-        for pos, row in zip(stack, hazards.values):
+            result = stack_forward(model, [bags[pos] for pos in stack])
+            # the heads run in the grad mode of the first `recon` read
+            if recon is not None:
+                for rows, r in zip(recon, result.recon):
+                    rows[stack] = r.values
+        for pos, row in zip(stack, result.hazards.values):
             out = hazard_output(row)
             risks[pos] = out.risk
             s_mid[pos] = out.survival[mid]
+        del result      # no stack's activations stay alive through the next
     times = cohort.times()[indices]
     censor = cohort.censor_flags()[indices]
     ci = stats.c_index(risks, times, censor)
@@ -417,29 +427,21 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
     stat, p = stats.log_rank(times[high], censor[high], times[low], censor[low])
 
     report = None
-    if with_spearman:
-        report = spearman_report(ckpt, cohort, indices)
+    if recon is not None:
+        actual = [m[sel].T for m, sel in zip(expression_matrices(cohort, indices), genes)]
+        if ckpt.standardization is not None:
+            recon = GeneStandardizer.from_dict(ckpt.standardization).inverse(recon)
+        names = ckpt.category_names or list(cohort.category_names)
+        report = stats.spearman_report(list(zip(*recon)), list(zip(*actual)), names)
     return EvalResult(ci, stat, p, int(indices.size), risks, s_mid, high, low,
                       report)
 
 
-def predict_gene_profiles(ckpt: CheckpointData,
-                          bag_features: np.ndarray) -> list[np.ndarray]:
-    """Reconstructed per-category gene vectors on the raw expression scale."""
-    model = ckpt.model
-    if model.config.gated_baseline:
+def reconstructed_genes(ckpt: CheckpointData, cohort: Cohort) -> list[np.ndarray]:
+    """The genes the checkpoint reconstructs, per category, as indices into
+    the cohort's gene lists; a ConfigError when the cohort lacks any."""
+    if ckpt.model.config.gated_baseline:
         raise ConfigError("a baseline checkpoint has no reconstruction heads")
-    with ad.no_grad():
-        recon = model_forward(model, bag_features).recon
-    standardized = [r.values.reshape(-1) for r in recon]
-    if ckpt.standardization is None:
-        return standardized
-    scaler = GeneStandardizer.from_dict(ckpt.standardization)
-    return scaler.inverse(standardized)
-
-
-def spearman_report(ckpt: CheckpointData, cohort: Cohort,
-                    indices: np.ndarray) -> stats.SpearmanReport:
     if cohort.category_sizes is None:
         raise ConfigError("spearman report needs genomic profiles in the cohort")
     sizes = list(cohort.category_sizes)
@@ -455,14 +457,7 @@ def spearman_report(ckpt: CheckpointData, cohort: Cohort,
     if not fits:
         raise ConfigError(f"gene categories have sizes {sizes}, but the "
                           f"checkpoint needs {bound}{needed}")
-    predicted, actual = [], []
-    for i in indices:
-        patient = cohort[int(i)]
-        predicted.append(predict_gene_profiles(ckpt, patient.bag.features))
-        actual.append([patient.genes.vectors[c][sel]
-                       for c, sel in enumerate(selected)])
-    names = ckpt.category_names or list(cohort.category_names)
-    return stats.spearman_report(predicted, actual, names)
+    return selected
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from histodistill.checkpoint import load_checkpoint
 from histodistill.datasets import SynthConfig, discretize_survival, make_folds, synth_generate
 from histodistill.io import write_cohort
 from histodistill.model import ModelConfig, build_model, model_forward, nll_loss, survival_curve, topk_masked_softmax
-from histodistill.training import SWEEP_K_GRID, TrainConfig, cross_validate, run_fold, spearman_report, sweep_k
+from histodistill.training import SWEEP_K_GRID, TrainConfig, cross_validate, evaluate, run_fold, sweep_k
 
 
 pytestmark = pytest.mark.slow
@@ -398,7 +398,7 @@ def test_criterion_7_spearman_reconstruction(full_cv):
     result = full_cv["result"]
     run = result.folds[0]
     ckpt = load_checkpoint(run.checkpoint_path)
-    held_out = spearman_report(ckpt, cohort, run.val_idx)
+    held_out = evaluate(ckpt, cohort, run.val_idx, with_spearman=True).spearman
     means = held_out.means()
     tested = [m for name, m in zip(held_out.category_names, means)
               if name not in held_out.skipped]

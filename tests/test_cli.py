@@ -235,6 +235,37 @@ def test_eval_with_spearman(workspace, tmp_path):
     assert (out / "spearman.tsv").exists()
 
 
+def test_eval_spearman_rejects_a_baseline_checkpoint_before_any_forward(
+        workspace, tmp_path, capsys, monkeypatch):
+    from histodistill import training
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {**TRAIN_SECTION, "gated_baseline": True}}))
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config),
+                     "--manifest", str(workspace["manifest"]),
+                     "--out-dir", str(run), "--fold", "0"]) == 0
+    capsys.readouterr()
+    forwards = []
+    real_stack_forward = training.stack_forward
+
+    def counting(model, bags, *args):
+        forwards.append(len(bags))
+        return real_stack_forward(model, bags, *args)
+
+    monkeypatch.setattr(training, "stack_forward", counting)
+    checkpoint = run / "fold0.ghck"
+    code = cli.main(["eval", "--checkpoint", str(checkpoint),
+                     "--manifest", str(workspace["manifest"]), "--spearman",
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    for part in (str(checkpoint), str(workspace["manifest"]), "baseline"):
+        assert part in err, (part, err)
+    assert forwards == []
+    assert not (tmp_path / "out" / "eval_metrics.json").exists()
+
+
 def test_eval_spearman_rejects_a_checkpoint_of_another_gene_panel(workspace, tmp_path,
                                                                  capsys):
     from histodistill.checkpoint import load_checkpoint

@@ -2,10 +2,12 @@
 
 `training.evaluate` runs bags in no-grad stacks (`inference_stacks`), and
 the benchmark and the README promise that its risks equal single-bag
-`predict` bit for bit. That holds only while every layer gives a patient's
-rows the same bits alone and in a stack, which depends on how BLAS picks
-its kernels. These tests fail by name on a BLAS build or thread count that
-breaks it; CI runs them under OPENBLAS_NUM_THREADS=1 and 2.
+`predict` bit for bit, and the gene profiles `eval --spearman` reads off
+the same stacks each bag's one-bag reconstruction. That holds only while
+every layer gives a patient's rows the same bits alone and in a stack,
+which depends on how BLAS picks its kernels. These tests fail by name on
+a BLAS build or thread count that breaks it; CI runs them under
+OPENBLAS_NUM_THREADS=1 and 2.
 """
 
 import numpy as np
@@ -50,16 +52,21 @@ def ragged_lengths(rng, count: int = 48) -> list[int]:
 
 
 def assert_stacks_match_one_bag_forwards(name, model, bags, stacks):
+    # `recon` is read under no_grad, as `evaluate` reads it: the heads run
+    # in the grad mode of the first read
     for stack in stacks:
         with ad.no_grad():
             stacked = stack_forward(model, [bags[pos] for pos in stack])
+            stacked_recon = stacked.recon
         for row, pos in enumerate(stack):
             n = bags[pos].shape[0]
             with ad.no_grad():
                 alone = model_forward(model, bags[pos])
+                alone_recon = alone.recon
             where = f"{name}: bag {pos} ({n} patches) in a stack of {len(stack)}"
             assert np.array_equal(stacked.hazards.values[row], alone.hazards.values[0]), where
             if alone.diagnostics is None:
+                assert stacked_recon is None and alone_recon is None, where
                 continue
             pairs = {
                 "association scores": (stacked.assoc_scores[row, :, :n], alone.assoc_scores),
@@ -67,6 +74,8 @@ def assert_stacks_match_one_bag_forwards(name, model, bags, stacks):
                                  alone.diagnostics.masked_assoc),
                 "fused": (stacked.diagnostics.fused[row, :, :n], alone.diagnostics.fused),
             }
+            for c, (got, want) in enumerate(zip(stacked_recon, alone_recon)):
+                pairs[f"category {c} reconstruction"] = (got.values[row], want.values[0])
             if alone.diagnostics.morph_weights is not None:
                 pairs["morphology weights"] = (stacked.diagnostics.morph_weights[row, :n],
                                                alone.diagnostics.morph_weights)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from histodistill import autodiff as ad
+from histodistill import stats
 from histodistill import training as tr
 from histodistill.autodiff import tensor
 from histodistill.checkpoint import load_checkpoint
@@ -11,7 +12,7 @@ from histodistill.datasets import (Cohort, Patient, SurvivalLabel, SynthConfig,
                                    discretize_survival, make_folds,
                                    synth_generate)
 from histodistill.errors import ConfigError
-from histodistill.model import build_model
+from histodistill.model import build_model, model_forward
 from histodistill.training import (Adam, GeneStandardizer, TrainConfig,
                                    cross_validate, evaluate,
                                    export_associations, expression_matrices,
@@ -42,6 +43,29 @@ def cv_run(tmp_path_factory):
     config = tiny_train_config()
     result = cross_validate(cohort, config, out)
     return cohort, config, result, out
+
+
+@pytest.fixture(scope="module")
+def baseline_ckpt(tmp_path_factory):
+    """Fold 0 of an image-only gated-baseline run on `tiny_cohort`."""
+    stripped = Cohort([Patient(p.bag, p.label, None) for p in tiny_cohort()])
+    result = cross_validate(stripped, tiny_train_config(gated_baseline=True),
+                            tmp_path_factory.mktemp("base"))
+    return load_checkpoint(result.folds[0].checkpoint_path)
+
+
+def count_forwards(monkeypatch) -> list[int]:
+    """Replace `training.stack_forward` by a counting wrapper; the list
+    collects the bag count of every forward."""
+    forwards = []
+    real_stack_forward = tr.stack_forward
+
+    def counting(model, bags, *args):
+        forwards.append(len(bags))
+        return real_stack_forward(model, bags, *args)
+
+    monkeypatch.setattr(tr, "stack_forward", counting)
+    return forwards
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +451,75 @@ def test_evaluate_spearman_report(cv_run):
     assert set(d["spearman_mean"]) == set(report.category_names)
 
 
-def test_evaluate_spearman_rejects_a_cohort_of_another_gene_panel(cv_run):
+def one_bag_spearman_report(ckpt, cohort, indices):
+    """The Spearman report as it was computed before `evaluate`'s stacks
+    reconstructed the genes: one `model_forward` per patient. Returns the
+    report and the per-patient predicted profiles."""
+    def predict_gene_profiles(ckpt, bag_features):
+        """Reconstructed per-category gene vectors on the raw expression scale."""
+        model = ckpt.model
+        if model.config.gated_baseline:
+            raise ConfigError("a baseline checkpoint has no reconstruction heads")
+        with ad.no_grad():
+            recon = model_forward(model, bag_features).recon
+        standardized = [r.values.reshape(-1) for r in recon]
+        if ckpt.standardization is None:
+            return standardized
+        scaler = GeneStandardizer.from_dict(ckpt.standardization)
+        return scaler.inverse(standardized)
+
+    selected = [np.asarray(s, dtype=np.int64) for s in ckpt.selected_genes]
+    predicted, actual = [], []
+    for i in indices:
+        patient = cohort[int(i)]
+        predicted.append(predict_gene_profiles(ckpt, patient.bag.features))
+        actual.append([patient.genes.vectors[c][sel]
+                       for c, sel in enumerate(selected)])
+    names = ckpt.category_names or list(cohort.category_names)
+    return stats.spearman_report(predicted, actual, names), predicted
+
+
+def test_evaluate_spearman_keeps_the_bits_of_one_bag_reconstructions(cv_run,
+                                                                     monkeypatch):
+    cohort, config, result, out = cv_run
+    ckpt = load_checkpoint(out / "fold0.ghck")
+    assert ckpt.standardization is not None and ckpt.selected_genes is not None
+    passed, taped = [], []
+    real_report, real_make = stats.spearman_report, ad._make
+
+    def recording(predicted, actual, names):
+        passed.append(predicted)
+        return real_report(predicted, actual, names)
+
+    def recording_make(*args, **kwargs):
+        out = real_make(*args, **kwargs)
+        if out.requires_grad:
+            taped.append(out._op)
+        return out
+
+    monkeypatch.setattr(stats, "spearman_report", recording)
+    monkeypatch.setattr(ad, "_make", recording_make)
+    shuffled = np.random.default_rng(2).permutation(len(cohort))[:11]
+    for indices in (np.arange(len(cohort)), shuffled, np.arange(len(cohort))[::-1]):
+        passed.clear()
+        got = evaluate(ckpt, cohort, indices, with_spearman=True).spearman
+        (stacked,) = passed
+        # a head read outside no_grad records a tape and runs plain products
+        assert taped == [], f"evaluate recorded tape nodes: {sorted(set(taped))}"
+        want, predicted = one_bag_spearman_report(ckpt, cohort, indices)
+        assert got.category_names == want.category_names
+        assert got.skipped == want.skipped
+        assert len(got.values) == len(want.values)
+        for g, w in zip(got.values, want.values):
+            assert np.array_equal(g, w, equal_nan=True), indices
+        # the gene rows themselves, not only their ranks
+        assert len(stacked) == len(predicted) == indices.size
+        for row, (s_row, p_row) in enumerate(zip(stacked, predicted)):
+            for c, (s, p) in enumerate(zip(s_row, p_row)):
+                assert np.array_equal(s, p), (indices[row], c)
+
+
+def test_evaluate_spearman_rejects_a_cohort_of_another_gene_panel(cv_run, monkeypatch):
     cohort, config, result, out = cv_run
     ckpt = load_checkpoint(out / "fold0.ghck")
     needed = [max(genes, default=-1) + 1 for genes in ckpt.selected_genes]
@@ -435,9 +527,19 @@ def test_evaluate_spearman_rejects_a_cohort_of_another_gene_panel(cv_run):
     narrow, _ = synth_generate(SynthConfig(n_patients=4, patch_range=(3, 6),
                                            feature_dim=6, n_prototypes=3,
                                            gene_counts=(1,) * 6), seed=1)
+    forwards = count_forwards(monkeypatch)
     with pytest.raises(ConfigError) as err:
         evaluate(ckpt, narrow, with_spearman=True)
     assert str([1] * 6) in str(err.value) and str(needed) in str(err.value)
+    assert forwards == [], "the gene panel was checked after a forward"
+
+
+def test_evaluate_spearman_rejects_a_baseline_checkpoint_before_any_forward(
+        baseline_ckpt, monkeypatch):
+    forwards = count_forwards(monkeypatch)
+    with pytest.raises(ConfigError, match="baseline"):
+        evaluate(baseline_ckpt, tiny_cohort(), with_spearman=True)
+    assert forwards == []
 
 
 def test_export_associations_format(cv_run, tmp_path):
@@ -460,14 +562,10 @@ def test_export_associations_format(cv_run, tmp_path):
         assert all(0 <= int(i) < bag.shape[0] for i in row)
 
 
-def test_export_associations_rejects_baseline(tmp_path):
-    cohort = tiny_cohort()
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in cohort])
-    config = tiny_train_config(gated_baseline=True)
-    result = cross_validate(stripped, config, tmp_path / "base")
-    ckpt = load_checkpoint(result.folds[0].checkpoint_path)
+def test_export_associations_rejects_baseline(baseline_ckpt, tmp_path):
     with pytest.raises(ConfigError, match="baseline"):
-        export_associations(ckpt, cohort[0].bag.features, tmp_path / "x.tsv")
+        export_associations(baseline_ckpt, tiny_cohort()[0].bag.features,
+                            tmp_path / "x.tsv")
 
 
 def test_sweep_k_writes_one_row_per_k(tmp_path):
