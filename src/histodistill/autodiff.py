@@ -174,8 +174,11 @@ def mul(a, b) -> Tensor:
     out_values = a.values * b.values
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.shape))
+        # skips the product for a constant operand, such as a scale factor
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return _make(out_values, (a, b), backward_fn, "mul")
 
@@ -322,7 +325,9 @@ def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
     products: blocking them would change training bits, since OpenBLAS's
     Haswell dgemm with two threads rounds a row differently by the row
     count of the product that holds it. The backward keeps only the tanh
-    and sigmoid outputs and skips the input gradient for a constant bag.
+    and sigmoid outputs, and turns them into the two pre-activation
+    gradients in place, in blocks of GATE_BLOCK rows; it skips the input
+    gradient for a constant bag.
     """
     bag, u, v, score_w, score_b = (_as_tensor(t) for t in (bag, u, v, score_w, score_b))
     index = np.asarray(index)
@@ -361,14 +366,21 @@ def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
         g_scores = g_scores[:-1]
         _accumulate(score_w, (t * s).T @ g_scores)
         _accumulate(score_b, g_scores.sum(axis=0))
-        g_gate = g_scores * score_w.values[:, 0]
-        g_t = g_gate * s                            # g * s * (1 - t * t)
-        slope = np.multiply(t, t)
-        g_t *= np.subtract(1.0, slope, out=slope)
-        g_s = np.multiply(g_gate, t, out=g_gate)    # g * t * s * (1 - s)
-        g_s *= s
-        g_s *= np.subtract(1.0, s, out=slope)
-        for m, g_pre in ((u, g_t), (v, g_s)):
+        # The rest is elementwise, so row blocks keep every bit. Each block
+        # overwrites its rows of t and s with the pre-activation gradients:
+        # only this closure holds them, and backward calls it once.
+        for start in range(0, rows, GATE_BLOCK):
+            t_rows, s_rows = t[start:start + GATE_BLOCK], s[start:start + GATE_BLOCK]
+            g_gate = g_scores[start:start + GATE_BLOCK] * score_w.values[:, 0]
+            g_s = g_gate * t_rows                   # g * t * s * (1 - s), into s
+            g_gate *= s_rows                        # g * s * (1 - t * t), into t
+            g_s *= s_rows
+            slope = np.subtract(1.0, s_rows)
+            np.multiply(g_s, slope, out=s_rows)
+            np.multiply(t_rows, t_rows, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            np.multiply(g_gate, slope, out=t_rows)
+        for m, g_pre in ((u, t), (v, s)):
             if bag.requires_grad:   # skips the product for a constant bag
                 _accumulate(bag, g_pre @ m.values[0, 0, :-1].T)
             grad = np.concatenate([bag.values.T @ g_pre, g_pre.sum(axis=0)[None]])
@@ -700,10 +712,14 @@ NORM_FLOOR = 1e-12
 
 
 def _cosine_term(pred: Tensor, target: np.ndarray, gamma: float):
-    """One category's sum over rows of (1 - cos)^gamma, and its backward."""
+    """One category's sum over rows of (1 - cos)^gamma, its count of row
+    norms below NORM_FLOOR, and its backward."""
     p = pred.values
-    target_norm = np.maximum(np.sqrt((target * target).sum(axis=1)), NORM_FLOOR)
+    target_norm = np.sqrt((target * target).sum(axis=1))
     pred_norm = np.sqrt((p * p).sum(axis=1))
+    clamped = int(np.count_nonzero(target_norm < NORM_FLOOR)
+                  + np.count_nonzero(pred_norm < NORM_FLOOR))
+    target_norm = np.maximum(target_norm, NORM_FLOOR)
     live = pred_norm > NORM_FLOOR
     denom = np.maximum(pred_norm, NORM_FLOOR) * target_norm
     dot = (p * target).sum(axis=1)
@@ -716,21 +732,25 @@ def _cosine_term(pred: Tensor, target: np.ndarray, gamma: float):
         _accumulate(pred, (g_cos / denom)[:, None] * target
                     + (g_norm / np.where(live, pred_norm, 1.0))[:, None] * p)
 
-    return (gap ** gamma).sum(), backward_fn
+    return (gap ** gamma).sum(), clamped, backward_fn
 
 
 def cosine_error(preds: Sequence[Tensor], targets: Sequence[np.ndarray],
-                 gamma: float) -> Tensor:
+                 gamma: float, diagnostics: dict | None = None) -> Tensor:
     """Mean over categories of the summed rows' (1 - cos(pred, target))^gamma.
 
     preds[c] and targets[c] are (rows, n_c); the targets are constants.
     Every norm is clamped below at NORM_FLOOR, so a zero row scores
     cos = 0. A row whose prediction norm is clamped contributes no
-    gradient at all; its forward value is unchanged.
+    gradient at all; its forward value is unchanged. The count of clamped
+    rows, targets and predictions alike, is added to
+    diagnostics["clamped_norms"] when a dict is supplied.
     """
     preds, targets = _category_operands(preds, targets, "cosine_error")
-    values, backwards = zip(*(_cosine_term(pred, target, gamma)
-                              for pred, target in zip(preds, targets)))
+    values, clamped, backwards = zip(*(_cosine_term(pred, target, gamma)
+                                       for pred, target in zip(preds, targets)))
+    if diagnostics is not None:
+        diagnostics["clamped_norms"] = diagnostics.get("clamped_norms", 0) + sum(clamped)
     share = 1.0 / len(preds)
     total = functools.reduce(operator.add, values) * share
 

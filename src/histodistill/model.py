@@ -602,13 +602,7 @@ def sce_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],
     gradient; the count of clamped rows, targets and predictions alike,
     lands in diagnostics["clamped_norms"] when a dict is supplied.
     """
-    targets = _category_targets(recon, targets)
-    if diagnostics is not None:
-        clamped = sum(int((np.linalg.norm(rows, axis=1) < ad.NORM_FLOOR).sum())
-                      for pred, target in zip(recon, targets)
-                      for rows in (target, pred.values))
-        diagnostics["clamped_norms"] = diagnostics.get("clamped_norms", 0) + clamped
-    return ad.cosine_error(recon, targets, gamma)
+    return ad.cosine_error(recon, _category_targets(recon, targets), gamma, diagnostics)
 
 
 def reconstruction_loss(recon: Sequence[Tensor], targets: Sequence[np.ndarray],

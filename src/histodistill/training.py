@@ -6,13 +6,13 @@ group mean. Within a group, consecutive patients in the shuffled order
 are packed into stacks that run as one forward and one backward: bags are
 ragged, so per-patch layers see the stack's packed patch rows and the
 per-patient mixers a padded layout with a patch mask (`model.stack_forward`).
-A stack grows while its patch rows stay within ROW_BUDGET; a bag larger
-than that trains alone, so slide-scale bags keep the memory profile of
-one bag per pass. `autodiff.backward` consumes each stack's tape as it
-walks it, and the loop drops the stack's losses once it has read them,
-so no stack's tape outlives its backward. A fold's gene targets are its
-training split's selected genes, standardized by a fit on those same
-matrices (`gene_targets`).
+A stack grows while its patch rows stay within ROW_BUDGET, which holds a
+whole default group; a bag larger than that trains alone, and slide-scale
+bags train alone or two to a stack. `autodiff.backward` consumes each
+stack's tape as it walks it, and the loop drops the stack's losses once
+it has read them, so no stack's tape outlives its backward. A fold's
+gene targets are its training split's selected genes, standardized by a
+fit on those same matrices (`gene_targets`).
 
 Evaluation is image-only and runs no-grad stacks too (`inference_stacks`):
 bags sorted by length, each stack holding bags of one aligned length
@@ -57,15 +57,18 @@ from .model import (ModelConfig, ModelParams, build_model, hazard_output,
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
-# Most patch rows one stack may hold. Each stack costs a fixed few
-# milliseconds of per-node overhead, so larger stacks train more patients
-# per second. Backward releases each stack's tape as it walks it, so one
-# stack's tape is alive at a time, but that tape grows with the stack's
-# patients. Cross-validating the default cohort (bags of 32-96 patches,
-# stacks of about 16 patients here) peaks 5% higher in RSS than a 384-row
-# budget did, and 1536 (stacks of up to 24) 11% higher. Any two
-# slide-scale bags (>= 1024 patches) exceed the budget, so each runs alone.
-ROW_BUDGET = 1024
+# Most patch rows one stack may hold: the default accumulation group (32
+# bags) at the default cohort's largest bag (96 patches), so every default
+# group trains as one stack. Each stack costs a fixed few milliseconds of
+# per-node overhead, so larger stacks train more patients per second.
+# Backward releases each stack's tape as it walks it, so one stack's tape
+# is alive at a time, but that tape grows with the stack's patients.
+# The benchmark's cross-validation of the default cohort peaks 6-7% higher
+# in RSS than at a 1024-row budget (stacks of about 16 patients), 66.0
+# against 61.5 MB on a 2-core Xeon; the survival gate's backward, the
+# largest transient of a step, works in place. Slide-scale bags (>= 1024
+# patches) train alone, or two to a stack when they fit.
+ROW_BUDGET = 3072
 
 
 @dataclass

@@ -14,6 +14,7 @@ losses and gradients up to rounding.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,10 +351,12 @@ def test_gated_scores_equals_the_unfolded_gate():
 # `gated_scores` once ran its forward over all N rows at once: two (N,
 # width) products, tanh, sigmoid, their product and the score product,
 # each a whole-array pass. Below is that node verbatim. The node now runs
-# its no-grad forward in row blocks and must give the same bits: values,
-# (B, 1, W) layout and all five gradients, with and without a tape. CI
-# runs this test under every forced BLAS kernel and thread count, since
-# whether a row's bits survive blocking depends on the kernel BLAS picks.
+# its no-grad forward in row blocks, and its backward's elementwise work in
+# row blocks written over its own tanh and sigmoid outputs, and must give
+# the same bits: values, (B, 1, W) layout and all five gradients, with and
+# without a tape. CI runs this test under every forced BLAS kernel and
+# thread count, since whether a row's bits survive blocking depends on the
+# kernel BLAS picks.
 
 def oracle_gated_scores(bag, u, v, score_w, score_b, index):
     bag, u, v, score_w, score_b = (ad._as_tensor(t) for t in (bag, u, v, score_w, score_b))
@@ -442,6 +445,30 @@ def test_blocked_gate_keeps_the_bits_of_the_unblocked_gate(stack, features):
         got = ad.gated_scores(*leaves, layout.index).values
         want = oracle_gated_scores(*leaves, layout.index).values
     assert_same_bits(got, want)
+
+
+def test_gate_backward_allocates_about_one_row_by_width_array():
+    # The (N, width) buffers of a large stack dominate a training step's
+    # peak; the backward writes its gradients into the forward's t and s.
+    rng = np.random.default_rng(15)
+    rows, features, width = 16 * BLOCK + 3, 32, 64
+    layout = blocks.PatchLayout.of((rows,))
+    leaves = [ad.tensor(rng.normal(size=(rows, features)))] + [
+        ad.tensor(value, requires_grad=True) for value in (
+            rng.normal(size=(1, 1, features + 1, width)) / math.sqrt(features),
+            rng.normal(size=(1, 1, features + 1, width)) / math.sqrt(features),
+            rng.normal(size=(width, 1)), rng.normal(size=1))]
+    out = ad.gated_scores(*leaves, layout.index)
+    loss = ad.linear(ad.reshape(out, (1, out.size)),
+                     ad.tensor(rng.normal(size=(out.size, 1))), ad.tensor(np.zeros(1)))
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(leaf.grad is not None for leaf in leaves[1:])
+    assert peak < 1.5 * rows * width * 8, peak / (rows * width * 8)
 
 
 def test_affine_compose_is_the_augmented_weight_of_two_linear_maps():

@@ -187,6 +187,12 @@ def test_stacks_keep_order_and_a_bag_above_the_budget_trains_alone(monkeypatch):
     assert len(seen) == (3 if 0 < position < 5 else 2)
 
 
+def test_a_default_accumulation_group_trains_as_one_stack():
+    # the worst case: every bag of the group at the default cohort's largest
+    group = [SynthConfig().patch_range[1]] * TrainConfig().accumulation
+    assert pack_stacks(group) == [list(range(len(group)))]
+
+
 # The stack's forward and losses, plus 1 for the accumulation scaling.
 STACK_NODE_CAPS = {"default": 102 + 1, "gated_recon": 97 + 1, "gated_baseline": 10 + 1}
 
