@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import gradcheck, stats
 from .autodiff import GradCheckError, GraphError
 from .checkpoint import load_checkpoint
@@ -27,8 +25,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
 from .geneselect import differential_select, split_risk_groups, write_selection_report
 from .io import load_cohort, read_bag, write_cohort
 from .training import (SWEEP_K_GRID, TrainConfig, cross_validate, evaluate,
-                       export_associations, expression_matrices, run_fold,
-                       sweep_k, write_json)
+                       export_associations, run_fold, sweep_k, write_json)
 
 _CONFIG_SECTIONS = ("train", "synth")
 
@@ -130,7 +127,7 @@ def _cmd_select_genes(args) -> int:
         raise ConfigError("the manifest has no genomics to select from")
     groups = split_risk_groups(cohort.times(), cohort.censor_flags())
     selection = differential_select(
-        expression_matrices(cohort, np.arange(len(cohort))), groups,
+        cohort.expression(), groups,
         alpha=cfg.select_alpha, min_per_category=cfg.min_genes_per_category)
     report = out / "selection.tsv"
     write_selection_report(report, selection, cohort.gene_ids,

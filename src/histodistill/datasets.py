@@ -9,7 +9,8 @@ truth is returned alongside the cohort so tests can score recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import is_not
 from typing import Iterator
 
 import numpy as np
@@ -53,7 +54,7 @@ class PatchBag:
 
 @dataclass
 class GenomicProfile:
-    """Per-category expression vectors in a fixed category order."""
+    """Per-category expression vectors in a fixed category order; read-only."""
     category_names: tuple[str, ...]
     vectors: tuple[np.ndarray, ...]
 
@@ -65,6 +66,7 @@ class GenomicProfile:
         for name, vec in zip(self.category_names, self.vectors):
             if not np.all(np.isfinite(vec)):
                 raise DataFormatError(f"category '{name}' has non-finite expression")
+            vec.flags.writeable = False
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.vectors)
@@ -99,6 +101,9 @@ class Cohort:
     """Patients plus cohort-level gene bookkeeping (when genomics is loaded)."""
     patients: list[Patient]
     gene_ids: tuple[tuple[str, ...], ...] | None = None
+    # (each patient's vector tuple, the matrices holding them as columns)
+    _expression: tuple[list, tuple[np.ndarray, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.patients)
@@ -122,6 +127,28 @@ class Cohort:
     def category_sizes(self) -> tuple[int, ...] | None:
         genes = self.patients[0].genes
         return None if genes is None else genes.sizes()
+
+    def expression(self) -> tuple[np.ndarray, ...]:
+        """One read-only (n_genes, n_patients) float64 matrix per category,
+        patients in cohort order; stacked again only once a patient holds a
+        vector tuple other than the one the matrices were built from."""
+        vectors = []
+        for p in self.patients:
+            if p.genes is None:
+                raise ConfigError(f"patient '{p.patient_id}' has no genomic profile")
+            vectors.append(p.genes.vectors)
+        held = self._expression
+        if (held is None or len(held[0]) != len(vectors)
+                or any(map(is_not, held[0], vectors))):
+            matrices = tuple(np.stack(columns, axis=1) for columns in zip(*vectors))
+            for matrix in matrices:
+                matrix.flags.writeable = False
+            self._expression = held = (vectors, matrices)
+        return held[1]
+
+    def _hold_expression(self, matrices: tuple[np.ndarray, ...]) -> None:
+        """Keep read-only `matrices`, whose column j views patient j's vectors."""
+        self._expression = ([p.genes.vectors for p in self.patients], matrices)
 
     def times(self) -> np.ndarray:
         return np.array([p.label.time_months for p in self.patients])

@@ -23,12 +23,9 @@ The remaining arithmetic is elementwise IEEE and identical either way.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from io import StringIO
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +33,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import ConfigError
-from .io import write_atomic
+from .io import _check_ids, write_atomic
 
 
 def _libm(fn, values: np.ndarray) -> np.ndarray:
@@ -283,22 +280,22 @@ def differential_select(expression: Sequence[np.ndarray], groups: RiskGroups,
 def write_selection_report(path: str | Path, selection: GeneSelection,
                            gene_ids: Sequence[Sequence[str]],
                            category_names: Sequence[str]) -> None:
-    """TSV: gene_id, category, t, p, p_adj, retained; written atomically."""
+    """TSV: gene_id, category, t, p, p_adj, retained; written atomically,
+    with no quoting: ids and names follow the genomics files' rule."""
     if len(gene_ids) != len(selection.categories):
         raise ConfigError("gene id lists do not match the selection categories")
-    text = StringIO(newline="")
-    writer = csv.writer(text, delimiter="\t")
-    writer.writerow(["gene_id", "category", "t", "p", "p_adj", "retained"])
+    lines = ["gene_id\tcategory\tt\tp\tp_adj\tretained\r\n"]
     for name, ids, cat in zip(category_names, gene_ids, selection.categories):
         if len(ids) != len(cat.t_stats):
             raise ConfigError(f"category '{name}' has {len(ids)} gene ids for "
                               f"{len(cat.t_stats)} tested genes")
+        _check_ids(path, "category", [name])
+        _check_ids(path, "gene", ids)
         kept = np.zeros(len(ids), dtype=np.int64)
         kept[cat.retained] = 1
-        writer.writerows(zip(ids, repeat(name),
-                             map(repr, cat.t_stats.tolist()),
-                             map(repr, cat.p_raw.tolist()),
-                             map(repr, cat.p_adj.tolist()),
-                             kept.tolist()))
-    data = text.getvalue().encode()
+        lines += [f"{gene_id}\t{name}\t{t!r}\t{p!r}\t{adj!r}\t{k}\r\n"
+                  for gene_id, t, p, adj, k in zip(
+                      ids, cat.t_stats.tolist(), cat.p_raw.tolist(),
+                      cat.p_adj.tolist(), kept.tolist())]
+    data = "".join(lines).encode()
     write_atomic(path, lambda fh: fh.write(data))

@@ -97,12 +97,12 @@ def read_bag(path: str | Path, patient_id: str | None = None) -> PatchBag:
             f"{path}: truncated payload, {len(raw)} bytes (need {expected} "
             f"for a {n_patches}x{dim} bag)")
     flat = np.frombuffer(raw, dtype="<f4", offset=_BAG_HEADER.size)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        offset = _BAG_HEADER.size + 4 * int(bad[0])
-        raise DataFormatError(f"{path}: non-finite value at byte offset {offset}")
-    features = flat.reshape(n_patches, dim).copy()
-    return PatchBag(patient_id or path.stem, features)
+    try:
+        return PatchBag(patient_id or path.stem, flat.reshape(n_patches, dim).copy())
+    except DataFormatError:
+        # the shape is valid, so the bag's own check found a non-finite value
+        offset = _BAG_HEADER.size + 4 * int(np.argmin(np.isfinite(flat)))
+        raise DataFormatError(f"{path}: non-finite value at byte offset {offset}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +176,10 @@ _WRITE_BLOCK_GENES = 64
 
 
 def _check_ids(path: Path, kind: str, ids) -> None:
-    for id_ in ids:
-        if any(c in id_ for c in _NOT_IN_FIELDS):
-            raise DataFormatError(f"{path}: {kind} id {id_!r} contains a tab, a "
-                                  f"line break or '\"'; the genomics files have "
-                                  f"no quoting")
+    if any(c in "".join(ids) for c in _NOT_IN_FIELDS):
+        bad = next(id_ for id_ in ids if any(c in id_ for c in _NOT_IN_FIELDS))
+        raise DataFormatError(f"{path}: {kind} id {bad!r} contains a tab, a "
+                              f"line break or '\"'; the file has no quoting")
 
 
 def write_genomics(matrix_path: str | Path, categories_path: str | Path,
@@ -285,6 +284,23 @@ def _first_unparsable_line(path: Path, n_fields: int) -> int | None:
     return None
 
 
+class _GenomicsBlock(dict):
+    """Patient id -> `GenomicProfile` in file column order, over one read-only
+    (n_genes, n_patients) matrix per category whose columns the profiles'
+    vectors view. `read_genomics` checked every value of the block, so no
+    vector is checked again."""
+
+    def __init__(self, patient_ids: Iterable[str], category_names: tuple[str, ...],
+                 matrices: list[np.ndarray]):
+        super().__init__()
+        for matrix in matrices:
+            matrix.flags.writeable = False
+        for patient_id, vectors in zip(patient_ids, zip(*(m.T for m in matrices))):
+            profile = self[patient_id] = object.__new__(GenomicProfile)
+            profile.category_names, profile.vectors = category_names, vectors
+        self.category_names, self.matrices = category_names, tuple(matrices)
+
+
 def read_genomics(matrix_path: str | Path, categories_path: str | Path,
                   ) -> tuple[dict[str, GenomicProfile], tuple[tuple[str, ...], ...]]:
     """Returns per-patient profiles plus per-category gene id lists.
@@ -366,11 +382,7 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
     if (order != np.arange(order.size)).any():
         values = values.take(order, axis=0)
     stacks = np.split(values, np.cumsum([len(ids) for ids in gene_ids])[:-1])
-    profiles = {}
-    for j, patient_id in enumerate(patient_ids):
-        vectors = tuple(stack[:, j] for stack in stacks)
-        profiles[patient_id] = GenomicProfile(tuple(present), vectors)
-    return profiles, gene_ids
+    return _GenomicsBlock(patient_ids, tuple(present), stacks), gene_ids
 
 
 # ---------------------------------------------------------------------------
@@ -439,28 +451,36 @@ def load_cohort(manifest_path: str | Path, with_genomics: bool = True) -> Cohort
     base = manifest_path.parent
     labels = read_clinical(base / manifest["clinical"])
 
-    profiles: dict[str, GenomicProfile] = {}
+    block: _GenomicsBlock | None = None
     gene_ids = None
     if with_genomics and "genomics" in manifest:
         if "gene_categories" not in manifest:
             raise DataFormatError(f"{manifest_path}: genomics listed without "
                                   f"'gene_categories'")
-        profiles, gene_ids = read_genomics(base / manifest["genomics"],
-                                           base / manifest["gene_categories"])
+        block, gene_ids = read_genomics(base / manifest["genomics"],
+                                        base / manifest["gene_categories"])
 
     patients = []
     for patient_id, rel in sorted(manifest["bags"].items()):
         if patient_id not in labels:
             raise DataFormatError(f"{manifest_path}: bag entry '{patient_id}' "
                                   f"has no clinical row")
-        genes = None
-        if profiles:
-            genes = profiles.get(patient_id)
-            if genes is None:
-                raise DataFormatError(f"{manifest_path}: patient '{patient_id}' "
-                                      f"missing from genomics matrix")
-        patients.append(Patient(read_bag(base / rel, patient_id),
-                                labels[patient_id], genes))
+        if block is not None and patient_id not in block:
+            raise DataFormatError(f"{manifest_path}: patient '{patient_id}' "
+                                  f"missing from genomics matrix")
+        patients.append(Patient(read_bag(base / rel, patient_id), labels[patient_id]))
     cohort = Cohort(patients, gene_ids=gene_ids)
+    if block is not None:
+        # no copy when the file's columns are in cohort order (as
+        # `write_cohort` writes them); else one take, and the block is dropped
+        ids = [p.patient_id for p in patients]
+        if ids != list(block):
+            columns = {patient_id: j for j, patient_id in enumerate(block)}
+            order = [columns[patient_id] for patient_id in ids]
+            block = _GenomicsBlock(ids, block.category_names,
+                                   [m.take(order, axis=1) for m in block.matrices])
+        for patient in patients:
+            patient.genes = block[patient.patient_id]
+        cohort._hold_expression(block.matrices)
     cohort.validate()
     return cohort

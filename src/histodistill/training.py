@@ -196,16 +196,11 @@ class GeneStandardizer:
 
 
 def expression_matrices(cohort: Cohort, indices: np.ndarray) -> list[np.ndarray]:
-    """Per-category (n_genes, n_patients) matrices over the given patients."""
-    sizes = cohort.category_sizes
-    if sizes is None:
+    """Per-category (n_genes, n_patients) matrices over the given patients:
+    writable C-order copies, column j for indices[j]."""
+    if cohort.category_sizes is None:
         raise ConfigError("cohort carries no genomic profiles")
-    patients = [cohort[int(i)] for i in indices]
-    for patient in patients:
-        if patient.genes is None:
-            raise ConfigError(f"patient '{patient.patient_id}' has no genomic profile")
-    return [np.stack([p.genes.vectors[c] for p in patients], axis=1)
-            for c in range(len(sizes))]
+    return [m.take(indices, axis=1) for m in cohort.expression()]
 
 
 def select_genes(cohort: Cohort, train_idx: np.ndarray,

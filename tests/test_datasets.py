@@ -8,7 +8,9 @@ from histodistill.datasets import (CATEGORY_NAMES, Cohort, GenomicProfile,
                                    synth_generate)
 from histodistill.datasets import _solve_censor_rate
 from histodistill.errors import ConfigError, DataFormatError
+from histodistill.io import load_cohort, write_cohort
 from histodistill.stats import c_index
+from histodistill.training import expression_matrices
 
 
 def tiny_cohort(times, censor, n_patches=3, dim=4):
@@ -271,3 +273,111 @@ def test_synth_noise_free_genes_follow_map():
         expected = truth.gene_maps[0] @ truth.mixtures[i]
         np.testing.assert_allclose(p.genes.vectors[0],
                                    expected.astype(np.float32), atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one expression matrix per category
+# ---------------------------------------------------------------------------
+
+def _stacked_expression_matrices(cohort, indices):
+    """The former `training.expression_matrices`, verbatim: a fresh `np.stack`
+    per call, the oracle for the column takes of `Cohort.expression`."""
+    sizes = cohort.category_sizes
+    if sizes is None:
+        raise ConfigError("cohort carries no genomic profiles")
+    patients = [cohort[int(i)] for i in indices]
+    for patient in patients:
+        if patient.genes is None:
+            raise ConfigError(f"patient '{patient.patient_id}' has no genomic profile")
+    return [np.stack([p.genes.vectors[c] for p in patients], axis=1)
+            for c in range(len(sizes))]
+
+
+def _assert_matrices_match_the_stack(cohort):
+    folds = make_folds(cohort, seed=0, n_folds=3)
+    n = len(cohort)
+    for indices in (*folds[0], np.arange(n), np.arange(n)[::-1], [n - 1, 0, 2]):
+        got = expression_matrices(cohort, indices)
+        want = _stacked_expression_matrices(cohort, indices)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64
+            assert g.shape == w.shape
+            assert g.flags.c_contiguous and g.flags.writeable
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _shuffle_genomics_columns(matrix_path, seed=0):
+    """Rewrite the genomics matrix with its patient columns permuted."""
+    rows = [line.split("\t") for line in
+            matrix_path.read_text(encoding="utf-8").splitlines()]
+    order = 1 + np.random.default_rng(seed).permutation(len(rows[0]) - 1)
+    matrix_path.write_text("".join(
+        "\t".join([row[0], *(row[j] for j in order)]) + "\r\n" for row in rows),
+        encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def genomics_synth():
+    config = SynthConfig(n_patients=9, patch_range=(3, 5), feature_dim=4,
+                         n_prototypes=3, gene_counts=(1, 3, 5, 2, 4, 2))
+    return synth_generate(config, seed=11)[0]
+
+
+@pytest.fixture(params=["file_in_cohort_order", "file_in_other_order"])
+def loaded_cohort(request, tmp_path, genomics_synth):
+    manifest = write_cohort(tmp_path, genomics_synth, name="toy")
+    if request.param == "file_in_other_order":
+        _shuffle_genomics_columns(tmp_path / "toy_genomics.tsv")
+    return load_cohort(manifest)
+
+
+def test_expression_matrices_of_a_loaded_cohort_match_the_stack(loaded_cohort):
+    _assert_matrices_match_the_stack(loaded_cohort)
+
+
+def test_expression_matrices_of_a_synth_cohort_match_the_stack(genomics_synth):
+    _assert_matrices_match_the_stack(genomics_synth)
+
+
+@pytest.mark.parametrize("replace", ["vectors", "profile"])
+def test_expression_follows_profiles_replaced_after_a_first_call(loaded_cohort,
+                                                                 replace):
+    cohort = loaded_cohort
+    first = cohort.expression()
+    assert cohort.expression() is first
+    _assert_matrices_match_the_stack(cohort)
+    for i, patient in enumerate(cohort):
+        vectors = [np.full(v.shape, float(i)) for v in patient.genes.vectors]
+        if replace == "vectors":
+            # as a test that plants a constant category does
+            patient.genes.vectors = tuple(vectors)
+        else:
+            patient.genes = GenomicProfile(patient.genes.category_names,
+                                           tuple(vectors))
+        _assert_matrices_match_the_stack(cohort)
+    assert cohort.expression() is not first
+    np.testing.assert_array_equal(cohort.expression()[2][0], np.arange(len(cohort)))
+
+
+def test_a_loaded_cohort_holds_one_copy_of_its_genomics(loaded_cohort):
+    matrices = loaded_cohort.expression()
+    for j, patient in enumerate(loaded_cohort):
+        for vector, matrix in zip(patient.genes.vectors, matrices):
+            assert np.shares_memory(vector, matrix)
+            np.testing.assert_array_equal(vector, matrix[:, j])
+            with pytest.raises(ValueError, match="read-only"):
+                vector[0] = 0.0
+    for matrix in matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+    assert loaded_cohort.expression() is matrices
+
+
+def test_profile_vectors_are_read_only(genomics_synth):
+    for vector in genomics_synth[0].genes.vectors:
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+    for matrix in genomics_synth.expression():
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0

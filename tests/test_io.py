@@ -2,6 +2,8 @@ import builtins
 import csv
 import errno
 import struct
+from io import StringIO
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -12,13 +14,13 @@ import pytest
 from histodistill import training
 from histodistill.checkpoint import CheckpointData, save_checkpoint
 from histodistill.datasets import (CATEGORY_NAMES, GenomicProfile, PatchBag,
-                                   SynthConfig, synth_generate)
-from histodistill.errors import DataFormatError
+                                   SynthConfig, make_folds, synth_generate)
+from histodistill.errors import ConfigError, DataFormatError
 from histodistill.geneselect import (RiskGroups, differential_select,
                                      write_selection_report)
 from histodistill.io import (BAG_MAGIC, load_cohort, read_bag, read_clinical,
-                             read_genomics, write_bag, write_clinical,
-                             write_cohort, write_genomics)
+                             read_genomics, write_atomic, write_bag,
+                             write_clinical, write_cohort, write_genomics)
 from histodistill.model import ModelConfig, build_model
 from histodistill.stats import (SpearmanReport, km_curve, write_km_tsv,
                                 write_spearman_tsv)
@@ -451,6 +453,78 @@ def test_genomics_writer_rejects_ids_it_would_have_to_quote(tmp_path, bad_id, ki
     with pytest.raises(DataFormatError, match=f"{kind} id"):
         write_genomics(tmp_path / "expr.tsv", tmp_path / "cats.tsv", cohort)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# selection report
+# ---------------------------------------------------------------------------
+
+def _csv_write_selection_report(path, selection, gene_ids, category_names):
+    """The former csv.writer report, verbatim: the oracle for the joined lines."""
+    if len(gene_ids) != len(selection.categories):
+        raise ConfigError("gene id lists do not match the selection categories")
+    text = StringIO(newline="")
+    writer = csv.writer(text, delimiter="\t")
+    writer.writerow(["gene_id", "category", "t", "p", "p_adj", "retained"])
+    for name, ids, cat in zip(category_names, gene_ids, selection.categories):
+        if len(ids) != len(cat.t_stats):
+            raise ConfigError(f"category '{name}' has {len(ids)} gene ids for "
+                              f"{len(cat.t_stats)} tested genes")
+        kept = np.zeros(len(ids), dtype=np.int64)
+        kept[cat.retained] = 1
+        writer.writerows(zip(ids, repeat(name),
+                             map(repr, cat.t_stats.tolist()),
+                             map(repr, cat.p_raw.tolist()),
+                             map(repr, cat.p_adj.tolist()),
+                             kept.tolist()))
+    data = text.getvalue().encode()
+    write_atomic(path, lambda fh: fh.write(data))
+
+
+def _assert_report_bytes_equal_the_csv_writer(tmp_path, selection, gene_ids, names):
+    write_selection_report(tmp_path / "got.tsv", selection, gene_ids, names)
+    _csv_write_selection_report(tmp_path / "want.tsv", selection, gene_ids, names)
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_selection_report_bytes_equal_the_csv_writer(tmp_path, genomics_cohort):
+    for train_idx, _ in make_folds(genomics_cohort, seed=0, n_folds=2):
+        selection = training.select_genes(genomics_cohort, train_idx, TrainConfig())
+        _assert_report_bytes_equal_the_csv_writer(
+            tmp_path, selection, genomics_cohort.gene_ids,
+            genomics_cohort.category_names)
+
+
+def test_selection_report_of_a_skipped_selection_bytes_equal_the_csv_writer(tmp_path):
+    # too few patients per risk group: every gene kept, every statistic NaN
+    with pytest.warns(UserWarning, match="retaining all genes"):
+        selection = differential_select([np.ones((3, 3)), np.ones((1, 3))],
+                                        RiskGroups(np.arange(1), np.arange(1, 3), 1.0))
+    assert selection.skipped
+    _assert_report_bytes_equal_the_csv_writer(
+        tmp_path, selection, [["a", "b", "c"], ["d"]], ["oncogenesis", "transcription"])
+
+
+def test_selection_report_with_a_one_gene_category_bytes_equal_the_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    expression = [rng.uniform(1.0, 9.0, size=(1, 12)),
+                  rng.uniform(1.0, 9.0, size=(4, 12)), np.full((1, 12), 3.0)]
+    selection = differential_select(expression, RiskGroups(np.arange(6),
+                                                           np.arange(6, 12), 2.0))
+    _assert_report_bytes_equal_the_csv_writer(
+        tmp_path, selection, [["solo"], ["g0", "g1", "g2", "g3"], ["flat"]],
+        ["tumor_suppression", "oncogenesis", "transcription"])
+
+
+@pytest.mark.parametrize("bad", ["a\tb", "a\rb", "a\nb", 'a"b'])
+@pytest.mark.parametrize("kind", ["gene", "category"])
+def test_selection_report_rejects_ids_it_would_have_to_quote(tmp_path, bad, kind):
+    selection = differential_select([np.arange(8.0).reshape(2, 4)],
+                                    RiskGroups(np.arange(2), np.arange(2, 4), 1.0))
+    ids, name = (["g0", bad], "cat") if kind == "gene" else (["g0", "g1"], bad)
+    with pytest.raises(DataFormatError, match=f"{kind} id .*no quoting"):
+        write_selection_report(tmp_path / "sel.tsv", selection, [ids], [name])
+    assert not (tmp_path / "sel.tsv").exists()
 
 
 # ---------------------------------------------------------------------------
