@@ -112,6 +112,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _constant(values: np.ndarray) -> Tensor:
+    """A constant leaf over a float64 array known to be finite: not scanned."""
+    out = Tensor.__new__(Tensor)
+    out.values, out.requires_grad, out.grad, out._op = values, False, None, "leaf"
+    out._parents, out._backward_fn, out._backward_done = (), None, False
+    return out
+
+
 def _make(values: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -339,19 +347,22 @@ def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
                          f"{score_b.shape}, index {index.shape}")
     (wu, bu), (wv, bv) = ((m.values[0, 0, :-1], m.values[0, 0, -1]) for m in (u, v))
     rows = bag.shape[0]
-    if _grad_enabled:
-        product, row_blocks = np.matmul, [slice(None)]
-    else:
-        product = _row_invariant_product
-        row_blocks = [slice(i, i + GATE_BLOCK) for i in range(0, rows, GATE_BLOCK)]
+    product, block_rows = ((np.matmul, rows) if _grad_enabled
+                           else (_row_invariant_product, GATE_BLOCK))
     scores = np.empty((rows, 1))
-    for block in row_blocks:
+    gate = None
+    for block in (slice(i, i + block_rows) for i in range(0, rows, block_rows)):
         t, s = product(bag.values[block], wu), product(bag.values[block], wv)
         t += bu
         s += bv
         np.tanh(t, out=t)
-        _sigmoid_into(s, s)
-        scores[block] = product(t * s, score_w.values)
+        # one scratch, made after the first block's t and s and dropped after
+        # the last: each block's sigmoid denominator, then its t * s
+        gate = np.empty_like(t) if gate is None else gate
+        t_s = gate[:len(t)]
+        _sigmoid_into(s, s, t_s)
+        scores[block] = product(np.multiply(t, s, out=t_s), score_w.values)
+    del gate, t_s
     scores = scores[:, 0] + score_b.values
     try:
         out_values = np.where(index < 0, 0.0, scores.take(index))[:, None]
@@ -535,9 +546,14 @@ def softmax(x: Tensor, axis: int, mask: np.ndarray | None = None) -> Tensor:
     x = _as_tensor(x)
     if not -x.values.ndim <= axis < x.values.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    kept = x.values if mask is None else np.where(mask, x.values, -np.inf)
-    e = np.exp(kept - kept.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
+    # one fresh array takes every step in place: exp(kept - max) / sum
+    if mask is None:
+        y = x.values - x.values.max(axis=axis, keepdims=True)
+    else:
+        y = np.where(mask, x.values, -np.inf)
+        y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -568,13 +584,15 @@ def elu(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "elu")
 
 
-def _sigmoid_into(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _sigmoid_into(v: np.ndarray, out: np.ndarray,
+                  denom: np.ndarray | None = None) -> np.ndarray:
     """sigmoid(v) = exp(min(v, 0)) / (1 + exp(-|v|)) written into `out`, which
     may be v: the numerator is 1 for v >= 0 and exp(v) below, so no exp
     overflows and no select runs per element. Each step writes into `out`
-    or the one array made here (a 0-d input too, which a ufunc without
-    `out` would turn into a scalar)."""
-    denom = np.abs(v, out=np.empty_like(v))
+    or the denominator: the scratch `denom` of v's shape, if given, or one
+    array made here (a 0-d input too, which a ufunc without `out` would
+    turn into a scalar)."""
+    denom = np.abs(v, out=np.empty_like(v) if denom is None else denom)
     np.negative(denom, out=denom)
     np.exp(denom, out=denom)
     denom += 1.0

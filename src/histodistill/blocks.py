@@ -97,7 +97,9 @@ class BagStack:
     the axis of 1 broadcasts over attention heads. `rows_t` is X~ with its
     last two axes swapped, as a contiguous copy (see
     `autodiff.batched_matmul`), and `raw` the (B, W, D) view of X~ without
-    the ones column. All four are constants.
+    the ones column. All four are constants. Only `bag` is checked for
+    finite values, once; the other three hold its values, zeros and ones,
+    so they are wrapped without another scan.
     """
     bag: Tensor
     layout: PatchLayout
@@ -121,9 +123,9 @@ class BagStack:
             padded[b, :n, dim] = 1.0
             start += n
         rows = padded[:, None]
-        return cls(bag, layout, ad.tensor(rows),
-                   ad.tensor(np.ascontiguousarray(rows.swapaxes(-1, -2))),
-                   ad.tensor(padded[..., :dim]))
+        return cls(bag, layout, ad._constant(rows),
+                   ad._constant(np.ascontiguousarray(rows.swapaxes(-1, -2))),
+                   ad._constant(padded[..., :dim]))
 
 
 @dataclass
@@ -229,7 +231,9 @@ def mhca_forward(params: MhcaParams, queries: Tensor, keys: PatchKeys,
     attended = ad.batched_matmul(ad.batched_matmul(weights, stack.rows), keys.values)
     out = linear(ad.merge_heads(attended), params.wo, params.bo)
     if score_head is None:
-        return out, scores.values.sum(axis=1) * (1.0 / params.heads)
+        mean = scores.values.sum(axis=1)
+        mean *= 1.0 / params.heads
+        return out, mean
     return out, scores.values[:, score_head].copy()
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .io import write_atomic
-from .model import ModelConfig, ModelParams, build_model
+from .model import ModelConfig, ModelParams, init_model
 
 CHECKPOINT_MAGIC = b"GHCK"
 CHECKPOINT_VERSION = 1
@@ -36,6 +36,15 @@ class CheckpointData:
     category_names: list[str]
     gene_ids: list[list[str]] | None        # ids of the selected genes
     train_config: dict | None
+
+
+class _NoDraws:
+    """`init_model`'s generator for a load: every tensor starts at zero, as
+    the file overwrites them all, so no random number is drawn."""
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+    normal = uniform
 
 
 def _config_to_dict(config: ModelConfig) -> dict:
@@ -154,7 +163,7 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise CheckpointError(f"{path}: malformed header: {err}") from None
     _check_optional_keys(path, header, config.category_sizes)
 
-    model = build_model(config, seed=0)
+    model = init_model(config, _NoDraws())
     offset = header_end
     by_name = dict(model.named_tensors())
     stored = [name for name, _ in entries]

@@ -311,11 +311,16 @@ def topk_masked_softmax(scores: np.ndarray, k_percent: float,
     cut = cut[..., m - 1:m]
     chosen = ranked < cut
     tied = ranked == cut
-    tied &= tied.cumsum(-1) <= m - chosen.sum(-1, keepdims=True)
+    # Every row ties at least the entries it still needs; only when some row
+    # ties more must the ones beyond its need, by patch index, be dropped.
+    if np.count_nonzero(tied) > batch * rows * m - np.count_nonzero(chosen):
+        tied &= tied.cumsum(-1) <= m - chosen.sum(-1, keepdims=True)
     chosen |= tied
-    # flat indices of each row's m entries, in patch order, then in rank order
+    # flat indices of each row's m entries, in patch order, then in rank order.
+    # Tied entries hold equal scores (up to a zero's sign, which the exp below
+    # erases), so their order changes no bit unless a short bag drops some.
     picks = chosen.ravel().nonzero()[0].reshape(batch, rows, m)
-    order = ranked.take(picks).argsort(kind="stable")
+    order = ranked.take(picks).argsort(kind="stable" if min(keep) < m else "quicksort")
     picks = picks.take(order + np.arange(0, picks.size, m).reshape(batch, rows, 1))
     kept = scores.take(picks)
     shifted = kept - kept[..., :1]
@@ -419,7 +424,11 @@ class ModelParams:
 
 def build_model(cfg: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization of all learnable tensors."""
-    rng = np.random.default_rng(seed)
+    return init_model(cfg, np.random.default_rng(seed))
+
+
+def init_model(cfg: ModelConfig, rng) -> ModelParams:
+    """All learnable tensors, drawn in a fixed order from `rng`."""
     if cfg.gated_baseline:
         return ModelParams(cfg, baseline=BaselineParams.init(rng, cfg))
     assoc = (GatedAssocBranchParams.init(rng, cfg) if cfg.gated_recon

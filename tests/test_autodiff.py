@@ -223,6 +223,49 @@ def test_masked_softmax_zero_weight_and_gradient_off_mask():
     assert np.all(grads[x][0, :3] != 0.0)
 
 
+def _former_softmax(x, axis, mask=None):
+    """Softmax before it wrote every step into its one output array, kept
+    verbatim as the oracle."""
+    x = ad._as_tensor(x)
+    if not -x.values.ndim <= axis < x.values.ndim:
+        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
+    kept = x.values if mask is None else np.where(mask, x.values, -np.inf)
+    e = np.exp(kept - kept.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward_fn(g):
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        ad._accumulate(x, y * (g - dot))
+
+    return ad._make(y, (x,), backward_fn, "softmax")
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 6, 21), (5, 1, 21), (3, 2, 6, 6)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_softmax_keeps_the_bits_of_the_former_softmax(shape, masked):
+    # the attention shapes: (B, heads, tokens, W) over patches, (B, 1, W)
+    # pooling rows, (B, heads, tokens, tokens) in self-attention
+    rng = np.random.default_rng([38, len(shape), shape[-1], int(masked)])
+    x0 = rng.normal(scale=4.0, size=shape)
+    probe = rng.normal(size=shape)
+    mask = None
+    if masked:      # per bag, its first n of W entries, at least one
+        lengths = rng.integers(1, shape[-1] + 1, size=shape[0])
+        lengths[0] = 1
+        mask = (np.arange(shape[-1]) < lengths[:, None]).reshape(
+            (shape[0],) + (1,) * (len(shape) - 2) + (shape[-1],))
+    results = []
+    for op in (ad.softmax, _former_softmax):
+        x = tensor(x0, requires_grad=True)
+        out = op(x, axis=-1, mask=mask)
+        grads = backward(sum_(ad.mul(out, probe)))
+        results.append((out.values, grads[x]))
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if masked:
+        assert not results[0][0][~np.broadcast_to(mask, shape)].any()
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------

@@ -147,3 +147,24 @@ def test_checkpoint_baseline_variant(tmp_path):
 
 def test_checkpoint_magic_constant():
     assert CHECKPOINT_MAGIC == b"GHCK"
+
+
+@pytest.mark.parametrize("variant", [{}, {"gated_recon": True}, {"gated_baseline": True}],
+                         ids=["default", "gated_recon", "gated_baseline"])
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch, variant):
+    # Every tensor comes from the file, so none needs a seeded initial draw.
+    model = toy_model(seed=4, **variant)
+    path = tmp_path / "m.ghck"
+    save_checkpoint(path, model, np.array([1.0, 2.0]))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    data = load_checkpoint(path)
+    saved, loaded = dict(model.named_tensors()), dict(data.model.named_tensors())
+    assert list(saved) == list(loaded)
+    for name, tensor in loaded.items():
+        want = saved[name].values.astype(np.float32).astype(np.float64)
+        assert tensor.values.dtype == np.float64 and tensor.requires_grad, name
+        np.testing.assert_array_equal(tensor.values.view(np.int64), want.view(np.int64))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,28 @@ def test_topk_selection_keeps_the_bits_of_the_full_stable_argsort(kind):
                 assert_same_bits(got[b, :, :n], gm.topk_masked_softmax(scores[b, :, :n], k))
 
 
+def test_topk_keeps_the_bits_when_only_some_rows_tie_beyond_their_count():
+    # m = 3 of 16 patches (20%), and 2 of 10: a row keeps its lowest-index
+    # ties only when more entries tie at its cut than it still needs
+    rng = np.random.default_rng(41)
+    lengths = (16, 10, 16)
+    scores = np.where(np.arange(16) < np.array(lengths)[:, None, None],
+                      rng.normal(size=(3, 4, 16)), 0.0)
+    scores[0, 1, 5:9] = 9.0                 # four tie at the top, three kept
+    scores[1, 2, [1, 3, 6]] = (9.0, 8.0, 8.0)   # one above, two tie, two kept
+    scores[2, 0, 2:5] = 9.0                 # exactly three tie, all kept
+    scores[2, 3, 10:15] = -9.0              # ties far below the cut
+    scores[2, 3, 15] = 9.0                  # one above, then distinct
+    got = gm.topk_masked_softmax(scores, 20.0, lengths)
+    assert_same_bits(got, oracle_topk_masked_softmax(scores, 20.0, lengths))
+    np.testing.assert_array_equal(got[0, 1, 5:9] > 0, [True, True, True, False])
+    np.testing.assert_array_equal(np.flatnonzero(got[1, 2]), [1, 3])
+    np.testing.assert_array_equal(np.flatnonzero(got[2, 0]), [2, 3, 4])
+    for k in TOPK_PERCENTS:
+        assert_same_bits(gm.topk_masked_softmax(scores, k, lengths),
+                         oracle_topk_masked_softmax(scores, k, lengths))
+
+
 def test_fused_rows_are_distributions():
     rng = np.random.default_rng(7)
     morph = rng.dirichlet(np.ones(6)).reshape(6, 1)
@@ -317,6 +341,32 @@ def test_one_bag_predict_builds_at_most_its_tape_node_cap(monkeypatch):
     monkeypatch.setattr(ad, "_make", counting_make)
     gm.predict(model, np.random.default_rng(0).normal(size=(64, synth.feature_dim)))
     assert 0 < len(made) <= 66, sorted(made)
+
+
+def test_slide_scale_predict_peaks_below_five_bag_sized_arrays():
+    # A no-grad one-bag predict over a slide-scale float32 bag. Its peak is
+    # counted in (N, D + 1) float64 arrays, the size of the padded rows X~;
+    # the packed rows, X~ and X~'s transposed copy make about three. With a
+    # finiteness scan of every derived array, and fresh arrays for each
+    # softmax and gate step, the peak was 4.74.
+    from histodistill.datasets import SynthConfig
+    from histodistill.training import TrainConfig
+    synth = SynthConfig()
+    model = gm.build_model(TrainConfig().model_config(synth.feature_dim,
+                                                      synth.gene_counts), seed=0)
+    rows = 4099
+    bag = np.random.default_rng(42).normal(size=(rows, synth.feature_dim))
+    bag = bag.astype(np.float32)
+    want = gm.predict(model, bag)
+    tracemalloc.start()
+    try:
+        got = gm.predict(model, bag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got.hazards, want.hazards)
+    arrays = peak / (rows * (synth.feature_dim + 1) * 8)
+    assert arrays < 4.5, arrays
 
 
 # ---------------------------------------------------------------------------

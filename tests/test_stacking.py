@@ -12,7 +12,7 @@ import pytest
 
 from histodistill import autodiff as ad
 from histodistill import training as tr
-from histodistill.blocks import PatchLayout
+from histodistill.blocks import BagStack, PatchLayout
 from histodistill.datasets import SynthConfig, discretize_survival, synth_generate
 from histodistill.errors import TrainingError
 from histodistill.model import build_model, nll_loss, stack_forward, topk_masked_softmax
@@ -139,6 +139,62 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     assert len(ones) == 2
     for column in ones:
         np.testing.assert_array_equal(column, layout.mask)
+
+
+def former_bag_stack(bags):
+    """`BagStack.of` before it checked only the packed rows, kept verbatim
+    as the oracle: each of its four arrays went through the checked
+    constructor."""
+    layout = PatchLayout.of([np.shape(bag)[0] for bag in bags])
+    bag = ad.tensor(np.concatenate(bags, axis=0, dtype=np.float64))
+    if bag.values.ndim != 2:
+        raise ad.ShapeError(f"bags must be 2-d (patches, features), got rows "
+                            f"{bag.shape}")
+    dim = bag.shape[1]
+    padded = np.zeros(layout.mask.shape + (dim + 1,))
+    start = 0
+    for b, n in enumerate(layout.lengths):
+        padded[b, :n, :dim] = bag.values[start:start + n]
+        padded[b, :n, dim] = 1.0
+        start += n
+    rows = padded[:, None]
+    return BagStack(bag, layout, ad.tensor(rows),
+                    ad.tensor(np.ascontiguousarray(rows.swapaxes(-1, -2))),
+                    ad.tensor(padded[..., :dim]))
+
+
+@pytest.mark.parametrize("lengths", [(1,), (8,), (4099,), (2, 9, 1, 6), (40, 17, 64, 3)])
+def test_bag_stack_keeps_the_arrays_of_the_former_stack(lengths):
+    rng = np.random.default_rng([39, *lengths])
+    bags = [rng.normal(size=(n, FEATURES)).astype(np.float32 if n % 2 else np.float64)
+            for n in lengths]
+    got, want = BagStack.of(bags), former_bag_stack(bags)
+    assert got.layout.lengths == want.layout.lengths
+    np.testing.assert_array_equal(got.layout.index, want.layout.index)
+    for field in ("bag", "rows", "rows_t", "raw"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.values.dtype == np.float64, field
+        assert a.values.flags.c_contiguous == b.values.flags.c_contiguous, field
+        np.testing.assert_array_equal(a.values.view(np.int64), b.values.view(np.int64))
+        assert a._op == "leaf" and not a.requires_grad and a.grad is None, field
+        assert a._parents == () and a._backward_fn is None, field
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_stack_with_a_non_finite_bag_raises_before_any_forward(bad, monkeypatch):
+    config = variant_config("default")
+    model = make_model(config)
+    rng = np.random.default_rng(40)
+    bags = [rng.normal(size=(n, FEATURES)) for n in (5, 9, 3)]
+    bags[1][7, 2] = bad
+    made = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: made.append(args[3]) or make(*args))
+    with pytest.raises(ValueError, match="tensor created with non-finite values"):
+        BagStack.of(bags)
+    with pytest.raises(ValueError, match="tensor created with non-finite values"):
+        stack_forward(model, bags)
+    assert made == []
 
 
 def test_topk_count_follows_each_patients_own_patch_count():
