@@ -69,8 +69,9 @@ for c, mask in enumerate(truth.driven_masks):
 # across patients far better than a flat gene's
 mix = truth.mixtures
 risky = int(np.argmax(truth.risk_coeffs))
-driven_gene = np.array([cohort[i].genes.vectors[0][0] for i in range(len(cohort))])
-flat_gene = np.array([cohort[i].genes.vectors[0][-1] for i in range(len(cohort))])
+# (the cohort holds one genes x patients matrix per category)
+driven_gene = cohort.expression[0][0]
+flat_gene = cohort.expression[0][-1]
 print("\n|corr(expression, risky prototype weight)|")
 print("  driven gene:", round(abs(np.corrcoef(driven_gene, mix[:, risky])[0, 1]), 3))
 print("  flat gene:  ", round(abs(np.corrcoef(flat_gene, mix[:, risky])[0, 1]), 3))

@@ -127,7 +127,7 @@ def _cmd_select_genes(args) -> int:
         raise ConfigError("the manifest has no genomics to select from")
     groups = split_risk_groups(cohort.times(), cohort.censor_flags())
     selection = differential_select(
-        cohort.expression(), groups,
+        cohort.expression, groups,
         alpha=cfg.select_alpha, min_per_category=cfg.min_genes_per_category)
     report = out / "selection.tsv"
     write_selection_report(report, selection, cohort.gene_ids,

@@ -9,8 +9,7 @@ truth is returned alongside the cohort so tests can score recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import is_not
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -53,26 +52,6 @@ class PatchBag:
 
 
 @dataclass
-class GenomicProfile:
-    """Per-category expression vectors in a fixed category order; read-only."""
-    category_names: tuple[str, ...]
-    vectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.category_names) != len(self.vectors):
-            raise DataFormatError("category name/vector count mismatch")
-        self.vectors = tuple(np.asarray(v, dtype=np.float64).reshape(-1)
-                             for v in self.vectors)
-        for name, vec in zip(self.category_names, self.vectors):
-            if not np.all(np.isfinite(vec)):
-                raise DataFormatError(f"category '{name}' has non-finite expression")
-            vec.flags.writeable = False
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.vectors)
-
-
-@dataclass
 class SurvivalLabel:
     time_months: float
     censor: int                 # 0 = event observed, 1 = censored
@@ -89,7 +68,6 @@ class SurvivalLabel:
 class Patient:
     bag: PatchBag
     label: SurvivalLabel
-    genes: GenomicProfile | None = None
 
     @property
     def patient_id(self) -> str:
@@ -98,12 +76,21 @@ class Patient:
 
 @dataclass
 class Cohort:
-    """Patients plus cohort-level gene bookkeeping (when genomics is loaded)."""
+    """Patients plus, when genomics is loaded, the one copy of it: category
+    names, gene ids per category, and one read-only float64 (n_genes,
+    n_patients) matrix per category, patients in cohort order. These three
+    fields are all set or all None, as `validate` checks."""
     patients: list[Patient]
+    category_names: tuple[str, ...] | None = None
     gene_ids: tuple[tuple[str, ...], ...] | None = None
-    # (each patient's vector tuple, the matrices holding them as columns)
-    _expression: tuple[list, tuple[np.ndarray, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    expression: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.expression is not None:
+            self.expression = tuple(np.asarray(m, dtype=np.float64).view()
+                                    for m in self.expression)
+            for matrix in self.expression:
+                matrix.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.patients)
@@ -119,36 +106,8 @@ class Cohort:
         return self.patients[0].bag.feature_dim
 
     @property
-    def category_names(self) -> tuple[str, ...] | None:
-        genes = self.patients[0].genes
-        return None if genes is None else genes.category_names
-
-    @property
     def category_sizes(self) -> tuple[int, ...] | None:
-        genes = self.patients[0].genes
-        return None if genes is None else genes.sizes()
-
-    def expression(self) -> tuple[np.ndarray, ...]:
-        """One read-only (n_genes, n_patients) float64 matrix per category,
-        patients in cohort order; stacked again only once a patient holds a
-        vector tuple other than the one the matrices were built from."""
-        vectors = []
-        for p in self.patients:
-            if p.genes is None:
-                raise ConfigError(f"patient '{p.patient_id}' has no genomic profile")
-            vectors.append(p.genes.vectors)
-        held = self._expression
-        if (held is None or len(held[0]) != len(vectors)
-                or any(map(is_not, held[0], vectors))):
-            matrices = tuple(np.stack(columns, axis=1) for columns in zip(*vectors))
-            for matrix in matrices:
-                matrix.flags.writeable = False
-            self._expression = held = (vectors, matrices)
-        return held[1]
-
-    def _hold_expression(self, matrices: tuple[np.ndarray, ...]) -> None:
-        """Keep read-only `matrices`, whose column j views patient j's vectors."""
-        self._expression = ([p.genes.vectors for p in self.patients], matrices)
+        return None if self.expression is None else tuple(len(m) for m in self.expression)
 
     def times(self) -> np.ndarray:
         return np.array([p.label.time_months for p in self.patients])
@@ -161,8 +120,6 @@ class Cohort:
             raise DataFormatError("cohort is empty")
         seen: set[str] = set()
         d = self.feature_dim
-        structure = self.category_sizes
-        names = self.category_names
         for p in self.patients:
             if p.patient_id in seen:
                 raise DataFormatError(f"duplicate patient id '{p.patient_id}'")
@@ -171,14 +128,19 @@ class Cohort:
                 raise DataFormatError(
                     f"patient '{p.patient_id}' has feature dim {p.bag.feature_dim}, "
                     f"cohort uses {d}")
-            has_genes = p.genes is not None
-            if has_genes != (structure is not None):
+        genomics = (self.category_names, self.gene_ids, self.expression)
+        if all(field is None for field in genomics):
+            return
+        if any(field is None for field in genomics) or len(set(map(len, genomics))) != 1:
+            raise DataFormatError("category names, gene ids and expression matrices "
+                                  "must all be given, one of each per category")
+        for name, ids, matrix in zip(*genomics):
+            if matrix.shape != (len(ids), len(self.patients)):
                 raise DataFormatError(
-                    f"patient '{p.patient_id}' genomics presence differs from cohort")
-            if has_genes and (p.genes.sizes() != structure
-                              or p.genes.category_names != names):
-                raise DataFormatError(
-                    f"patient '{p.patient_id}' gene category structure differs")
+                    f"category '{name}' expression has shape {matrix.shape}, "
+                    f"expected (genes, patients) = ({len(ids)}, {len(self.patients)})")
+            if not np.isfinite(matrix).all():
+                raise DataFormatError(f"category '{name}' has non-finite expression")
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +367,7 @@ def synth_generate(config: SynthConfig, seed: int) -> tuple[Cohort, PlantedTruth
     lo, hi = config.patch_range
     patch_counts = rng.integers(lo, hi + 1, size=config.n_patients)
 
+    expression = tuple(np.empty((n, config.n_patients)) for n in config.gene_counts)
     patients = []
     for i in range(config.n_patients):
         n_p = int(patch_counts[i])
@@ -414,27 +377,24 @@ def synth_generate(config: SynthConfig, seed: int) -> tuple[Cohort, PlantedTruth
             features = features + config.patch_noise * rng.normal(size=(n_p, d))
         features = features.astype(np.float32)
 
-        vectors = []
-        for gene_map in gene_maps:
+        for gene_map, matrix in zip(gene_maps, expression):
             expr = gene_map @ mixtures[i]
             if config.gene_noise > 0:
                 expr = expr + config.gene_noise * rng.normal(size=expr.shape)
                 expr = np.maximum(expr, 0.0)
-            vectors.append(expr.astype(np.float32).astype(np.float64))
-        genes = GenomicProfile(CATEGORY_NAMES, tuple(vectors))
+            matrix[:, i] = expr.astype(np.float32)
 
         censored = bool(censor_times[i] < event_times[i])
         observed = float(min(event_times[i], censor_times[i]))
         patients.append(Patient(
             bag=PatchBag(f"synthetic_{i:04d}", features),
             label=SurvivalLabel(observed, 1 if censored else 0),
-            genes=genes,
         ))
 
     gene_ids = tuple(
         tuple(f"{name}_{g:04d}" for g in range(count))
         for name, count in zip(CATEGORY_NAMES, config.gene_counts))
-    cohort = Cohort(patients, gene_ids=gene_ids)
+    cohort = Cohort(patients, CATEGORY_NAMES, gene_ids, expression)
     cohort.validate()
     truth = PlantedTruth(prototypes, mixtures, gene_maps, risk_coeffs,
                          risks, driven_masks)

@@ -22,8 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .datasets import (CATEGORY_NAMES, Cohort, GenomicProfile, PatchBag,
-                       Patient, SurvivalLabel)
+from .datasets import CATEGORY_NAMES, Cohort, PatchBag, Patient, SurvivalLabel
 from .errors import DataFormatError
 
 BAG_MAGIC = b"GHB1"
@@ -170,9 +169,6 @@ def read_clinical(path: str | Path) -> dict[str, SurvivalLabel]:
 _NOT_IN_FIELDS = ("\t", "\r", "\n", '"')
 # Data lines per `np.loadtxt` call when a bad value is located again.
 _RESCAN_LINES = 1024
-# Genes per (genes x patients) block the writer stacks: small blocks reuse
-# freed heap space, where a whole category's stack raised peak RSS.
-_WRITE_BLOCK_GENES = 64
 
 
 def _check_ids(path: Path, kind: str, ids) -> None:
@@ -189,7 +185,7 @@ def write_genomics(matrix_path: str | Path, categories_path: str | Path,
     Values are written as `repr(float)`, lines end in CRLF, and each file
     is replaced atomically (`write_atomic`).
     """
-    if cohort.gene_ids is None or cohort.category_names is None:
+    if cohort.expression is None:
         raise DataFormatError("cohort carries no genomics to write")
     matrix_path = Path(matrix_path)
     patient_ids = [p.patient_id for p in cohort]
@@ -199,14 +195,10 @@ def write_genomics(matrix_path: str | Path, categories_path: str | Path,
 
     def write_matrix(fh):
         fh.write(("\t".join(["gene_id", *patient_ids]) + "\r\n").encode())
-        for c, ids in enumerate(cohort.gene_ids):
-            vectors = [p.genes.vectors[c] for p in cohort]
-            for start in range(0, len(ids), _WRITE_BLOCK_GENES):
-                stop = start + _WRITE_BLOCK_GENES
-                block = np.stack([v[start:stop] for v in vectors], axis=1)
-                for gene_id, row in zip(ids[start:stop], block):
-                    line = "\t".join([gene_id, *map(repr, row.tolist())]) + "\r\n"
-                    fh.write(line.encode())
+        for ids, matrix in zip(cohort.gene_ids, cohort.expression):
+            for gene_id, row in zip(ids, matrix):
+                line = "\t".join([gene_id, *map(repr, row.tolist())]) + "\r\n"
+                fh.write(line.encode())
 
     def write_categories(fh):
         fh.write(b"gene_id\tcategory\r\n")
@@ -284,36 +276,24 @@ def _first_unparsable_line(path: Path, n_fields: int) -> int | None:
     return None
 
 
-class _GenomicsBlock(dict):
-    """Patient id -> `GenomicProfile` in file column order, over one read-only
-    (n_genes, n_patients) matrix per category whose columns the profiles'
-    vectors view. `read_genomics` checked every value of the block, so no
-    vector is checked again."""
-
-    def __init__(self, patient_ids: Iterable[str], category_names: tuple[str, ...],
-                 matrices: list[np.ndarray]):
-        super().__init__()
-        for matrix in matrices:
-            matrix.flags.writeable = False
-        for patient_id, vectors in zip(patient_ids, zip(*(m.T for m in matrices))):
-            profile = self[patient_id] = object.__new__(GenomicProfile)
-            profile.category_names, profile.vectors = category_names, vectors
-        self.category_names, self.matrices = category_names, tuple(matrices)
-
-
 def read_genomics(matrix_path: str | Path, categories_path: str | Path,
-                  ) -> tuple[dict[str, GenomicProfile], tuple[tuple[str, ...], ...]]:
-    """Returns per-patient profiles plus per-category gene id lists.
+                  ) -> tuple[list[str], tuple[str, ...], tuple[tuple[str, ...], ...],
+                             tuple[np.ndarray, ...]]:
+    """Returns (patient ids in column order, category names, gene ids per
+    category, one read-only float64 (n_genes, n_patients) matrix per category
+    with columns in that patient order).
 
     Categories follow the canonical fixed order; genes keep file order
-    within each category. The matrix is streamed: each line is checked as
-    the parser pulls it, and the file text is never held whole.
+    within each category. Every sidecar gene needs a matrix row and every
+    matrix row a sidecar gene. The matrix is streamed: each line is checked
+    as the parser pulls it, and the file text is never held whole.
     """
     gene_category = _read_gene_categories(Path(categories_path))
     matrix_path = Path(matrix_path)
     rows_by_category: dict[str, list[int]] = {}
     ids_by_category: dict[str, list[str]] = {}
     line_numbers: list[int] = []
+    seen: set[str] = set()
     with open(matrix_path, newline="", encoding="utf-8") as fh, _utf8(matrix_path):
         header_line = fh.readline().rstrip("\r\n")
         if '"' in header_line:
@@ -329,7 +309,6 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
         n_fields = len(header)
 
         def gene_rows() -> Iterator[str]:
-            seen: set[str] = set()
             for line_no, line in _data_lines(fh, start=2):
                 if '"' in line:
                     raise DataFormatError(f"{matrix_path}: line {line_no}: '\"' "
@@ -373,16 +352,21 @@ def read_genomics(matrix_path: str | Path, categories_path: str | Path,
         line_no = line_numbers[int(np.argmin(finite))]
         raise DataFormatError(f"{matrix_path}: line {line_no}: "
                               f"non-finite expression value")
+    if len(seen) < len(gene_category):
+        missing = next(gene_id for gene_id in gene_category if gene_id not in seen)
+        raise DataFormatError(f"{matrix_path}: gene '{missing}' of the category "
+                              f"sidecar has no matrix row")
     present = [name for name in CATEGORY_NAMES if name in rows_by_category]
     gene_ids = tuple(tuple(ids_by_category[name]) for name in present)
     # one row take into category order, skipped for a file already in it
-    # (as `write_genomics` writes): the stacks are then views, and no second
+    # (as `write_genomics` writes): the matrices are then views, and no second
     # copy of the matrix raises peak RSS
     order = np.concatenate([rows_by_category[name] for name in present])
     if (order != np.arange(order.size)).any():
         values = values.take(order, axis=0)
-    stacks = np.split(values, np.cumsum([len(ids) for ids in gene_ids])[:-1])
-    return _GenomicsBlock(patient_ids, tuple(present), stacks), gene_ids
+    values.flags.writeable = False
+    matrices = np.split(values, np.cumsum([len(ids) for ids in gene_ids])[:-1])
+    return patient_ids, tuple(present), gene_ids, tuple(matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +412,7 @@ def load_cohort(manifest_path: str | Path, with_genomics: bool = True) -> Cohort
     """Reads a manifest back into a cohort.
 
     with_genomics=False skips the genomics files entirely (they may be
-    absent from disk); the returned patients then carry no profiles.
+    absent from disk); the returned cohort then carries no expression.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -451,36 +435,31 @@ def load_cohort(manifest_path: str | Path, with_genomics: bool = True) -> Cohort
     base = manifest_path.parent
     labels = read_clinical(base / manifest["clinical"])
 
-    block: _GenomicsBlock | None = None
-    gene_ids = None
+    genomics = ()
     if with_genomics and "genomics" in manifest:
         if "gene_categories" not in manifest:
             raise DataFormatError(f"{manifest_path}: genomics listed without "
                                   f"'gene_categories'")
-        block, gene_ids = read_genomics(base / manifest["genomics"],
-                                        base / manifest["gene_categories"])
+        file_ids, *genomics = read_genomics(base / manifest["genomics"],
+                                            base / manifest["gene_categories"])
+        columns = {patient_id: j for j, patient_id in enumerate(file_ids)}
 
     patients = []
     for patient_id, rel in sorted(manifest["bags"].items()):
         if patient_id not in labels:
             raise DataFormatError(f"{manifest_path}: bag entry '{patient_id}' "
                                   f"has no clinical row")
-        if block is not None and patient_id not in block:
+        if genomics and patient_id not in columns:
             raise DataFormatError(f"{manifest_path}: patient '{patient_id}' "
                                   f"missing from genomics matrix")
         patients.append(Patient(read_bag(base / rel, patient_id), labels[patient_id]))
-    cohort = Cohort(patients, gene_ids=gene_ids)
-    if block is not None:
+    if genomics:
         # no copy when the file's columns are in cohort order (as
-        # `write_cohort` writes them); else one take, and the block is dropped
-        ids = [p.patient_id for p in patients]
-        if ids != list(block):
-            columns = {patient_id: j for j, patient_id in enumerate(block)}
-            order = [columns[patient_id] for patient_id in ids]
-            block = _GenomicsBlock(ids, block.category_names,
-                                   [m.take(order, axis=1) for m in block.matrices])
-        for patient in patients:
-            patient.genes = block[patient.patient_id]
-        cohort._hold_expression(block.matrices)
+        # `write_cohort` writes them); else one take
+        order = [columns[p.patient_id] for p in patients]
+        if order != list(range(len(file_ids))):
+            names, gene_ids, expression = genomics
+            genomics = (names, gene_ids, [m.take(order, axis=1) for m in expression])
+    cohort = Cohort(patients, *genomics)
     cohort.validate()
     return cohort

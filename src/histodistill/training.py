@@ -198,9 +198,9 @@ class GeneStandardizer:
 def expression_matrices(cohort: Cohort, indices: np.ndarray) -> list[np.ndarray]:
     """Per-category (n_genes, n_patients) matrices over the given patients:
     writable C-order copies, column j for indices[j]."""
-    if cohort.category_sizes is None:
-        raise ConfigError("cohort carries no genomic profiles")
-    return [m.take(indices, axis=1) for m in cohort.expression()]
+    if cohort.expression is None:
+        raise ConfigError("cohort carries no expression matrices")
+    return [m.take(indices, axis=1) for m in cohort.expression]
 
 
 def select_genes(cohort: Cohort, train_idx: np.ndarray,
@@ -441,7 +441,7 @@ def reconstructed_genes(ckpt: CheckpointData, cohort: Cohort) -> list[np.ndarray
     if ckpt.model.config.gated_baseline:
         raise ConfigError("a baseline checkpoint has no reconstruction heads")
     if cohort.category_sizes is None:
-        raise ConfigError("spearman report needs genomic profiles in the cohort")
+        raise ConfigError("spearman report needs genomics in the cohort")
     sizes = list(cohort.category_sizes)
     if ckpt.selected_genes is None:
         needed = list(ckpt.model.config.category_sizes)
@@ -499,12 +499,10 @@ def run_fold(cohort: Cohort, train_idx: np.ndarray, val_idx: np.ndarray,
         retained = ([sel.retained for sel in selection.categories] if selection
                     else [np.arange(n) for n in category_sizes])
         selected_idx = [r.tolist() for r in retained]
-        if cohort.gene_ids is not None:
-            selected_ids = [[ids[g] for g in r]
-                            for ids, r in zip(cohort.gene_ids, retained)]
-            if selection is not None:
-                write_selection_report(out_dir / f"fold{fold}_selection.tsv",
-                                       selection, cohort.gene_ids, category_names)
+        selected_ids = [[ids[g] for g in r] for ids, r in zip(cohort.gene_ids, retained)]
+        if selection is not None:
+            write_selection_report(out_dir / f"fold{fold}_selection.tsv",
+                                   selection, cohort.gene_ids, category_names)
 
     seed = fold_seed(config.seed, fold)
     model = build_model(config.model_config(cohort.feature_dim, category_sizes),

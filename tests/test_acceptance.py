@@ -409,10 +409,8 @@ def test_criterion_7_spearman_reconstruction(full_cv):
     noise_rng = np.random.default_rng(77)
     noise_pred, noise_actual = [], []
     for i in range(len(cohort)):
-        patient = cohort[i]
         noise_pred.append([noise_rng.normal(size=len(s)) for s in sel])
-        noise_actual.append([patient.genes.vectors[c][s]
-                             for c, s in enumerate(sel)])
+        noise_actual.append([m[s, i] for m, s in zip(cohort.expression, sel)])
     control = stats.spearman_report(noise_pred, noise_actual,
                                     held_out.category_names)
     control_means = [m for name, m in zip(control.category_names,

@@ -177,10 +177,9 @@ def test_select_genes_writes_report(workspace, tmp_path, capsys):
 
 def test_select_genes_with_a_constant_category(tmp_path, capsys):
     cohort, _ = synth_generate(SynthConfig(**SYNTH_SECTION), seed=3)
-    for patient in cohort:
-        vectors = list(patient.genes.vectors)
-        vectors[2] = np.full(vectors[2].shape, 7.0)
-        patient.genes.vectors = tuple(vectors)
+    expression = list(cohort.expression)
+    expression[2] = np.full(expression[2].shape, 7.0)
+    cohort.expression = tuple(expression)
     manifest = write_cohort(tmp_path / "data", cohort)
     out = tmp_path / "sel"
     assert cli.main(["select-genes", "--manifest", str(manifest),

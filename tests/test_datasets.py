@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from histodistill.datasets import (CATEGORY_NAMES, Cohort, GenomicProfile,
-                                   PatchBag, Patient, SurvivalLabel,
-                                   SynthConfig, assign_bins,
+from histodistill.datasets import (CATEGORY_NAMES, Cohort, PatchBag, Patient,
+                                   SurvivalLabel, SynthConfig, assign_bins,
                                    discretize_survival, make_folds,
                                    synth_generate)
 from histodistill.datasets import _solve_censor_rate
 from histodistill.errors import ConfigError, DataFormatError
-from histodistill.io import load_cohort, write_cohort
+from histodistill import io
+from histodistill.io import load_cohort, read_genomics, write_cohort
 from histodistill.stats import c_index
 from histodistill.training import expression_matrices
 
@@ -34,16 +34,6 @@ def test_patch_bag_rejects_bad_shapes():
         PatchBag("p", np.zeros((0, 4)))
     with pytest.raises(DataFormatError):
         PatchBag("p", np.array([[1.0, np.nan]]))
-
-
-def test_genomic_profile_flattens_and_checks():
-    profile = GenomicProfile(("a", "b"), (np.ones((1, 3)), np.zeros(2)))
-    assert profile.sizes() == (3, 2)
-    assert profile.vectors[0].dtype == np.float64
-    with pytest.raises(DataFormatError):
-        GenomicProfile(("a",), (np.ones(2), np.ones(2)))
-    with pytest.raises(DataFormatError):
-        GenomicProfile(("a",), (np.array([1.0, np.inf]),))
 
 
 def test_survival_label_validation():
@@ -224,8 +214,8 @@ def test_synth_generate_deterministic():
         np.testing.assert_array_equal(pa.bag.features, pb.bag.features)
         assert pa.label.time_months == pb.label.time_months
         assert pa.label.censor == pb.label.censor
-        for va, vb in zip(pa.genes.vectors, pb.genes.vectors):
-            np.testing.assert_array_equal(va, vb)
+    for ma, mb in zip(a.expression, b.expression):
+        np.testing.assert_array_equal(ma, mb)
     np.testing.assert_array_equal(truth_a.mixtures, truth_b.mixtures)
     c, _ = synth_generate(config, seed=6)
     assert not np.array_equal(a[0].bag.features, c[0].bag.features)
@@ -256,7 +246,7 @@ def test_synth_driven_genes_track_risk():
     cohort, truth = synth_generate(config, seed=4)
     category = 1
     mask = truth.driven_masks[category]
-    expr = np.array([p.genes.vectors[category] for p in cohort])
+    expr = cohort.expression[category].T
     risks = truth.risks
     driven_corr = np.abs([np.corrcoef(expr[:, g], risks)[0, 1]
                           for g in np.flatnonzero(mask)])
@@ -269,9 +259,9 @@ def test_synth_driven_genes_track_risk():
 def test_synth_noise_free_genes_follow_map():
     config = SynthConfig(n_patients=8, patch_range=(3, 4), gene_noise=0.0)
     cohort, truth = synth_generate(config, seed=5)
-    for i, p in enumerate(cohort):
+    for i in range(len(cohort)):
         expected = truth.gene_maps[0] @ truth.mixtures[i]
-        np.testing.assert_allclose(p.genes.vectors[0],
+        np.testing.assert_allclose(cohort.expression[0][:, i],
                                    expected.astype(np.float32), atol=1e-6)
 
 
@@ -279,26 +269,18 @@ def test_synth_noise_free_genes_follow_map():
 # one expression matrix per category
 # ---------------------------------------------------------------------------
 
-def _stacked_expression_matrices(cohort, indices):
-    """The former `training.expression_matrices`, verbatim: a fresh `np.stack`
-    per call, the oracle for the column takes of `Cohort.expression`."""
-    sizes = cohort.category_sizes
-    if sizes is None:
-        raise ConfigError("cohort carries no genomic profiles")
-    patients = [cohort[int(i)] for i in indices]
-    for patient in patients:
-        if patient.genes is None:
-            raise ConfigError(f"patient '{patient.patient_id}' has no genomic profile")
-    return [np.stack([p.genes.vectors[c] for p in patients], axis=1)
-            for c in range(len(sizes))]
+def _stacked_expression_matrices(source, indices):
+    """A fresh `np.stack` of the source cohort's patient columns per call,
+    the oracle for the column takes of `expression_matrices`."""
+    return [np.stack([m[:, int(i)] for i in indices], axis=1) for m in source.expression]
 
 
-def _assert_matrices_match_the_stack(cohort):
+def _assert_matrices_match_the_stack(cohort, source):
     folds = make_folds(cohort, seed=0, n_folds=3)
     n = len(cohort)
     for indices in (*folds[0], np.arange(n), np.arange(n)[::-1], [n - 1, 0, 2]):
         got = expression_matrices(cohort, indices)
-        want = _stacked_expression_matrices(cohort, indices)
+        want = _stacked_expression_matrices(source, indices)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.float64
@@ -317,6 +299,12 @@ def _shuffle_genomics_columns(matrix_path, seed=0):
         encoding="utf-8")
 
 
+def _memory_root(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
 @pytest.fixture(scope="module")
 def genomics_synth():
     config = SynthConfig(n_patients=9, patch_range=(3, 5), feature_dim=4,
@@ -332,52 +320,96 @@ def loaded_cohort(request, tmp_path, genomics_synth):
     return load_cohort(manifest)
 
 
-def test_expression_matrices_of_a_loaded_cohort_match_the_stack(loaded_cohort):
-    _assert_matrices_match_the_stack(loaded_cohort)
+def test_expression_matrices_of_a_loaded_cohort_match_the_stack(loaded_cohort,
+                                                                genomics_synth):
+    # a file with shuffled patient columns loads to the matrices it was
+    # written from, as an in-order file does
+    assert [p.patient_id for p in loaded_cohort] == [p.patient_id for p in genomics_synth]
+    assert loaded_cohort.category_names == genomics_synth.category_names
+    assert loaded_cohort.gene_ids == genomics_synth.gene_ids
+    assert loaded_cohort.category_sizes == genomics_synth.category_sizes
+    for got, want in zip(loaded_cohort.expression, genomics_synth.expression):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    _assert_matrices_match_the_stack(loaded_cohort, genomics_synth)
 
 
 def test_expression_matrices_of_a_synth_cohort_match_the_stack(genomics_synth):
-    _assert_matrices_match_the_stack(genomics_synth)
-
-
-@pytest.mark.parametrize("replace", ["vectors", "profile"])
-def test_expression_follows_profiles_replaced_after_a_first_call(loaded_cohort,
-                                                                 replace):
-    cohort = loaded_cohort
-    first = cohort.expression()
-    assert cohort.expression() is first
-    _assert_matrices_match_the_stack(cohort)
-    for i, patient in enumerate(cohort):
-        vectors = [np.full(v.shape, float(i)) for v in patient.genes.vectors]
-        if replace == "vectors":
-            # as a test that plants a constant category does
-            patient.genes.vectors = tuple(vectors)
-        else:
-            patient.genes = GenomicProfile(patient.genes.category_names,
-                                           tuple(vectors))
-        _assert_matrices_match_the_stack(cohort)
-    assert cohort.expression() is not first
-    np.testing.assert_array_equal(cohort.expression()[2][0], np.arange(len(cohort)))
+    _assert_matrices_match_the_stack(genomics_synth, genomics_synth)
 
 
 def test_a_loaded_cohort_holds_one_copy_of_its_genomics(loaded_cohort):
-    matrices = loaded_cohort.expression()
-    for j, patient in enumerate(loaded_cohort):
-        for vector, matrix in zip(patient.genes.vectors, matrices):
-            assert np.shares_memory(vector, matrix)
-            np.testing.assert_array_equal(vector, matrix[:, j])
-            with pytest.raises(ValueError, match="read-only"):
-                vector[0] = 0.0
+    matrices = loaded_cohort.expression
+    roots = {id(root): root for root in map(_memory_root, matrices)}.values()
+    assert sum(root.nbytes for root in roots) == sum(m.nbytes for m in matrices)
     for matrix in matrices:
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 0.0
-    assert loaded_cohort.expression() is matrices
+
+
+@pytest.mark.parametrize("in_order", [True, False])
+def test_an_in_order_file_loads_with_no_copy_of_the_parsed_block(
+        tmp_path, genomics_synth, monkeypatch, in_order):
+    parsed = []
+
+    def spy(*paths):
+        parsed.append(read_genomics(*paths))
+        return parsed[-1]
+
+    monkeypatch.setattr(io, "read_genomics", spy)
+    manifest = write_cohort(tmp_path, genomics_synth, name="toy")
+    if not in_order:
+        _shuffle_genomics_columns(tmp_path / "toy_genomics.tsv")
+    cohort = load_cohort(manifest)
+    (_, _, _, block), = parsed
+    for matrix, parsed_matrix in zip(cohort.expression, block, strict=True):
+        assert np.shares_memory(matrix, parsed_matrix) == in_order
 
 
 def test_profile_vectors_are_read_only(genomics_synth):
-    for vector in genomics_synth[0].genes.vectors:
-        with pytest.raises(ValueError, match="read-only"):
-            vector[0] = 0.0
-    for matrix in genomics_synth.expression():
+    # a patient's profile is a column of the cohort's matrices
+    for matrix in genomics_synth.expression:
+        for view in (matrix, matrix[:, 0]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+
+
+def _genomics_cohort(**changes):
+    cohort = tiny_cohort([1.0, 2.0, 3.0], [0, 0, 1])
+    cohort.category_names = ("a", "b")
+    cohort.gene_ids = (("a0",), ("b0", "b1"))
+    cohort.expression = (np.ones((1, 3)), np.ones((2, 3)))
+    for name, value in changes.items():
+        setattr(cohort, name, value)
+    return cohort
+
+
+def test_cohort_validate_checks_the_expression_matrices():
+    _genomics_cohort().validate()
+    assert _genomics_cohort().category_sizes == (1, 2)
+    with pytest.raises(DataFormatError, match=r"category 'b' expression has shape \(3, 2\)"):
+        _genomics_cohort(expression=(np.ones((1, 3)), np.ones((3, 2)))).validate()
+    with pytest.raises(DataFormatError, match=r"category 'b' expression has shape \(2, 4\)"):
+        _genomics_cohort(expression=(np.ones((1, 3)), np.ones((2, 4)))).validate()
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = np.ones((2, 3))
+        matrix[1, 2] = bad
+        with pytest.raises(DataFormatError, match="category 'b' has non-finite"):
+            _genomics_cohort(expression=(np.ones((1, 3)), matrix)).validate()
+    for fields in ({"expression": None}, {"category_names": None},
+                   {"gene_ids": None}, {"gene_ids": (("a0",),)}):
+        with pytest.raises(DataFormatError, match="must all be given"):
+            _genomics_cohort(**fields).validate()
+
+
+def test_a_cohort_holds_its_matrices_read_only_as_float64():
+    given = np.ones((2, 3), dtype=np.float32)
+    writable = np.ones((1, 3))
+    cohort = Cohort(tiny_cohort([1.0, 2.0, 3.0], [0, 0, 1]).patients, ("a", "b"),
+                    (("a0",), ("b0", "b1")), [writable, given])
+    cohort.validate()
+    assert [m.dtype for m in cohort.expression] == [np.float64, np.float64]
+    assert writable.flags.writeable
+    for matrix in cohort.expression:
         with pytest.raises(ValueError, match="read-only"):
             matrix[0, 0] = 0.0

@@ -13,8 +13,8 @@ import pytest
 
 from histodistill import training
 from histodistill.checkpoint import CheckpointData, save_checkpoint
-from histodistill.datasets import (CATEGORY_NAMES, GenomicProfile, PatchBag,
-                                   SynthConfig, make_folds, synth_generate)
+from histodistill.datasets import (CATEGORY_NAMES, PatchBag, SynthConfig,
+                                   make_folds, synth_generate)
 from histodistill.errors import ConfigError, DataFormatError
 from histodistill.geneselect import (RiskGroups, differential_select,
                                      write_selection_report)
@@ -147,13 +147,13 @@ def test_genomics_round_trip(tmp_path, synth_cohort):
     matrix = tmp_path / "expr.tsv"
     sidecar = tmp_path / "cats.tsv"
     write_genomics(matrix, sidecar, synth_cohort)
-    profiles, gene_ids = read_genomics(matrix, sidecar)
+    patient_ids, names, gene_ids, matrices = read_genomics(matrix, sidecar)
+    assert patient_ids == [p.patient_id for p in synth_cohort]
+    assert names == synth_cohort.category_names
     assert gene_ids == synth_cohort.gene_ids
-    for p in synth_cohort:
-        back = profiles[p.patient_id]
-        assert back.category_names == p.genes.category_names
-        for va, vb in zip(back.vectors, p.genes.vectors):
-            np.testing.assert_array_equal(va, vb)
+    for back, written in zip(matrices, synth_cohort.expression, strict=True):
+        assert back.dtype == np.float64 and not back.flags.writeable
+        np.testing.assert_array_equal(back, written)
 
 
 def test_genomics_rejects_unknown_category(tmp_path):
@@ -186,7 +186,7 @@ def test_genomics_sidecar_line_ends_and_blank_lines(tmp_path):
         cats = tmp_path / "cats.tsv"
         cats.write_bytes(ending.join(["gene_id\tcategory", "g0\toncogenesis", "",
                                       "g1\ttranscription"]).encode())
-        _, gene_ids = read_genomics(tmp_path / "expr.tsv", cats)
+        _, _, gene_ids, _ = read_genomics(tmp_path / "expr.tsv", cats)
         assert gene_ids == (("g0",), ("g1",))
 
 
@@ -211,20 +211,47 @@ def test_genomics_rejects_matrix_problems(tmp_path):
         read_genomics(expr, tmp_path / "cats.tsv")
 
 
+@pytest.mark.parametrize("cut", ["matrix", "sidecar"])
+def test_a_truncated_genomics_file_loads_only_when_the_cut_is_in_its_last_value(
+        tmp_path, synth_cohort, cut):
+    """Cut one file of a written pair at every byte offset: each cut raises a
+    DataFormatError naming a file of the pair, except the cuts inside the
+    last line's last field or its line end, which still parse."""
+    matrix, sidecar = tmp_path / "expr.tsv", tmp_path / "cats.tsv"
+    write_genomics(matrix, sidecar, synth_cohort)
+    path = matrix if cut == "matrix" else sidecar
+    data = path.read_bytes()
+    loaded = set()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        try:
+            read_genomics(matrix, sidecar)
+        except DataFormatError as err:
+            assert str(err).startswith((f"{matrix}: ", f"{sidecar}: "))
+        else:
+            loaded.add(size)
+    last_field = data.rindex(b"\t") + 1
+    # a value cut after its first character is still a number; a category
+    # name is only read whole, so the sidecar's window is its line end
+    start = last_field + 1 if cut == "matrix" else len(data) - 2
+    assert loaded == set(range(start, len(data)))
+
+
 def test_genomics_empty_categories_dropped(tmp_path):
     # only one category present in the files; the result collapses to it
     (tmp_path / "cats.tsv").write_text(
         "gene_id\tcategory\ng0\ttranscription\n")
     (tmp_path / "expr.tsv").write_text("gene_id\tp0\tp1\ng0\t1.5\t2.5\n")
-    profiles, gene_ids = read_genomics(tmp_path / "expr.tsv",
-                                       tmp_path / "cats.tsv")
+    _, names, gene_ids, matrices = read_genomics(tmp_path / "expr.tsv",
+                                                 tmp_path / "cats.tsv")
     assert gene_ids == (("g0",),)
-    assert profiles["p1"].category_names == ("transcription",)
-    np.testing.assert_array_equal(profiles["p1"].vectors[0], [2.5])
+    assert names == ("transcription",)
+    np.testing.assert_array_equal(matrices[0], [[1.5, 2.5]])
 
 
 def _csv_float_read_genomics(matrix_path, categories_path):
-    """The former csv-and-`float()` reader, verbatim: the oracle for the bulk one."""
+    """The former csv-and-`float()` reader, verbatim up to the return value:
+    the oracle for the bulk one."""
     categories_path = Path(categories_path)
     gene_category: dict[str, str] = {}
     with open(categories_path, newline="") as fh:
@@ -293,17 +320,14 @@ def _csv_float_read_genomics(matrix_path, categories_path):
     if not present:
         raise DataFormatError(f"{matrix_path}: no gene rows")
     gene_ids = tuple(tuple(per_category_ids[name]) for name in present)
-    stacks = {name: np.stack(per_category_rows[name]) for name in present}
-    profiles = {}
-    for j, patient_id in enumerate(patient_ids):
-        vectors = tuple(stacks[name][:, j] for name in present)
-        profiles[patient_id] = GenomicProfile(tuple(present), vectors)
-    return profiles, gene_ids
+    matrices = tuple(np.stack(per_category_rows[name]) for name in present)
+    return patient_ids, tuple(present), gene_ids, matrices
 
 
 def _csv_write_genomics(matrix_path, categories_path, cohort):
-    """The former csv writer, verbatim: the oracle for the writer's bytes."""
-    if cohort.gene_ids is None or cohort.category_names is None:
+    """The former csv writer, verbatim up to reading the cohort's matrices:
+    the oracle for the writer's bytes."""
+    if cohort.expression is None:
         raise DataFormatError("cohort carries no genomics to write")
     patient_ids = [p.patient_id for p in cohort]
     with open(matrix_path, "w", newline="") as fh:
@@ -311,7 +335,7 @@ def _csv_write_genomics(matrix_path, categories_path, cohort):
         writer.writerow(["gene_id", *patient_ids])
         for c, ids in enumerate(cohort.gene_ids):
             for g, gene_id in enumerate(ids):
-                values = [repr(float(p.genes.vectors[c][g])) for p in cohort]
+                values = [repr(float(v)) for v in cohort.expression[c][g]]
                 writer.writerow([gene_id, *values])
     with open(categories_path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter="\t")
@@ -322,13 +346,12 @@ def _csv_write_genomics(matrix_path, categories_path, cohort):
 
 
 def _assert_same_genomics(got, expected):
-    (profiles, gene_ids), (ref_profiles, ref_gene_ids) = got, expected
-    assert gene_ids == ref_gene_ids
-    assert list(profiles) == list(ref_profiles)
-    for patient_id, ref in ref_profiles.items():
-        assert profiles[patient_id].category_names == ref.category_names
-        for va, vb in zip(profiles[patient_id].vectors, ref.vectors):
-            np.testing.assert_array_equal(va.view(np.int64), vb.view(np.int64))
+    *ids, matrices = got
+    *ref_ids, ref_matrices = expected
+    assert ids == ref_ids
+    for m, ref in zip(matrices, ref_matrices, strict=True):
+        assert m.shape == ref.shape
+        np.testing.assert_array_equal(m.view(np.int64), ref.view(np.int64))
 
 
 @pytest.fixture(scope="module", params=["default", "prep_shaped"])
@@ -394,10 +417,11 @@ def test_genomics_reader_matches_the_csv_float_reader_on_hand_written_files(
     (['"g0"\t1\t2'], r"line 2: '\"' in a field"),
     ([], r"no gene rows"),
     (["", ""], r"no gene rows"),
+    (["g0\t1\t2", "g2\t5\t6"], r"gene 'g1' of the category sidecar has no matrix row$"),
 ], ids=["too_few_fields", "too_many_fields", "duplicate_id", "missing_from_sidecar",
         "empty_field", "empty_last_field", "non_numeric", "underscore", "nan",
         "minus_inf", "overflow", "quoted_value", "quoted_gene_id", "no_rows",
-        "only_blank_lines"])
+        "only_blank_lines", "sidecar_gene_without_row"])
 def test_genomics_errors_name_the_line(tmp_path, rows, message):
     (tmp_path / "cats.tsv").write_text(_SIDECAR)
     expr = tmp_path / "expr.tsv"
@@ -416,8 +440,8 @@ def test_genomics_rejects_a_quoted_header_field(tmp_path):
 def test_genomics_accepted_float_underscores_and_now_rejects_them(tmp_path):
     (tmp_path / "cats.tsv").write_text(_SIDECAR)
     (tmp_path / "expr.tsv").write_text("gene_id\tp0\ng0\t1_0\n")
-    profiles, _ = _csv_float_read_genomics(tmp_path / "expr.tsv", tmp_path / "cats.tsv")
-    assert profiles["p0"].vectors[0][0] == 10.0
+    *_, matrices = _csv_float_read_genomics(tmp_path / "expr.tsv", tmp_path / "cats.tsv")
+    assert matrices[0][0, 0] == 10.0
     with pytest.raises(DataFormatError, match="line 2: non-numeric"):
         read_genomics(tmp_path / "expr.tsv", tmp_path / "cats.tsv")
 
@@ -545,8 +569,9 @@ def test_write_and_load_cohort(tmp_path, synth_cohort):
             src.bag.features.astype(np.float32))
         assert p.label.time_months == src.label.time_months
         assert p.label.censor == src.label.censor
-        for va, vb in zip(p.genes.vectors, src.genes.vectors):
-            np.testing.assert_array_equal(va, vb)
+    for back_matrix, src_matrix in zip(back.expression, synth_cohort.expression,
+                                       strict=True):
+        np.testing.assert_array_equal(back_matrix, src_matrix)
 
 
 def test_load_cohort_without_genomics_files(tmp_path, synth_cohort):
@@ -555,8 +580,7 @@ def test_load_cohort_without_genomics_files(tmp_path, synth_cohort):
     (tmp_path / "toy_genomics.tsv").unlink()
     (tmp_path / "toy_gene_categories.tsv").unlink()
     back = load_cohort(manifest, with_genomics=False)
-    assert back.gene_ids is None
-    assert all(p.genes is None for p in back)
+    assert back.category_names is back.gene_ids is back.expression is None
     assert len(back) == len(synth_cohort)
 
 

@@ -378,12 +378,10 @@ def test_trace_counts_clamped_norms_per_row():
     every = np.arange(len(cohort))
     # Centred on patient 0 with unit scale: its standardized targets are
     # all-zero rows, one clamped norm per category, every epoch.
-    scaler = GeneStandardizer(tuple(np.asarray(v, dtype=float)
-                                    for v in cohort[0].genes.vectors),
+    scaler = GeneStandardizer(tuple(m[:, 0] for m in cohort.expression),
                               tuple(np.ones(c) for c in categories))
     model = build_model(config.model_config(FEATURES, categories), seed=0)
-    targets = scaler.transform([np.stack([p.genes.vectors[c] for p in cohort])
-                                for c in range(len(categories))])
+    targets = scaler.transform([m.T for m in cohort.expression])
     trace = train_model(model, cohort, every, bins, config, targets,
                         np.random.default_rng(0))
     assert [entry["clamped_norms"] for entry in trace] == [len(categories)] * 2

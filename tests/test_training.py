@@ -48,7 +48,7 @@ def cv_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def baseline_ckpt(tmp_path_factory):
     """Fold 0 of an image-only gated-baseline run on `tiny_cohort`."""
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in tiny_cohort()])
+    stripped = Cohort(tiny_cohort().patients)
     result = cross_validate(stripped, tiny_train_config(gated_baseline=True),
                             tmp_path_factory.mktemp("base"))
     return load_checkpoint(result.folds[0].checkpoint_path)
@@ -183,15 +183,13 @@ def test_expression_matrices_layout():
     matrices = expression_matrices(cohort, np.array([0, 2]))
     assert [m.shape for m in matrices] == [(2, 2), (3, 2), (2, 2), (2, 2),
                                            (3, 2), (2, 2)]
-    np.testing.assert_array_equal(matrices[1][:, 0],
-                                  cohort[0].genes.vectors[1])
-    np.testing.assert_array_equal(matrices[1][:, 1],
-                                  cohort[2].genes.vectors[1])
+    np.testing.assert_array_equal(matrices[1][:, 0], cohort.expression[1][:, 0])
+    np.testing.assert_array_equal(matrices[1][:, 1], cohort.expression[1][:, 2])
 
 
 def test_expression_matrices_needs_genomics():
     cohort = tiny_cohort(n=4)
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in cohort])
+    stripped = Cohort(cohort.patients)
     with pytest.raises(ConfigError):
         expression_matrices(stripped, np.arange(4))
 
@@ -241,7 +239,7 @@ def test_train_model_moves_parameters_and_logs():
 
 def test_train_model_baseline_needs_no_genes():
     cohort = tiny_cohort()
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in cohort])
+    stripped = Cohort(cohort.patients)
     config = tiny_train_config(gated_baseline=True)
     boundaries, bins = discretize_survival(stripped.times(),
                                            stripped.censor_flags(), 2)
@@ -254,7 +252,7 @@ def test_train_model_baseline_needs_no_genes():
 
 def test_train_model_full_model_rejects_missing_genes():
     cohort = tiny_cohort()
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in cohort])
+    stripped = Cohort(cohort.patients)
     config = tiny_train_config()
     boundaries, bins = discretize_survival(stripped.times(),
                                            stripped.censor_flags(), 2)
@@ -271,26 +269,10 @@ def test_gene_targets_row_j_is_patient_j_standardized_on_selected_genes():
     selection = select_genes(cohort, train_idx, tiny_train_config())
     scaler, targets = tr.gene_targets(cohort, train_idx, selection)
     for j, i in enumerate(train_idx):
-        picked = [v[sel.retained] for v, sel in
-                  zip(cohort[int(i)].genes.vectors, selection.categories)]
+        picked = [m[sel.retained, i] for m, sel in
+                  zip(cohort.expression, selection.categories)]
         for row, want in zip(targets, scaler.transform(picked)):
             np.testing.assert_array_equal(row[j], want)
-
-
-def test_run_fold_names_a_training_patient_without_genomics(tmp_path):
-    cohort = tiny_cohort()
-    patients = list(cohort)
-    gap = patients[3]
-    patients[3] = Patient(gap.bag, gap.label, None)
-    partial = Cohort(patients, gene_ids=cohort.gene_ids)
-    config = tiny_train_config(gene_selection=False)
-    boundaries, bins = discretize_survival(partial.times(),
-                                           partial.censor_flags(), 2)
-    with pytest.raises(ConfigError, match=f"'{gap.patient_id}' has no genomic"):
-        expression_matrices(partial, np.arange(len(partial)))
-    with pytest.raises(ConfigError, match=f"'{gap.patient_id}' has no genomic"):
-        run_fold(partial, np.arange(8), np.arange(8, 16), config, boundaries,
-                 bins, 0, tmp_path)
 
 
 def test_default_training_step_builds_at_most_its_tape_node_cap(monkeypatch):
@@ -412,8 +394,9 @@ def test_cross_validate_rejects_a_degenerate_cohort_before_any_fold_trains(
         case, tmp_path, monkeypatch):
     n, n_folds, censor, message = DEGENERATE[case]
     drawn = tiny_cohort(n)
-    cohort = Cohort([Patient(p.bag, SurvivalLabel(10.0 + i, censor), p.genes)
-                     for i, p in enumerate(drawn)], gene_ids=drawn.gene_ids)
+    cohort = Cohort([Patient(p.bag, SurvivalLabel(10.0 + i, censor))
+                     for i, p in enumerate(drawn)],
+                    drawn.category_names, drawn.gene_ids, drawn.expression)
 
     def no_training(*args, **kwargs):
         raise AssertionError("a fold trained")
@@ -430,7 +413,7 @@ def test_evaluate_is_image_only(cv_run):
     ckpt = load_checkpoint(out / "fold0.ghck")
     val_idx = result.folds[0].val_idx
     with_genes = evaluate(ckpt, cohort, val_idx)
-    stripped = Cohort([Patient(p.bag, p.label, None) for p in cohort])
+    stripped = Cohort(cohort.patients)
     without = evaluate(ckpt, stripped, val_idx)
     np.testing.assert_array_equal(with_genes.risks, without.risks)
     assert with_genes.c_index == without.c_index
@@ -473,8 +456,7 @@ def one_bag_spearman_report(ckpt, cohort, indices):
     for i in indices:
         patient = cohort[int(i)]
         predicted.append(predict_gene_profiles(ckpt, patient.bag.features))
-        actual.append([patient.genes.vectors[c][sel]
-                       for c, sel in enumerate(selected)])
+        actual.append([m[sel, int(i)] for m, sel in zip(cohort.expression, selected)])
     names = ckpt.category_names or list(cohort.category_names)
     return stats.spearman_report(predicted, actual, names), predicted
 
