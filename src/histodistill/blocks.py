@@ -27,6 +27,7 @@ composed with the projection (proj_w, proj_b) that precedes it:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -128,8 +129,28 @@ class BagStack:
                    ad._constant(padded[..., :dim]))
 
 
+class Params:
+    """Base of the parameter dataclasses. `named_tensors` walks the fields in
+    declaration order, naming each tensor by its path: item i of a tuple of
+    blocks takes the field's singular, `heads` -> `head{i}`, and a field
+    holding no tensor (a config, a head count, an absent branch) is passed
+    over. These names, in this order, are a checkpoint's entries."""
+
+    def named_tensors(self, prefix: str = ""):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            name = f"{prefix}.{field.name}" if prefix else field.name
+            if isinstance(value, Tensor):
+                yield name, value
+            elif isinstance(value, Params):
+                yield from value.named_tensors(name)
+            elif isinstance(value, tuple):
+                for i, block in enumerate(value):
+                    yield from block.named_tensors(f"{name.removesuffix('s')}{i}")
+
+
 @dataclass
-class MhcaParams:
+class MhcaParams(Params):
     """Projections for multi-head cross-attention (also reused for MHSA)."""
     wq: Tensor
     bq: Tensor
@@ -150,10 +171,6 @@ class MhcaParams:
         wv, bv = linear_params(rng, width, width)
         wo, bo = linear_params(rng, width, width)
         return cls(wq, bq, wk, bk, wv, bv, wo, bo, heads)
-
-    def named_tensors(self, prefix: str):
-        for field in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            yield f"{prefix}.{field}", getattr(self, field)
 
 
 def _attend(params: MhcaParams, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -254,7 +271,7 @@ def mhsa_forward(params: MhcaParams, x: Tensor, batch: int = 1) -> Tensor:
 
 
 @dataclass
-class FfnParams:
+class FfnParams(Params):
     """Pre-norm residual feed-forward block, hidden width 2x."""
     norm_gain: Tensor
     norm_bias: Tensor
@@ -272,10 +289,6 @@ class FfnParams:
         w2, b2 = linear_params(rng, hidden, width)
         return cls(gain, bias, w1, b1, w2, b2)
 
-    def named_tensors(self, prefix: str):
-        for field in ("norm_gain", "norm_bias", "w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{field}", getattr(self, field)
-
 
 def ffn_forward(params: FfnParams, x: Tensor) -> Tensor:
     normed = ad.layer_norm(x, params.norm_gain, params.norm_bias)
@@ -284,7 +297,7 @@ def ffn_forward(params: FfnParams, x: Tensor) -> Tensor:
 
 
 @dataclass
-class GatedAttentionParams:
+class GatedAttentionParams(Params):
     """Tanh/sigmoid gated scoring over instances."""
     u_w: Tensor
     u_b: Tensor
@@ -299,10 +312,6 @@ class GatedAttentionParams:
         v_w, v_b = linear_params(rng, width, width)
         score_w, score_b = linear_params(rng, width, 1)
         return cls(u_w, u_b, v_w, v_b, score_w, score_b)
-
-    def named_tensors(self, prefix: str):
-        for field in ("u_w", "u_b", "v_w", "v_b", "score_w", "score_b"):
-            yield f"{prefix}.{field}", getattr(self, field)
 
 
 def gated_attention_weights(params: GatedAttentionParams, stack: BagStack,
@@ -341,7 +350,7 @@ def pooled_projection(pooling: Tensor, stack: BagStack, proj_w: Tensor,
 
 
 @dataclass
-class SnnHeadParams:
+class SnnHeadParams(Params):
     """Two linear layers, the first followed by layer norm and ELU."""
     w1: Tensor
     b1: Tensor
@@ -361,10 +370,6 @@ class SnnHeadParams:
     @property
     def out_size(self) -> int:
         return self.w2.shape[1]
-
-    def named_tensors(self, prefix: str):
-        for field in ("w1", "b1", "norm_gain", "norm_bias", "w2", "b2"):
-            yield f"{prefix}.{field}", getattr(self, field)
 
 
 def snn_forward(params: SnnHeadParams, features: Tensor) -> Tensor:

@@ -10,7 +10,6 @@ a checkpoint alone supports image-only inference and analysis exports.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import struct
 from dataclasses import dataclass
@@ -45,22 +44,6 @@ class _NoDraws:
         return np.zeros(size)
 
     normal = uniform
-
-
-def _config_to_dict(config: ModelConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["category_sizes"] = list(raw["category_sizes"])
-    return raw
-
-
-def _config_from_dict(raw: dict) -> ModelConfig:
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise CheckpointError(f"unknown model config keys: {sorted(unknown)}")
-    raw = dict(raw)
-    raw["category_sizes"] = tuple(raw.get("category_sizes", ()))
-    return ModelConfig(**raw)
 
 
 def _per_category(value, leaf, sizes: tuple[int, ...]) -> bool:
@@ -111,7 +94,7 @@ def save_checkpoint(path: str | Path, model: ModelParams,
         entries.append({"name": name, "shape": list(tensor.shape)})
         blobs.append(np.ascontiguousarray(tensor.values, dtype="<f4").tobytes())
     header = {
-        "model_config": _config_to_dict(model.config),
+        "model_config": model.config.to_dict(),
         "bin_boundaries": [float(b) for b in np.asarray(bin_boundaries)],
         "standardization": standardization,
         "selected_genes": selected_genes,
@@ -153,7 +136,7 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise CheckpointError(f"{path}: unreadable header: {err}") from None
 
     try:
-        config = _config_from_dict(header["model_config"])
+        config = ModelConfig.from_dict(header["model_config"])
         entries = [(str(entry["name"]), tuple(int(n) for n in entry["shape"]))
                    for entry in header["entries"]]
         bin_boundaries = np.asarray(header["bin_boundaries"], dtype=np.float64)

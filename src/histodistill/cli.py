@@ -9,7 +9,6 @@ codes: 0 success, 1 invalid input or configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import replace
@@ -55,9 +54,6 @@ def _load_config(path: Path | None) -> dict:
     if unknown:
         raise ConfigError(f"{path}: unknown config sections {sorted(unknown)}; "
                           f"expected {list(_CONFIG_SECTIONS)}")
-    for section in raw:
-        if not isinstance(raw[section], dict):
-            raise ConfigError(f"{path}: section '{section}' must be an object")
     return raw
 
 
@@ -66,18 +62,6 @@ def _train_config(args) -> TrainConfig:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
-
-
-def _synth_config(args) -> SynthConfig:
-    raw = dict(_load_config(args.config).get("synth", {}))
-    known = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-    for key in ("patch_range", "gene_counts", "risk_coeffs"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
-    return SynthConfig(**raw)
 
 
 def _out_dir(args) -> Path:
@@ -98,7 +82,7 @@ def _check_feature_dim(ckpt, checkpoint_path: Path, source: Path, dim: int) -> N
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
-    config = _synth_config(args)
+    config = SynthConfig.from_dict(_load_config(args.config).get("synth", {}))
     seed = args.seed if args.seed is not None else 0
     out = _out_dir(args)
     cohort, truth = synth_generate(config, seed)
@@ -327,7 +311,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", parents=[common],
                        help="finite-difference check of every gradient")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=gradcheck.DEFAULT_TOLERANCE)
     p.set_defaults(func=_cmd_grad_check)
 
     return parser

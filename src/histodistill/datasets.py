@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import Config, ConfigError, DataFormatError
 
 CATEGORY_NAMES = (
     "tumor_suppression",
@@ -232,7 +232,7 @@ def check_validation_fold(cohort: Cohort, val_idx: np.ndarray, fold: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SynthConfig:
+class SynthConfig(Config):
     n_patients: int = 200
     patch_range: tuple[int, int] = (32, 96)
     feature_dim: int = 32
@@ -252,6 +252,8 @@ class SynthConfig:
         lo, hi = self.patch_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"invalid patch_range {self.patch_range}")
+        if self.n_prototypes < 1:
+            raise ConfigError("n_prototypes must be positive")
         if self.n_prototypes > self.feature_dim:
             raise ConfigError(
                 f"n_prototypes {self.n_prototypes} exceeds feature_dim "
@@ -270,6 +272,8 @@ class SynthConfig:
             raise ConfigError("risk_coeffs length must equal n_prototypes")
         if not 0.0 <= self.driven_fraction <= 1.0:
             raise ConfigError("driven_fraction must be in [0, 1]")
+        if self.base_hazard <= 0 or self.mixture_alpha <= 0:
+            raise ConfigError("base_hazard and mixture_alpha must be positive")
 
     def resolved_risk_coeffs(self) -> np.ndarray:
         if self.risk_coeffs is not None:

@@ -46,16 +46,15 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks
 from .autodiff import ShapeError, Tensor
-from .blocks import (BagStack, FfnParams, GatedAttentionParams, MhcaParams,
+from .blocks import (BagStack, FfnParams, GatedAttentionParams, MhcaParams, Params,
                      SnnHeadParams, linear)
-from .errors import ConfigError
+from .errors import Config, ConfigError
 
 
-@dataclass
-class ModelConfig:
-    """Architecture hyperparameters and ablation switches."""
-    feature_dim: int
-    category_sizes: tuple[int, ...]
+@dataclass(kw_only=True)
+class Architecture(Config):
+    """The architecture hyperparameters and ablation switches, declared once
+    for the model's config and the training config that builds it."""
     width: int = 64
     heads: int = 2
     compress_width: int = 32
@@ -69,7 +68,7 @@ class ModelConfig:
     gated_baseline: bool = False   # gated-attention pooling baseline, no branches
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.width < 1 or self.compress_width < 1:
+        if self.width < 1 or self.compress_width < 1:
             raise ConfigError("widths must be positive")
         if self.n_bins < 1:
             raise ConfigError("n_bins must be positive")
@@ -77,10 +76,31 @@ class ModelConfig:
             raise ConfigError(f"k_percent must be in (0, 100], got {self.k_percent}")
         if self.gamma < 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be positive, got {self.heads}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} not divisible by heads {self.heads}")
+        if self.score_head is not None and not 0 <= self.score_head < self.heads:
+            raise ConfigError(f"score_head {self.score_head} out of range for "
+                              f"{self.heads} heads")
+
+
+@dataclass
+class ModelConfig(Architecture):
+    """Architecture plus the cohort's shapes: the bags' feature width and
+    the selected genes per category."""
+    feature_dim: int
+    category_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be positive, got {self.feature_dim}")
         if not self.gated_baseline and len(self.category_sizes) < 1:
             raise ConfigError("at least one gene category is required")
+        if any(n < 1 for n in self.category_sizes):
+            raise ConfigError(f"every gene category needs at least one gene, got "
+                              f"sizes {list(self.category_sizes)}")
 
     @property
     def n_tokens(self) -> int:
@@ -96,7 +116,7 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AssocBranchParams:
+class AssocBranchParams(Params):
     """Learnable tokens + one shared cross-attention + two FFNs + SNN heads."""
     in_w: Tensor
     in_b: Tensor
@@ -117,19 +137,9 @@ class AssocBranchParams:
                       for size in cfg.category_sizes)
         return cls(in_w, in_b, tokens, mhca, ffn_first, ffn_second, heads)
 
-    def named_tensors(self, prefix: str = "assoc"):
-        yield f"{prefix}.in_w", self.in_w
-        yield f"{prefix}.in_b", self.in_b
-        yield f"{prefix}.tokens", self.tokens
-        yield from self.mhca.named_tensors(f"{prefix}.mhca")
-        yield from self.ffn_first.named_tensors(f"{prefix}.ffn_first")
-        yield from self.ffn_second.named_tensors(f"{prefix}.ffn_second")
-        for i, head in enumerate(self.heads):
-            yield from head.named_tensors(f"{prefix}.head{i}")
-
 
 @dataclass
-class GatedAssocBranchParams:
+class GatedAssocBranchParams(Params):
     """Variant generating per-category features by gated attention pooling."""
     in_w: Tensor
     in_b: Tensor
@@ -144,14 +154,6 @@ class GatedAssocBranchParams:
         heads = tuple(SnnHeadParams.init(rng, cfg.width, size)
                       for size in cfg.category_sizes)
         return cls(in_w, in_b, gates, heads)
-
-    def named_tensors(self, prefix: str = "assoc"):
-        yield f"{prefix}.in_w", self.in_w
-        yield f"{prefix}.in_b", self.in_b
-        for i, gate in enumerate(self.gates):
-            yield from gate.named_tensors(f"{prefix}.gate{i}")
-        for i, head in enumerate(self.heads):
-            yield from head.named_tensors(f"{prefix}.head{i}")
 
 
 @dataclass
@@ -215,7 +217,7 @@ def gated_assoc_forward(params: GatedAssocBranchParams,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SurvivalBranchParams:
+class SurvivalBranchParams(Params):
     value_w: Tensor
     value_b: Tensor
     gate: GatedAttentionParams
@@ -243,18 +245,9 @@ class SurvivalBranchParams:
         return cls(value_w, value_b, gate, mhsa, ffn,
                    comp_w, comp_b, comp_gain, comp_bias, cls_w, cls_b)
 
-    def named_tensors(self, prefix: str = "survival"):
-        yield f"{prefix}.value_w", self.value_w
-        yield f"{prefix}.value_b", self.value_b
-        yield from self.gate.named_tensors(f"{prefix}.gate")
-        yield from self.mhsa.named_tensors(f"{prefix}.mhsa")
-        yield from self.ffn.named_tensors(f"{prefix}.ffn")
-        for fname in ("comp_w", "comp_b", "comp_gain", "comp_bias", "cls_w", "cls_b"):
-            yield f"{prefix}.{fname}", getattr(self, fname)
-
 
 @dataclass
-class BaselineParams:
+class BaselineParams(Params):
     """Gated-attention pooling straight to hazards; no genome involvement."""
     value_w: Tensor
     value_b: Tensor
@@ -268,13 +261,6 @@ class BaselineParams:
         gate = GatedAttentionParams.init(rng, cfg.width)
         cls_w, cls_b = blocks.linear_params(rng, cfg.width, cfg.n_bins)
         return cls(value_w, value_b, gate, cls_w, cls_b)
-
-    def named_tensors(self, prefix: str = "baseline"):
-        yield f"{prefix}.value_w", self.value_w
-        yield f"{prefix}.value_b", self.value_b
-        yield from self.gate.named_tensors(f"{prefix}.gate")
-        yield f"{prefix}.cls_w", self.cls_w
-        yield f"{prefix}.cls_b", self.cls_b
 
 
 def topk_masked_softmax(scores: np.ndarray, k_percent: float,
@@ -401,19 +387,12 @@ def baseline_forward(params: BaselineParams, stack: BagStack) -> Tensor:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelParams:
+class ModelParams(Params):
     config: ModelConfig
     assoc: AssocBranchParams | GatedAssocBranchParams | None = None
     survival: SurvivalBranchParams | None = None
     baseline: BaselineParams | None = None
 
-    def named_tensors(self):
-        if self.assoc is not None:
-            yield from self.assoc.named_tensors("assoc")
-        if self.survival is not None:
-            yield from self.survival.named_tensors("survival")
-        if self.baseline is not None:
-            yield from self.baseline.named_tensors("baseline")
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]

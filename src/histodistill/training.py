@@ -51,9 +51,9 @@ from .blocks import aligned
 from .io import write_atomic
 # `predict` is not called here, but stays importable from this module: the
 # benchmark's tracer (perfbench/tracing.py) rebinds it here by name.
-from .model import (ModelConfig, ModelParams, build_model, hazard_output,
-                    model_forward, nll_loss, predict, reconstruction_loss,
-                    stack_forward, total_loss)
+from .model import (Architecture, ModelConfig, ModelParams, build_model,
+                    hazard_output, model_forward, nll_loss, predict,
+                    reconstruction_loss, stack_forward, total_loss)
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
@@ -72,29 +72,20 @@ ROW_BUDGET = 3072
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Architecture):
+    """Training, cross-validation and gene selection settings, and the model's."""
     lr: float = 2e-4
     epochs: int = 20
     accumulation: int = 32
     alpha: float = 0.3
-    k_percent: float = 20.0
-    gamma: float = 2.0
-    n_bins: int = 4
-    width: int = 64
-    heads: int = 2
-    compress_width: int = 32
     seed: int = 0
     n_folds: int = 5
     gene_selection: bool = True
     select_alpha: float = 0.05
     min_genes_per_category: int = 1
-    score_head: int | None = None
-    gated_baseline: bool = False
-    gated_recon: bool = False
-    cut_bridge: bool = False
-    assoc_only: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if self.lr <= 0 or self.epochs < 1 or self.accumulation < 1:
             raise ConfigError("lr, epochs, and accumulation must be positive")
         if self.alpha < 0:
@@ -102,24 +93,10 @@ class TrainConfig:
         if self.n_folds < 2:
             raise ConfigError("n_folds must be at least 2")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def model_config(self, feature_dim: int,
                      category_sizes: tuple[int, ...]) -> ModelConfig:
-        """The model's config: every ModelConfig field this config shares
-        by name, plus the cohort's shapes."""
-        own = {f.name for f in dataclasses.fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)
-                  if f.name in own}
+        """The model's config: this config's architecture, the cohort's shapes."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(Architecture)}
         return ModelConfig(feature_dim=feature_dim, category_sizes=category_sizes,
                            **shared)
 
@@ -437,7 +414,8 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
 
 def reconstructed_genes(ckpt: CheckpointData, cohort: Cohort) -> list[np.ndarray]:
     """The genes the checkpoint reconstructs, per category, as indices into
-    the cohort's gene lists; a ConfigError when the cohort lacks any."""
+    the cohort's gene lists; a ConfigError when the cohort lacks any or
+    lists another gene than the checkpoint names at one."""
     if ckpt.model.config.gated_baseline:
         raise ConfigError("a baseline checkpoint has no reconstruction heads")
     if cohort.category_sizes is None:
@@ -455,6 +433,12 @@ def reconstructed_genes(ckpt: CheckpointData, cohort: Cohort) -> list[np.ndarray
     if not fits:
         raise ConfigError(f"gene categories have sizes {sizes}, but the "
                           f"checkpoint needs {bound}{needed}")
+    for name, ids, genes, saved in zip(cohort.category_names, cohort.gene_ids,
+                                       selected, ckpt.gene_ids or ()):
+        for gene, want in zip(genes, saved):
+            if ids[gene] != want:
+                raise ConfigError(f"gene category '{name}' lists '{ids[gene]}' "
+                                  f"where the checkpoint reconstructs '{want}'")
     return selected
 
 

@@ -121,15 +121,64 @@ def test_checkpoint_missing_header_key_names_the_file(tmp_path, drop):
     lambda h: h.update(category_names=7),
     lambda h: h.update(gene_ids=[["g0", "g1"], ["h0", "h1", 2]]),
     lambda h: h.update(train_config=[1]),
+    lambda h: h["model_config"].update(heads=0),
+    lambda h: h["model_config"].update(width=4.0),
+    lambda h: h["model_config"].update(category_sizes=["a", "b"]),
+    lambda h: h["model_config"].update(category_sizes=[-1, 3]),
+    lambda h: h["model_config"].update(score_head="0"),
+    lambda h: h["model_config"].update(score_head=5),
 ], ids=["model_config", "entries", "entry.shape", "bin_boundaries",
         "standardization", "standardization.rows", "selected_genes",
-        "selected_genes.negative", "category_names", "gene_ids", "train_config"])
+        "selected_genes.negative", "category_names", "gene_ids", "train_config",
+        "heads.zero", "width.float", "category_sizes.strings",
+        "category_sizes.negative", "score_head.string", "score_head.range"])
 def test_checkpoint_mistyped_header_value_names_the_file(tmp_path, corrupt):
     path = tmp_path / "m.ghck"
     save_checkpoint(path, toy_model(), np.array([1.0]))
     rewrite_header(path, corrupt)
     with pytest.raises(CheckpointError, match="m.ghck"):
         load_checkpoint(path)
+
+
+MHCA = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+FFN = ("norm_gain", "norm_bias", "w1", "b1", "w2", "b2")
+GATE = ("u_w", "u_b", "v_w", "v_b", "score_w", "score_b")
+HEAD = ("w1", "b1", "norm_gain", "norm_bias", "w2", "b2")
+
+
+def under(prefix, fields):
+    return [f"{prefix}.{field}" for field in fields]
+
+
+HEADS = under("assoc.head0", HEAD) + under("assoc.head1", HEAD)
+SURVIVAL = (under("survival", ("value_w", "value_b")) + under("survival.gate", GATE)
+            + under("survival.mhsa", MHCA) + under("survival.ffn", FFN)
+            + under("survival", ("comp_w", "comp_b", "comp_gain", "comp_bias",
+                                 "cls_w", "cls_b")))
+ENTRY_NAMES = {
+    "default": (under("assoc", ("in_w", "in_b", "tokens")) + under("assoc.mhca", MHCA)
+                + under("assoc.ffn_first", FFN) + under("assoc.ffn_second", FFN)
+                + HEADS + SURVIVAL),
+    "gated_recon": (under("assoc", ("in_w", "in_b")) + under("assoc.gate0", GATE)
+                    + under("assoc.gate1", GATE) + HEADS + SURVIVAL),
+    "gated_baseline": (under("baseline", ("value_w", "value_b"))
+                       + under("baseline.gate", GATE)
+                       + under("baseline", ("cls_w", "cls_b"))),
+}
+
+
+@pytest.mark.parametrize("variant", list(ENTRY_NAMES))
+def test_checkpoint_entry_names_and_order_are_frozen(tmp_path, variant):
+    # The entries' names and order are the file format: a checkpoint written
+    # by an earlier build must keep loading.
+    model = toy_model(**({} if variant == "default" else {variant: True}))
+    assert [name for name, _ in model.named_tensors()] == ENTRY_NAMES[variant]
+    path = tmp_path / "m.ghck"
+    save_checkpoint(path, model, np.array([1.0]))
+    raw = path.read_bytes()
+    _, _, header_len = struct.unpack_from("<4sII", raw)
+    header = json.loads(raw[12:12 + header_len])
+    assert [entry["name"] for entry in header["entries"]] == ENTRY_NAMES[variant]
 
 
 def test_checkpoint_baseline_variant(tmp_path):

@@ -112,6 +112,39 @@ def test_bad_config_file(tmp_path, capsys):
                      "--out-dir", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "epochs", "3"),
+    ("train", "lr", None),
+    ("train", "alpha", float("nan")),
+    ("train", "width", 64.5),
+    ("train", "gated_baseline", 1),
+    ("train", "heads", 0),
+    ("train", "heads", 3),
+    ("train", "score_head", 5),
+    ("synth", "patch_range", [4, 8, 9]),
+    ("synth", "patch_range", 5),
+    ("synth", "gene_counts", ["a"]),
+    ("synth", "n_prototypes", 0),
+    ("synth", "mixture_alpha", 0),
+], ids=str)
+def test_a_bad_config_value_fails_before_any_output(workspace, tmp_path, capsys,
+                                                    section, key, value):
+    # a wrong type, or a value the model cannot be built with, is a config
+    # error when the config is read: no cohort loads and nothing is written
+    base = {"train": TRAIN_SECTION, "synth": SYNTH_SECTION}[section]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {**base, key: value}}))
+    command = (["train", "--manifest", str(workspace["manifest"])]
+               if section == "train" else ["synth"])
+    out = tmp_path / "out"
+    code = cli.main([*command, "--config", str(config), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert key in err, err
+    assert not out.exists()
+
+
 def test_config_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"synth": {"n_patients": 8}}\xff')
@@ -232,6 +265,32 @@ def test_eval_with_spearman(workspace, tmp_path):
     metrics = json.loads((out / "eval_metrics.json").read_text())
     assert "spearman_mean" in metrics
     assert (out / "spearman.tsv").exists()
+
+
+def test_eval_spearman_rejects_a_cohort_listing_a_category_in_another_order(
+        workspace, tmp_path, capsys):
+    # the checkpoint's gene indices would pick other genes of this cohort;
+    # every selection from a category of two genes moves when it is reversed
+    import shutil
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    genomics = data / "synthetic_genomics.tsv"
+    header, *rows = genomics.read_text().splitlines(keepends=True)
+    moved = [row for row in rows if row.startswith("tumor_suppression_")]
+    assert len(moved) == 2
+    genomics.write_text(header + "".join(moved[::-1])
+                        + "".join(row for row in rows if row not in moved))
+    out = tmp_path / "out"
+    code = cli.main(["eval", "--checkpoint", str(workspace["checkpoint"]),
+                     "--manifest", str(data / "synthetic_manifest.json"),
+                     "--spearman", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    for part in ("'tumor_suppression'", "tumor_suppression_0000",
+                 "tumor_suppression_0001"):
+        assert part in err, (part, err)
+    assert not (out / "eval_metrics.json").exists()
 
 
 def test_eval_spearman_rejects_a_baseline_checkpoint_before_any_forward(
