@@ -191,34 +191,33 @@ def mul(a, b) -> Tensor:
     return _make(out_values, (a, b), backward_fn, "mul")
 
 
-# Under `no_grad`, `linear` and `gated_scores` run their rows in whole
-# blocks of ROW_ALIGN and their inner dimension in blocks of at most
-# INNER_BLOCK (see `_row_invariant_product`); `blocks.aligned` rounds patch
-# counts up to ROW_ALIGN.
+# `linear` and `gated_scores` run their rows in whole blocks of ROW_ALIGN
+# and their inner dimension in blocks of at most INNER_BLOCK (see
+# `_row_invariant_product`); `blocks.aligned` rounds patch counts up to
+# ROW_ALIGN.
 ROW_ALIGN = 8
 INNER_BLOCK = 256
 
 
-def _aligned_rows_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w over whole blocks of ROW_ALIGN rows: the leading rows as they
-    are, the last rows - rows % ROW_ALIGN zero-padded, so at most
+def _aligned_rows_product(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ w into `out` over whole blocks of ROW_ALIGN rows: the leading rows
+    as they are, the last rows - rows % ROW_ALIGN zero-padded, so at most
     ROW_ALIGN - 1 rows are copied."""
     rows = x.shape[0]
     head = rows - rows % ROW_ALIGN
-    if head == rows:
-        return x @ w
-    tail = np.zeros((ROW_ALIGN, x.shape[1]))
-    tail[:rows - head] = x[head:]
-    if not head:
-        return (tail @ w)[:rows]
-    out = np.empty((rows, w.shape[1]))
-    np.matmul(x[:head], w, out=out[:head])
-    out[head:] = (tail @ w)[:rows - head]
+    if head:
+        np.matmul(x[:head], w, out=out[:head])
+    if head < rows:
+        tail = np.zeros((ROW_ALIGN, x.shape[1]))
+        tail[:rows - head] = x[head:]
+        out[head:] = (tail @ w)[:rows - head]
     return out
 
 
-def _row_invariant_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w with every output row's bits independent of x's other rows.
+def _row_invariant_product(x: np.ndarray, w: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w, written into `out` if given, with every output row's bits
+    independent of x's other rows.
 
     BLAS picks its kernel by shape: one row goes through gemv, an odd tail
     of rows through a narrower kernel that rounds differently, and
@@ -228,26 +227,24 @@ def _row_invariant_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     run in whole blocks of ROW_ALIGN, and the inner dimension in blocks of
     at most INNER_BLOCK whose partial products are added in order. Checked
     on OpenBLAS 0.3.31's Haswell, SandyBridge and SkylakeX kernels with 1
-    and 2 threads, inner dimensions up to 1024 (`tests/test_invariance.py`
-    runs models with inner dimensions up to 1024).
+    and 2 threads, inner dimensions up to 1024 (`tests/test_invariance.py`).
     """
+    out = np.empty((x.shape[0], w.shape[1])) if out is None else out
     if x.shape[1] <= INNER_BLOCK:
-        return _aligned_rows_product(x, w)
-    out = _aligned_rows_product(x[:, :INNER_BLOCK], w[:INNER_BLOCK])
+        return _aligned_rows_product(x, w, out)
+    _aligned_rows_product(x[:, :INNER_BLOCK], w[:INNER_BLOCK], out)
     for start in range(INNER_BLOCK, x.shape[1], INNER_BLOCK):
         out += _aligned_rows_product(x[:, start:start + INNER_BLOCK],
-                                     w[start:start + INNER_BLOCK])
+                                     w[start:start + INNER_BLOCK], np.empty_like(out))
     return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight + bias as one node; bias has shape (fan_out,).
 
-    Under `no_grad` (inference), an output row has the same bits whatever
-    other rows x holds (`_row_invariant_product`), so one patient's rows
-    come out the same alone and inside a stack. While a tape is recorded
-    (training) the product is plain: nothing compares a training row
-    across stacks, and the blocked token-row products slow a training step.
+    An output row has the same bits whatever other rows x holds
+    (`_row_invariant_product`), so one patient's rows come out the same
+    alone and inside a stack.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.values.ndim != 2 or weight.values.ndim != 2:
@@ -255,11 +252,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.shape[1] != weight.shape[0] or bias.shape != (weight.shape[1],):
         raise ShapeError(f"linear shapes do not chain: {x.shape} @ {weight.shape} "
                          f"+ {bias.shape}")
-    if _grad_enabled:
-        out_values = x.values @ weight.values
-    else:
-        out_values = _row_invariant_product(x.values, weight.values)
-    out_values += bias.values       # both products are fresh arrays
+    out_values = _row_invariant_product(x.values, weight.values)
+    out_values += bias.values
 
     def backward_fn(g):
         if x.requires_grad:     # skips the product for a constant input bag
@@ -310,10 +304,10 @@ def affine_compose(w0: Tensor, b0: Tensor, w1: Tensor, b1: Tensor,
     return _make(out_values, (w0, b0, w1, b1), backward_fn, "affine_compose")
 
 
-# Under `no_grad`, `gated_scores` runs its forward in blocks of GATE_BLOCK
-# packed rows, so a block's (GATE_BLOCK, width) activations stay in cache
-# from the products to the score. On slide-scale bags at width 64, 256
-# rows timed best among 64 to 1024.
+# `gated_scores` runs its forward in blocks of GATE_BLOCK packed rows, so a
+# block's (GATE_BLOCK, width) activations stay in cache from the products to
+# the score. On slide-scale bags at width 64, 256 rows timed best among 64
+# to 1024.
 GATE_BLOCK = 32 * ROW_ALIGN
 
 
@@ -325,17 +319,14 @@ def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
     score_w + score_b: u and v are augmented weights [[Wu], [bu]], (1, 1,
     D + 1, width) as `affine_compose(..., heads=1)` gives them. Row
     index[b, i] of the (B, W) `index` lands at [b, 0, i]; a negative index
-    is a pad and scores 0. Under `no_grad` the forward runs in blocks of
-    GATE_BLOCK rows, each taken from its products to its score while it
-    is in cache, so only the (N,) scores are written out; all three
-    products are `_row_invariant_product`s, as in `linear`. While a tape
-    is recorded the forward is one block of all N rows with plain
-    products: blocking them would change training bits, since OpenBLAS's
-    Haswell dgemm with two threads rounds a row differently by the row
-    count of the product that holds it. The backward keeps only the tanh
-    and sigmoid outputs, and turns them into the two pre-activation
-    gradients in place, in blocks of GATE_BLOCK rows; it skips the input
-    gradient for a constant bag.
+    is a pad and scores 0. The forward runs in blocks of GATE_BLOCK rows,
+    each taken from its products to its score while it is in cache; all
+    three products are `_row_invariant_product`s, as in `linear`. Without
+    a tape only the (N,) scores are written out. While a tape is recorded,
+    each block's tanh and sigmoid outputs land in the (N, width) arrays
+    the backward keeps, and the backward turns them into the two
+    pre-activation gradients in place, in blocks of GATE_BLOCK rows; it
+    skips the input gradient for a constant bag.
     """
     bag, u, v, score_w, score_b = (_as_tensor(t) for t in (bag, u, v, score_w, score_b))
     index = np.asarray(index)
@@ -346,23 +337,24 @@ def gated_scores(bag: Tensor, u: Tensor, v: Tensor, score_w: Tensor,
                          f"{u.shape} and {v.shape}, score {score_w.shape} + "
                          f"{score_b.shape}, index {index.shape}")
     (wu, bu), (wv, bv) = ((m.values[0, 0, :-1], m.values[0, 0, -1]) for m in (u, v))
-    rows = bag.shape[0]
-    product, block_rows = ((np.matmul, rows) if _grad_enabled
-                           else (_row_invariant_product, GATE_BLOCK))
+    rows, width = bag.shape[0], score_w.shape[0]
+    # t, s: all rows for the backward, else one block; gate: scratch per block
+    t, s = np.empty((2, rows if _grad_enabled else min(rows, GATE_BLOCK), width))
+    gate = np.empty((min(rows, GATE_BLOCK), width))
     scores = np.empty((rows, 1))
-    gate = None
-    for block in (slice(i, i + block_rows) for i in range(0, rows, block_rows)):
-        t, s = product(bag.values[block], wu), product(bag.values[block], wv)
-        t += bu
-        s += bv
-        np.tanh(t, out=t)
-        # one scratch, made after the first block's t and s and dropped after
-        # the last: each block's sigmoid denominator, then its t * s
-        gate = np.empty_like(t) if gate is None else gate
-        t_s = gate[:len(t)]
-        _sigmoid_into(s, s, t_s)
-        scores[block] = product(np.multiply(t, s, out=t_s), score_w.values)
-    del gate, t_s
+    for start in range(0, rows, GATE_BLOCK):
+        x = bag.values[start:start + GATE_BLOCK]
+        block = slice(start, start + len(x))
+        kept = block if _grad_enabled else slice(len(x))
+        t_rows = _row_invariant_product(x, wu, out=t[kept])
+        s_rows = _row_invariant_product(x, wv, out=s[kept])
+        t_rows += bu
+        s_rows += bv
+        np.tanh(t_rows, out=t_rows)
+        t_s = gate[:len(x)]
+        _sigmoid_into(s_rows, s_rows, t_s)
+        _row_invariant_product(np.multiply(t_rows, s_rows, out=t_s), score_w.values,
+                               out=scores[block])
     scores = scores[:, 0] + score_b.values
     try:
         out_values = np.where(index < 0, 0.0, scores.take(index))[:, None]

@@ -65,7 +65,7 @@ class PatchLayout:
     up to a multiple of 8 (`aligned`), so every per-bag reduction over a
     bag's patches runs over the same width alone and in any stack of bags
     that round to the same length. With `autodiff.linear`'s row-invariant
-    no-grad products, that makes a bag's no-grad forward bit-identical in
+    products, that makes a bag's forward, taped or not, bit-identical in
     both.
     """
     lengths: tuple[int, ...]

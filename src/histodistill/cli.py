@@ -94,6 +94,7 @@ def _cmd_synth(args) -> int:
         "prototypes": truth.prototypes.tolist(),
         "gene_maps": [m.tolist() for m in truth.gene_maps],
         "driven_masks": [m.astype(int).tolist() for m in truth.driven_masks],
+        "assignments": [a.tolist() for a in truth.assignments],
         "seed": seed,
     })
     censored = int(cohort.censor_flags().sum())
@@ -178,7 +179,6 @@ def _cmd_cross_validate(args) -> int:
 
 def _cmd_sweep_k(args) -> int:
     cfg = _train_config(args)
-    out = _out_dir(args)
     grid = SWEEP_K_GRID
     if args.grid:
         try:
@@ -186,7 +186,10 @@ def _cmd_sweep_k(args) -> int:
         except ValueError:
             raise ConfigError(f"--grid must be comma-separated numbers, "
                               f"got '{args.grid}'") from None
+    for k in grid:      # every k is checked before the cohort loads
+        replace(cfg, k_percent=k)
     cohort = load_cohort(args.manifest, with_genomics=not cfg.gated_baseline)
+    out = _out_dir(args)
     rows = sweep_k(cohort, cfg, out, grid)
     for row in rows:
         print(f"k={row['k']:g}: c-index {row['c_index_mean']:.4f} "

@@ -294,6 +294,7 @@ class PlantedTruth:
     risk_coeffs: np.ndarray                # (P,)
     risks: np.ndarray                      # (n_patients,)
     driven_masks: tuple[np.ndarray, ...]   # per category, bool per gene
+    assignments: tuple[np.ndarray, ...]    # per patient, each patch's prototype
 
 
 def _solve_censor_rate(event_rates: np.ndarray, target: float) -> float:
@@ -372,11 +373,11 @@ def synth_generate(config: SynthConfig, seed: int) -> tuple[Cohort, PlantedTruth
     patch_counts = rng.integers(lo, hi + 1, size=config.n_patients)
 
     expression = tuple(np.empty((n, config.n_patients)) for n in config.gene_counts)
-    patients = []
+    patients, assignments = [], []
     for i in range(config.n_patients):
         n_p = int(patch_counts[i])
-        assignments = rng.choice(P, size=n_p, p=mixtures[i])
-        features = prototypes[assignments]
+        assignments.append(rng.choice(P, size=n_p, p=mixtures[i]))
+        features = prototypes[assignments[i]]
         if config.patch_noise > 0:
             features = features + config.patch_noise * rng.normal(size=(n_p, d))
         features = features.astype(np.float32)
@@ -401,5 +402,5 @@ def synth_generate(config: SynthConfig, seed: int) -> tuple[Cohort, PlantedTruth
     cohort = Cohort(patients, CATEGORY_NAMES, gene_ids, expression)
     cohort.validate()
     truth = PlantedTruth(prototypes, mixtures, gene_maps, risk_coeffs,
-                         risks, driven_masks)
+                         risks, driven_masks, tuple(assignments))
     return cohort, truth

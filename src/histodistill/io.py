@@ -91,10 +91,13 @@ def read_bag(path: str | Path, patient_id: str | None = None) -> PatchBag:
         if value == 0:
             raise DataFormatError(f"{path}: {field} is 0 at byte offset {offset}")
     expected = _BAG_HEADER.size + 4 * n_patches * dim
-    if len(raw) != expected:
+    if len(raw) < expected:
         raise DataFormatError(
             f"{path}: truncated payload, {len(raw)} bytes (need {expected} "
             f"for a {n_patches}x{dim} bag)")
+    if len(raw) > expected:
+        raise DataFormatError(f"{path}: {len(raw) - expected} trailing bytes after "
+                              f"a {n_patches}x{dim} bag of {expected} bytes")
     flat = np.frombuffer(raw, dtype="<f4", offset=_BAG_HEADER.size)
     try:
         return PatchBag(patient_id or path.stem, flat.reshape(n_patches, dim).copy())

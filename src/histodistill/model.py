@@ -10,11 +10,11 @@ the training losses; inference consumes the bag alone.
 One forward, `stack_forward`, serves a stack of B patients: per-patch
 layers run on the packed patch rows, per-patient mixers on the padded
 layout of `blocks.PatchLayout`, and token rows hold each patient's
-n_tokens rows as one consecutive block. Under `no_grad`, on the BLAS
-kernels `autodiff._row_invariant_product` names, a patient's hazards,
-scores and weights come out bit-identical alone and in any stack whose
-bags share its aligned length (see `PatchLayout`), so stacked inference
-and one-bag `predict` agree exactly. The per-category
+n_tokens rows as one consecutive block. On the BLAS kernels
+`autodiff._row_invariant_product` names, a patient's hazards, scores and
+weights come out bit-identical alone and in any stack whose bags share
+its aligned length (see `PatchLayout`), taped or not, so stacked
+inference and one-bag `predict` agree exactly. The per-category
 reconstruction heads run only when a caller reads `ForwardResult.recon`:
 the training losses, the gradient checker and `eval --spearman` do, the
 last in the same no-grad stacks as the hazards; plain inference does not.
@@ -427,9 +427,9 @@ class ForwardResult:
     @functools.cached_property
     def recon(self) -> tuple[Tensor, ...] | None:
         """Per-category reconstructions, each (B, len), or None without an
-        association branch. The heads run on the first read, in the grad
-        mode of that read; inference reads this only for a Spearman report,
-        so it otherwise skips them."""
+        association branch. The heads run on the first read, and record a
+        tape only if that read does; inference reads this only for a
+        Spearman report, so it otherwise skips them."""
         return None if self.features is None else reconstruct(self.heads, self.features)
 
 

@@ -583,13 +583,13 @@ def cross_validate(cohort: Cohort, config: TrainConfig,
 def sweep_k(cohort: Cohort, config: TrainConfig, out_dir: str | Path,
             grid: Sequence[float] = SWEEP_K_GRID) -> list[dict]:
     """Cross-validation per masking percentage; TSV of c-indices."""
+    configs = [replace(config, k_percent=float(k)) for k in grid]  # checks every k first
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for k in grid:
-        sub = cross_validate(cohort, replace(config, k_percent=float(k)),
-                             out_dir / f"k{k:g}")
-        rows.append({"k": float(k), "c_index_mean": sub.c_index_mean,
+    for cfg in configs:
+        sub = cross_validate(cohort, cfg, out_dir / f"k{cfg.k_percent:g}")
+        rows.append({"k": cfg.k_percent, "c_index_mean": sub.c_index_mean,
                      "c_index_std": sub.c_index_std})
     with StringIO() as fh:
         fh.write("k\tc_index_mean\tc_index_std\n")

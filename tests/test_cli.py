@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -176,6 +177,26 @@ def test_synth_outputs(workspace, capsys):
     truth = json.loads((data / "truth.json").read_text())
     assert truth["seed"] == 3
     assert len(truth["risks"]) == 30
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "65659b46ba5754a45b1f2bc4eb8e647bb833ec5f1339e25ec1d41cd26678c099"),
+    (7919, "2ec14adca6a60c26e82bb883c9faa442242b4d522c10612e1c52b0ee13d759ac"),
+])
+def test_synth_default_cohort_files_are_pinned(tmp_path, seed, digest):
+    # the default cohort's bags, clinical CSV, genomics and manifest, hashed
+    # by relative path: the planted truth's patch assignments are kept
+    # without a new random draw, so the files do not change
+    out = tmp_path / "synth"
+    assert cli.main(["synth", "--seed", str(seed), "--out-dir", str(out)]) == 0
+    files = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "truth.json")
+    sha = hashlib.sha256()
+    for path in files:
+        sha.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+    assert (len(files), sha.hexdigest()) == (204, digest)
+    truth = json.loads((out / "truth.json").read_text())
+    cohort = load_cohort(out / "synthetic_manifest.json", with_genomics=False)
+    assert [len(a) for a in truth["assignments"]] == [p.bag.n_patches for p in cohort]
 
 
 def test_synth_deterministic_across_runs(workspace, tmp_path):
@@ -475,6 +496,18 @@ def test_sweep_k_bad_grid(workspace, tmp_path, capsys):
                      "--grid", "ten,twenty", "--out-dir", str(tmp_path)])
     assert code == 1
     assert "comma-separated" in capsys.readouterr().err
+
+
+def test_sweep_k_checks_the_whole_grid_before_any_output(workspace, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep-k", "--config", str(workspace["config"]),
+                     "--manifest", str(workspace["manifest"]),
+                     "--grid", "10,0", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert "k_percent" in err, err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -350,10 +350,11 @@ def test_gated_scores_equals_the_unfolded_gate():
 #
 # `gated_scores` once ran its forward over all N rows at once: two (N,
 # width) products, tanh, sigmoid, their product and the score product,
-# each a whole-array pass. Below is that node verbatim. The node now runs
-# its no-grad forward in row blocks, and its backward's elementwise work in
-# row blocks written over its own tanh and sigmoid outputs, and must give
-# the same bits: values, (B, 1, W) layout and all five gradients, with and
+# each a whole-array pass. Below is that node, its products the
+# row-invariant ones the node uses in both grad modes. The node now runs
+# its forward in row blocks, and its backward's elementwise work in row
+# blocks written over its own tanh and sigmoid outputs, and must give the
+# same bits: values, (B, 1, W) layout and all five gradients, with and
 # without a tape. CI runs this test under every forced BLAS kernel and
 # thread count, since whether a row's bits survive blocking depends on the
 # kernel BLAS picks.
@@ -367,7 +368,7 @@ def oracle_gated_scores(bag, u, v, score_w, score_b, index):
         raise ad.ShapeError(f"gated_scores operands do not chain: rows {bag.shape}, maps "
                             f"{u.shape} and {v.shape}, score {score_w.shape} + "
                             f"{score_b.shape}, index {index.shape}")
-    product = np.matmul if ad._grad_enabled else ad._row_invariant_product
+    product = ad._row_invariant_product
     t, s = (product(bag.values, m.values[0, 0, :-1]) for m in (u, v))
     t += u.values[0, 0, -1]
     s += v.values[0, 0, -1]

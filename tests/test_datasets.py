@@ -265,6 +265,15 @@ def test_synth_noise_free_genes_follow_map():
                                    expected.astype(np.float32), atol=1e-6)
 
 
+def test_synth_truth_keeps_each_patchs_prototype():
+    config = SynthConfig(n_patients=8, patch_range=(3, 9), patch_noise=0.0)
+    cohort, truth = synth_generate(config, seed=5)
+    assert len(truth.assignments) == len(cohort)
+    for patient, assignments in zip(cohort, truth.assignments):
+        assert np.array_equal(patient.bag.features,
+                              truth.prototypes[assignments].astype(np.float32))
+
+
 # ---------------------------------------------------------------------------
 # one expression matrix per category
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
-"""Stacked inference is bit-identical to one-bag inference.
+"""Stacked forwards are bit-identical to one-bag forwards.
 
 `training.evaluate` runs bags in no-grad stacks (`inference_stacks`), and
 the benchmark and the README promise that its risks equal single-bag
 `predict` bit for bit, and the gene profiles `eval --spearman` reads off
-the same stacks each bag's one-bag reconstruction. That holds only while
+the same stacks each bag's one-bag reconstruction. Training runs the same
+arithmetic with a tape, so a taped stack of bags of one aligned length
+gives each patient its one-bag taped forward too. That holds only while
 every layer gives a patient's rows the same bits alone and in a stack,
 which depends on how BLAS picks its kernels. These tests fail by name on
 a BLAS build or thread count that breaks it; CI runs them under
 OPENBLAS_NUM_THREADS=1 and 2.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -51,16 +55,17 @@ def ragged_lengths(rng, count: int = 48) -> list[int]:
     return [int(n) for n in rng.permutation(np.concatenate([spread, short]))]
 
 
-def assert_stacks_match_one_bag_forwards(name, model, bags, stacks):
-    # `recon` is read under no_grad, as `evaluate` reads it: the heads run
-    # in the grad mode of the first read
+def assert_stacks_match_one_bag_forwards(name, model, bags, stacks, mode=ad.no_grad):
+    # `recon` is read in `mode`, as `evaluate` reads it under no_grad and
+    # the training losses with a tape: the heads run in the grad mode of
+    # the first read
     for stack in stacks:
-        with ad.no_grad():
+        with mode():
             stacked = stack_forward(model, [bags[pos] for pos in stack])
             stacked_recon = stacked.recon
         for row, pos in enumerate(stack):
             n = bags[pos].shape[0]
-            with ad.no_grad():
+            with mode():
                 alone = model_forward(model, bags[pos])
                 alone_recon = alone.recon
             where = f"{name}: bag {pos} ({n} patches) in a stack of {len(stack)}"
@@ -105,6 +110,18 @@ def test_a_stack_that_fills_the_row_budget_is_bit_identical_to_one_bag_forward(n
     assert stacks == [list(range(len(lengths)))]
     bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
     assert_stacks_match_one_bag_forwards(name, model, bags, stacks)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_taped_stacked_forward_is_bit_identical_to_taped_one_bag_forward(name):
+    model = make_model(name, seed=len(name))
+    rng = np.random.default_rng(200 + sorted(CONFIGS).index(name))
+    # 57 to 64 patches all align to 64, so the bags form one stack
+    lengths = [int(n) for n in rng.integers(57, 65, size=12)]
+    bags = [rng.normal(size=(n, model.config.feature_dim)) for n in lengths]
+    assert stack_forward(model, bags[:1]).hazards.requires_grad, "no tape recorded"
+    assert_stacks_match_one_bag_forwards(name, model, bags, [list(range(len(bags)))],
+                                         mode=contextlib.nullcontext)
 
 
 def test_evaluate_risks_do_not_depend_on_which_patients_it_scores(monkeypatch):

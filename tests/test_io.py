@@ -79,6 +79,29 @@ def test_bag_rejects_truncation(tmp_path):
         read_bag(path)
 
 
+def test_bag_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.bag"
+    path.write_bytes(struct.pack("<4sII", BAG_MAGIC, 3, 4) + b"\x00" * 53)
+    with pytest.raises(DataFormatError,
+                       match=r"long\.bag: 5 trailing bytes after a 3x4 bag of 60 bytes$"):
+        read_bag(path)
+
+
+def test_a_cut_or_header_flipped_bag_never_loads(tmp_path):
+    # every cut of a 3x2 bag, and each of its 12 header bytes flipped, is a
+    # DataFormatError naming the file; no other error escapes
+    path = tmp_path / "faulty.bag"
+    write_bag(path, PatchBag("a", np.arange(6, dtype=np.float32).reshape(3, 2)))
+    whole = path.read_bytes()
+    header = struct.calcsize("<4sII")
+    flips = [whole[:i] + bytes([whole[i] ^ 0xFF]) + whole[i + 1:] for i in range(header)]
+    for faulty in [whole[:cut] for cut in range(len(whole))] + flips:
+        path.write_bytes(faulty)
+        with pytest.raises(DataFormatError) as err:
+            read_bag(path)
+        assert str(err.value).startswith(f"{path}: "), err.value
+
+
 @pytest.mark.parametrize("n_patches, dim, offset", [(0, 3, 4), (4, 0, 8), (0, 0, 4)])
 def test_bag_rejects_empty_header_with_path_and_offset(tmp_path, n_patches, dim, offset):
     path = tmp_path / "empty.bag"

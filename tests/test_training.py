@@ -566,6 +566,13 @@ def test_sweep_k_writes_one_row_per_k(tmp_path):
     assert (tmp_path / "k100" / "metrics.json").exists()
 
 
+def test_sweep_k_checks_every_k_before_the_first_fold(tmp_path):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="k_percent"):
+        sweep_k(tiny_cohort(), tiny_train_config(), out, grid=(50, 0))
+    assert not out.exists()
+
+
 def test_write_json_stable(tmp_path):
     path = tmp_path / "x.json"
     tr.write_json(path, {"b": 1, "a": [2, 3]})
