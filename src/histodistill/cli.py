@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -84,6 +85,8 @@ def _check_feature_dim(ckpt, checkpoint_path: Path, source: Path, dim: int) -> N
 def _cmd_synth(args) -> int:
     config = SynthConfig.from_dict(_load_config(args.config).get("synth", {}))
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out = _out_dir(args)
     cohort, truth = synth_generate(config, seed)
     manifest = write_cohort(out, cohort, name="synthetic")
@@ -235,6 +238,8 @@ def _cmd_km(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     results = gradcheck.run_all()
     for name, err in results.items():
         print(f"{name}: {err:.3e}")

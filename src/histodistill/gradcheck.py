@@ -303,7 +303,7 @@ def _check_end_to_end(eps: float) -> float:
     targets = [rng.normal(size=(2, c)) for c in config.category_sizes]
     with ad.no_grad():
         base = stack_forward(model, bags)
-    frozen_mask = base.diagnostics.masked_assoc
+    frozen_mask = base.masked_assoc
     params = dict(model.named_tensors())
 
     def f(p):

@@ -38,7 +38,7 @@ up to rounding.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -156,13 +156,6 @@ class GatedAssocBranchParams(Params):
         return cls(in_w, in_b, gates, heads)
 
 
-@dataclass
-class AssocOutput:
-    first_pass: Tensor | None     # token features after round one (B * N_g, width)
-    features: Tensor              # final per-category features (B * N_g, width)
-    scores: np.ndarray            # pre-softmax association scores (B, N_g, W)
-
-
 def reconstruct(heads: Sequence[SnnHeadParams], features: Tensor) -> tuple[Tensor, ...]:
     """Per-category gene reconstructions, each (B, len), from the association
     features (B * N_g, width): each category's head on that category's row
@@ -173,8 +166,9 @@ def reconstruct(heads: Sequence[SnnHeadParams], features: Tensor) -> tuple[Tenso
 
 
 def assoc_forward(params: AssocBranchParams, stack: BagStack,
-                  score_head: int | None = None) -> AssocOutput:
-    """Two cross-attention rounds with one shared parameter set.
+                  score_head: int | None = None) -> tuple[Tensor, np.ndarray]:
+    """Two cross-attention rounds with one shared parameter set, giving the
+    features (B * N_g, width) and pre-softmax association scores (B, N_g, W).
 
     Both rounds attend over the same bags, so the key and value maps,
     each composed with the input projection `in_w`, are built once. The
@@ -190,11 +184,11 @@ def assoc_forward(params: AssocBranchParams, stack: BagStack,
                                 params.tokens), (batch * n_tokens, width))
     pooled2, scores = blocks.mhca_forward(params.mhca, queries, keys, score_head,
                                           per_bag=True)
-    return AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
+    return blocks.ffn_forward(params.ffn_second, pooled2), scores
 
 
 def gated_assoc_forward(params: GatedAssocBranchParams,
-                        stack: BagStack) -> AssocOutput:
+                        stack: BagStack) -> tuple[Tensor, np.ndarray]:
     """One gated pooling per category; its scores are the association rows.
 
     Every category pools the raw rows, and the pooled rows are projected
@@ -209,7 +203,7 @@ def gated_assoc_forward(params: GatedAssocBranchParams,
         score_rows.append(scores)
     features = blocks.pooled_projection(ad.concat(weight_rows, axis=1), stack,
                                         params.in_w, params.in_b)
-    return AssocOutput(None, features, np.concatenate(score_rows, axis=1))
+    return features, np.concatenate(score_rows, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +327,12 @@ def fused_attention(morph_weights: Tensor, masked_assoc: np.ndarray) -> Tensor:
     return ad.mul(ad.add(morph_weights, masked_assoc), 0.5)
 
 
-@dataclass
-class SurvivalDiagnostics:
-    morph_weights: np.ndarray | None
-    masked_assoc: np.ndarray
-    fused: np.ndarray
-
-
 def survival_forward(params: SurvivalBranchParams, stack: BagStack,
-                     scores: np.ndarray, features: Tensor | None, cfg: ModelConfig,
+                     scores: np.ndarray, features: Tensor, cfg: ModelConfig,
                      masked_assoc: np.ndarray | None = None,
-                     ) -> tuple[Tensor, SurvivalDiagnostics]:
-    """Hazards (B, n_bins) from the bags and the association-branch outputs.
+                     ) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
+    """Hazards (B, n_bins), masked association rows (B, N_g, W) and gate
+    weights (B, W) or None under `assoc_only`, from the association outputs.
 
     The masked association matrix is always consumed as a constant (the
     branch-to-branch gradient flows only through `features`); passing
@@ -360,19 +348,14 @@ def survival_forward(params: SurvivalBranchParams, stack: BagStack,
                                                   params.value_b)
         fused = fused_attention(morph, masked_assoc)
     pooled = blocks.pooled_projection(fused, stack, params.value_w, params.value_b)
-    if cfg.cut_bridge or features is None:
-        merged = pooled
-    else:
-        merged = ad.concat([pooled, features], axis=1)
+    merged = pooled if cfg.cut_bridge else ad.concat([pooled, features], axis=1)
     x = blocks.ffn_forward(params.ffn,
                            blocks.mhsa_forward(params.mhsa, merged, stack.layout.batch))
     compressed = ad.relu(ad.layer_norm(linear(x, params.comp_w, params.comp_b),
                                        params.comp_gain, params.comp_bias))
     flat = ad.reshape(compressed, (stack.layout.batch, cfg.n_tokens * cfg.compress_width))
     hazards = ad.sigmoid(linear(flat, params.cls_w, params.cls_b))
-    morph_weights = None if morph is None else morph.values.swapaxes(1, 2).copy()
-    diag = SurvivalDiagnostics(morph_weights, masked_assoc, fused.values.copy())
-    return hazards, diag
+    return hazards, masked_assoc, None if morph is None else morph.values[:, 0]
 
 
 def baseline_forward(params: BaselineParams, stack: BagStack) -> Tensor:
@@ -418,11 +401,14 @@ def init_model(cfg: ModelConfig, rng) -> ModelParams:
 
 @dataclass
 class ForwardResult:
-    hazards: Tensor                        # (B, n_bins)
-    features: Tensor | None                # association features (B * N_g, width)
-    assoc_scores: np.ndarray | None        # (B, N_g, W); (N_g, N_p) for one bag
-    diagnostics: SurvivalDiagnostics | None
-    heads: Sequence[SnnHeadParams] = ()    # the model's reconstruction heads
+    """`stack_forward`'s outputs, 0 at pads; `model_forward` drops the stack
+    axis and the pads. Only the hazards are set under `gated_baseline`."""
+    hazards: Tensor                            # (B, n_bins)
+    features: Tensor | None = None             # association features (B * N_g, width)
+    assoc_scores: np.ndarray | None = None     # pre-softmax, (B, N_g, W)
+    masked_assoc: np.ndarray | None = None     # top-k masked softmax rows, (B, N_g, W)
+    morph_weights: np.ndarray | None = None    # gate weights (B, W); None if assoc_only
+    heads: Sequence[SnnHeadParams] = ()        # the model's reconstruction heads
 
     @functools.cached_property
     def recon(self) -> tuple[Tensor, ...] | None:
@@ -445,40 +431,32 @@ def stack_forward(model: ModelParams, bags: Sequence[np.ndarray],
     stack = BagStack.of(bags)
     cfg = model.config
     if cfg.gated_baseline:
-        hazards = baseline_forward(model.baseline, stack)
-        return ForwardResult(hazards, None, None, None)
+        return ForwardResult(baseline_forward(model.baseline, stack))
     if cfg.gated_recon:
-        out = gated_assoc_forward(model.assoc, stack)
+        features, scores = gated_assoc_forward(model.assoc, stack)
     else:
-        out = assoc_forward(model.assoc, stack, cfg.score_head)
-    hazards, diag = survival_forward(model.survival, stack, out.scores,
-                                     out.features, cfg, masked_assoc)
-    return ForwardResult(hazards, out.features, out.scores, diag, model.assoc.heads)
+        features, scores = assoc_forward(model.assoc, stack, cfg.score_head)
+    hazards, masked_assoc, morph_weights = survival_forward(
+        model.survival, stack, scores, features, cfg, masked_assoc)
+    return ForwardResult(hazards, features, scores, masked_assoc, morph_weights,
+                         model.assoc.heads)
 
 
-def model_forward(model: ModelParams, bag_features: np.ndarray,
-                  masked_assoc: np.ndarray | None = None) -> ForwardResult:
-    """Differentiable forward pass over one patient's bag.
+def model_forward(model: ModelParams, bag_features: np.ndarray) -> ForwardResult:
+    """Differentiable forward pass over one patient's bag of N_p patches.
 
-    The one-bag stack of `stack_forward`; association scores and
-    diagnostics come back without the stack axis and the pad columns,
-    (N_g, N_p), and `masked_assoc` is passed the same way.
+    The one-bag stack of `stack_forward`, hazards (1, n_bins); association
+    scores and masked rows come back as (N_g, N_p) and morphology weights
+    as (N_p,), without the stack axis and the pad columns.
     """
-    bag_features = np.asarray(bag_features)
-    n = bag_features.shape[0]
-    pinned = None
-    if masked_assoc is not None:
-        pinned = np.zeros((1, model.config.n_tokens, blocks.aligned(n)))
-        pinned[0, :, :n] = masked_assoc
-    result = stack_forward(model, [bag_features], pinned)
-    if result.diagnostics is None:
+    result = stack_forward(model, [bag_features])
+    if result.assoc_scores is None:
         return result
-    diag = result.diagnostics
-    return ForwardResult(result.hazards, result.features, result.assoc_scores[0, :, :n],
-                         SurvivalDiagnostics(
-                             None if diag.morph_weights is None else diag.morph_weights[0, :n],
-                             diag.masked_assoc[0, :, :n], diag.fused[0, :, :n]),
-                         result.heads)
+    n = len(bag_features)
+    morph = result.morph_weights
+    return replace(result, assoc_scores=result.assoc_scores[0, :, :n],
+                   masked_assoc=result.masked_assoc[0, :, :n],
+                   morph_weights=None if morph is None else morph[0, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +472,19 @@ class HazardOutput:
 
 
 def survival_curve(hazards: np.ndarray) -> np.ndarray:
-    """S_j = prod_{t<=j} (1 - h_t); non-increasing, in (0, 1]."""
-    return np.cumprod(1.0 - np.asarray(hazards, dtype=np.float64))
+    """S_j = prod_{t<=j} (1 - h_t) along the last axis; non-increasing, in (0, 1]."""
+    return np.cumprod(1.0 - np.asarray(hazards, dtype=np.float64), axis=-1)
 
 
-def risk_score(survival: np.ndarray) -> float:
-    """Negated area under the discrete survival curve; higher = riskier."""
-    return -float(np.sum(survival))
+def risk_score(survival: np.ndarray) -> np.ndarray:
+    """Negated area under the discrete survival curve (last axis); higher = riskier."""
+    return -np.sum(survival, axis=-1)
 
 
 def hazard_output(hazards: np.ndarray) -> HazardOutput:
+    hazards = np.asarray(hazards, dtype=np.float64).reshape(-1)
     s = survival_curve(hazards)
-    return HazardOutput(np.asarray(hazards, dtype=np.float64).reshape(-1), s,
-                        risk_score(s))
+    return HazardOutput(hazards, s, float(risk_score(s)))
 
 
 def predict(model: ModelParams, bag_features: np.ndarray) -> HazardOutput:
@@ -518,7 +496,7 @@ def predict(model: ModelParams, bag_features: np.ndarray) -> HazardOutput:
     """
     with ad.no_grad():
         result = model_forward(model, bag_features)
-    return hazard_output(result.hazards.values.reshape(-1))
+    return hazard_output(result.hazards.values)
 
 
 _CLAMP = 1e-7

@@ -17,14 +17,15 @@ fit on those same matrices (`gene_targets`).
 Evaluation is image-only and runs no-grad stacks too (`inference_stacks`):
 bags sorted by length, each stack holding bags of one aligned length
 under ROW_BUDGET. On the BLAS kernels `autodiff._row_invariant_product`
-names, a patient's forward is bit-identical in such a stack and alone, so
-`evaluate` gives every patient the risk one-bag `predict` gives, whatever
-subset or order of patients it scores, and a Spearman report reads the
-gene reconstructions off the same stacks. Validation metrics are always
-computed from the saved checkpoint after reloading it, so `eval`
-on the same file reproduces them exactly. Checkpoints and JSON outputs are
-written to a temporary file and renamed into place, so an interrupted run
-never leaves a truncated one.
+names, a patient's forward is bit-identical in such a stack and alone, and
+a stack's survival curves and risks, scored as one batch, keep each row's
+1-d bits; so `evaluate` gives every patient the risk one-bag `predict`
+gives, whatever subset or order of patients it scores, and a Spearman
+report reads the gene reconstructions off the same stacks. Validation
+metrics are always computed from the saved checkpoint after reloading it,
+so `eval` on the same file reproduces them exactly. Checkpoints and JSON
+outputs are written to a temporary file and renamed into place, so an
+interrupted run never leaves a truncated one.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .io import write_atomic
 # `predict` is not called here, but stays importable from this module: the
 # benchmark's tracer (perfbench/tracing.py) rebinds it here by name.
 from .model import (Architecture, ModelConfig, ModelParams, build_model,
-                    hazard_output, model_forward, nll_loss, predict,
-                    reconstruction_loss, stack_forward, total_loss)
+                    model_forward, nll_loss, predict, reconstruction_loss,
+                    risk_score, stack_forward, survival_curve, total_loss)
 
 SWEEP_K_GRID = (10, 15, 20, 25, 30, 35)
 
@@ -92,6 +93,8 @@ class TrainConfig(Architecture):
             raise ConfigError("alpha must be non-negative")
         if self.n_folds < 2:
             raise ConfigError("n_folds must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def model_config(self, feature_dim: int,
                      category_sizes: tuple[int, ...]) -> ModelConfig:
@@ -390,10 +393,9 @@ def evaluate(ckpt: CheckpointData, cohort: Cohort,
             if recon is not None:
                 for rows, r in zip(recon, result.recon):
                     rows[stack] = r.values
-        for pos, row in zip(stack, result.hazards.values):
-            out = hazard_output(row)
-            risks[pos] = out.risk
-            s_mid[pos] = out.survival[mid]
+        survival = survival_curve(result.hazards.values)
+        risks[stack] = risk_score(survival)
+        s_mid[stack] = survival[:, mid]
         del result      # no stack's activations stay alive through the next
     times = cohort.times()[indices]
     censor = cohort.censor_flags()[indices]
@@ -614,7 +616,7 @@ def export_associations(ckpt: CheckpointData, bag_features: np.ndarray,
     with ad.no_grad():
         result = model_forward(model, bag_features)
     scores = result.assoc_scores
-    masked = result.diagnostics.masked_assoc
+    masked = result.masked_assoc
     names = ckpt.category_names or [f"category_{c}" for c in range(scores.shape[0])]
     with StringIO() as fh:
         for c, name in enumerate(names):

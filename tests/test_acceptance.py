@@ -20,10 +20,12 @@ from histodistill import cli, gradcheck
 from histodistill import model as gm
 from histodistill import stats
 from histodistill.autodiff import backward, tensor
+from histodistill.blocks import aligned
 from histodistill.checkpoint import load_checkpoint
 from histodistill.datasets import SynthConfig, discretize_survival, make_folds, synth_generate
 from histodistill.io import write_cohort
-from histodistill.model import ModelConfig, build_model, model_forward, nll_loss, survival_curve, topk_masked_softmax
+from histodistill.model import (ModelConfig, build_model, model_forward, nll_loss,
+                               stack_forward, survival_curve, topk_masked_softmax)
 from histodistill.training import SWEEP_K_GRID, TrainConfig, cross_validate, evaluate, run_fold, sweep_k
 
 
@@ -251,22 +253,23 @@ def test_criterion_3_structural_invariants():
         bag = rng.normal(size=(n_p, config.feature_dim))
 
         result = model_forward(model, bag)
-        diag = result.diagnostics
 
         soft = ad.softmax(result.assoc_scores, axis=1).values
         worst_sum = max(worst_sum,
                         float(np.abs(soft.sum(axis=1) - 1.0).max()))
         worst_sum = max(worst_sum,
-                        float(abs(diag.morph_weights.sum() - 1.0)))
+                        float(abs(result.morph_weights.sum() - 1.0)))
 
-        masked = diag.masked_assoc
+        masked = result.masked_assoc
         m = max(1, round(config.k_percent * n_p / 100))
         assert (np.count_nonzero(masked, axis=1) == m).all(), \
             f"model {i}: kept {np.count_nonzero(masked, axis=1)} != {m}"
         worst_sum = max(worst_sum,
                         float(np.abs(masked.sum(axis=1) - 1.0).max()))
+        # the survival branch pools with the mean of the two weightings
+        fused = 0.5 * (result.morph_weights + masked)
         worst_sum = max(worst_sum,
-                        float(np.abs(diag.fused.sum(axis=1) - 1.0).max()))
+                        float(np.abs(fused.sum(axis=1) - 1.0).max()))
 
         h = result.hazards.values.reshape(-1)
         s = survival_curve(h)
@@ -283,7 +286,9 @@ def test_criterion_3_structural_invariants():
         ad.zero_grads(model.tensors())
         grads_auto = backward(nll_loss(result.hazards, 0, 0))
         ad.zero_grads(model.tensors())
-        frozen = model_forward(model, bag, masked_assoc=masked)
+        pinned = np.zeros((1, n_cats, aligned(n_p)))
+        pinned[0, :, :n_p] = masked
+        frozen = stack_forward(model, [bag], masked_assoc=pinned)
         grads_frozen = backward(nll_loss(frozen.hazards, 0, 0))
         for name, param in model.assoc.named_tensors("assoc"):
             a = grads_auto.get(param)

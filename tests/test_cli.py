@@ -122,6 +122,7 @@ def test_bad_config_file(tmp_path, capsys):
     ("train", "heads", 0),
     ("train", "heads", 3),
     ("train", "score_head", 5),
+    ("train", "seed", -3),
     ("synth", "patch_range", [4, 8, 9]),
     ("synth", "patch_range", 5),
     ("synth", "gene_counts", ["a"]),
@@ -143,6 +144,18 @@ def test_a_bad_config_value_fails_before_any_output(workspace, tmp_path, capsys,
     assert code == 1
     assert "Traceback" not in err
     assert key in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_negative_seed_fails_before_any_output(workspace, tmp_path, capsys, command):
+    args = ["--manifest", str(workspace["manifest"])] if command == "train" else []
+    out = tmp_path / "out"
+    code = cli.main([command, *args, "--seed", "-1", "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert "seed" in err, err
     assert not out.exists()
 
 
@@ -572,6 +585,19 @@ def test_grad_check_cli_failure_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli.gradcheck, "run_all", lambda: {"fake": 1.0})
     assert cli.main(["grad-check", "--out-dir", str(tmp_path)]) == 2
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-4"])
+def test_grad_check_rejects_a_tolerance_that_is_not_finite_and_positive(
+        monkeypatch, tmp_path, capsys, tolerance):
+    def run_all():
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.gradcheck, "run_all", run_all)
+    code = cli.main(["grad-check", "--tolerance", tolerance, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--tolerance" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def oracle_assoc_forward(params, stack, score_head=None):
                                 params.tokens), (batch * n_tokens, width))
     pooled2, scores = oracle_mhca_forward(params.mhca, queries, keys, score_head,
                                           per_bag=True)
-    return gm.AssocOutput(first, blocks.ffn_forward(params.ffn_second, pooled2), scores)
+    return blocks.ffn_forward(params.ffn_second, pooled2), scores
 
 
 def oracle_gated_assoc_forward(params, stack):
@@ -161,7 +161,7 @@ def oracle_gated_assoc_forward(params, stack):
         score_rows.append(scores)
     features = ad.reshape(ad.concat(feature_rows, axis=1),
                           (layout.batch * len(params.gates), proj.shape[1]))
-    return gm.AssocOutput(None, features, np.concatenate(score_rows, axis=1))
+    return features, np.concatenate(score_rows, axis=1)
 
 
 def oracle_survival_forward(params, stack, scores, features, cfg,
@@ -178,19 +178,14 @@ def oracle_survival_forward(params, stack, scores, features, cfg,
         fused = fused_attention(morph, masked_assoc)
     pooled = ad.reshape(ad.batched_matmul(fused, gather_rows(proj, layout.index)),
                         (layout.batch * cfg.n_tokens, proj.shape[1]))
-    if cfg.cut_bridge or features is None:
-        merged = pooled
-    else:
-        merged = ad.concat([pooled, features], axis=1)
+    merged = pooled if cfg.cut_bridge else ad.concat([pooled, features], axis=1)
     x = blocks.ffn_forward(params.ffn, blocks.mhsa_forward(params.mhsa, merged,
                                                            layout.batch))
     compressed = ad.relu(ad.layer_norm(ad.linear(x, params.comp_w, params.comp_b),
                                        params.comp_gain, params.comp_bias))
     flat = ad.reshape(compressed, (layout.batch, cfg.n_tokens * cfg.compress_width))
     hazards = ad.sigmoid(ad.linear(flat, params.cls_w, params.cls_b))
-    diag = gm.SurvivalDiagnostics(None if morph is None else morph.values.copy(),
-                                  masked_assoc, fused.values.copy())
-    return hazards, diag
+    return hazards, masked_assoc, None if morph is None else morph.values[:, :, 0]
 
 
 def oracle_baseline_forward(params, stack):

@@ -28,12 +28,12 @@ def small_config(**overrides):
 def test_assoc_single_patch_one_column():
     model = gm.build_model(small_config(), seed=0)
     bag = np.random.default_rng(0).normal(size=(1, 8))
-    out = gm.assoc_forward(model.assoc, one_bag(bag))
+    features, scores = gm.assoc_forward(model.assoc, one_bag(bag))
     # one patch, padded to a layout 8 wide
-    assert out.scores.shape == (1, 2, 8)
-    assert (out.scores[:, :, 1:] == 0.0).all()
-    assert out.features.shape == (2, 4)
-    recon = gm.reconstruct(model.assoc.heads, out.features)
+    assert scores.shape == (1, 2, 8)
+    assert (scores[:, :, 1:] == 0.0).all()
+    assert features.shape == (2, 4)
+    recon = gm.reconstruct(model.assoc.heads, features)
     assert [r.shape for r in recon] == [(1, 3), (1, 2)]
 
 
@@ -42,11 +42,11 @@ def test_assoc_duplicated_patches_leave_features_unchanged():
     rng = np.random.default_rng(1)
     bag = rng.normal(size=(5, 8))
     doubled = np.concatenate([bag, bag], axis=0)
-    a = gm.assoc_forward(model.assoc, one_bag(bag))
-    b = gm.assoc_forward(model.assoc, one_bag(doubled))
-    np.testing.assert_allclose(a.features.values, b.features.values, atol=1e-12)
+    a_features, a_scores = gm.assoc_forward(model.assoc, one_bag(bag))
+    b_features, b_scores = gm.assoc_forward(model.assoc, one_bag(doubled))
+    np.testing.assert_allclose(a_features.values, b_features.values, atol=1e-12)
     # scores are per patch, so the block just repeats
-    np.testing.assert_allclose(b.scores[0, :, :10], np.tile(a.scores[0, :, :5], (1, 2)),
+    np.testing.assert_allclose(b_scores[0, :, :10], np.tile(a_scores[0, :, :5], (1, 2)),
                                atol=1e-12)
 
 
@@ -61,10 +61,10 @@ def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
     params.ffn_first.w2.assign_(np.zeros_like(params.ffn_first.w2.values))
     params.ffn_first.b2.assign_(np.zeros_like(params.ffn_first.b2.values))
     bag = np.random.default_rng(2).normal(size=(4, 8))
-    out = gm.assoc_forward(params, one_bag(bag))
+    _, scores = gm.assoc_forward(params, one_bag(bag))
     keys = blocks.patch_keys(params.mhca, one_bag(bag), params.in_w, params.in_b)
     _, direct_scores = blocks.mhca_forward(params.mhca, params.tokens, keys)
-    np.testing.assert_allclose(out.scores, direct_scores,
+    np.testing.assert_allclose(scores, direct_scores,
                                atol=1e-12)
 
 
@@ -73,21 +73,30 @@ def test_assoc_score_columns_permute_with_patches():
     rng = np.random.default_rng(3)
     bag = rng.normal(size=(6, 8))
     perm = rng.permutation(6)
-    a = gm.assoc_forward(model.assoc, one_bag(bag))
-    b = gm.assoc_forward(model.assoc, one_bag(bag[perm]))
-    np.testing.assert_allclose(a.scores[0][:, perm], b.scores[0, :, :6],
+    _, a = gm.assoc_forward(model.assoc, one_bag(bag))
+    _, b = gm.assoc_forward(model.assoc, one_bag(bag[perm]))
+    np.testing.assert_allclose(a[0][:, perm], b[0, :, :6],
                                atol=1e-12)
 
 
 def test_shared_mhca_parameters_drive_both_rounds():
+    from histodistill import blocks
     model = gm.build_model(small_config(), seed=4)
-    bag = np.random.default_rng(4).normal(size=(3, 8))
-    before = gm.assoc_forward(model.assoc, one_bag(bag))
-    model.assoc.mhca.wq.assign_(model.assoc.mhca.wq.values + 0.5)
-    after = gm.assoc_forward(model.assoc, one_bag(bag))
+    params = model.assoc
+    stack = one_bag(np.random.default_rng(4).normal(size=(3, 8)))
+
+    def rounds():
+        # round one is the shared cross-attention queried by the tokens alone
+        keys = blocks.patch_keys(params.mhca, stack, params.in_w, params.in_b)
+        first, _ = blocks.mhca_forward(params.mhca, params.tokens, keys)
+        return first.values, gm.assoc_forward(params, stack)[1]
+
+    before_first, before_scores = rounds()
+    params.mhca.wq.assign_(params.mhca.wq.values + 0.5)
+    after_first, after_scores = rounds()
     # round one moved (features depend on it) and so did round-two scores
-    assert not np.allclose(before.first_pass.values, after.first_pass.values)
-    assert not np.allclose(before.scores, after.scores)
+    assert not np.allclose(before_first, after_first)
+    assert not np.allclose(before_scores, after_scores)
 
 
 def test_parameter_census_matches_shared_configuration():
@@ -315,6 +324,22 @@ def test_risk_score_limits_and_monotonicity():
         bumped = h.copy()
         bumped[t] += 0.05
         assert gm.risk_score(gm.survival_curve(bumped)) > base
+
+
+def test_batched_survival_and_risk_rows_equal_their_one_row_calls():
+    # evaluate scores a stack's hazards as one batch and predict one row;
+    # past 8 bins numpy's pairwise sum groups terms in blocks, so every row
+    # must reduce as its 1-d call does
+    rng = np.random.default_rng(12)
+    for n_bins in range(1, 130):
+        hazards = rng.uniform(0.0, 1.0, size=(5, n_bins))
+        survival = gm.survival_curve(hazards)
+        risks = gm.risk_score(survival)
+        assert survival.shape == (5, n_bins) and risks.shape == (5,)
+        for row, h in enumerate(hazards):
+            alone = gm.survival_curve(h)
+            assert np.array_equal(survival[row], alone), n_bins
+            assert risks[row].tobytes() == gm.risk_score(alone).tobytes(), n_bins
 
 
 def test_hazard_output_consistency():
@@ -546,9 +571,13 @@ def test_assoc_only_variant_skips_morphology():
     model = gm.build_model(small_config(assoc_only=True), seed=19)
     bag = np.random.default_rng(19).normal(size=(4, 8))
     result = gm.model_forward(model, bag)
-    assert result.diagnostics.morph_weights is None
-    np.testing.assert_array_equal(result.diagnostics.fused,
-                                  result.diagnostics.masked_assoc)
+    assert result.morph_weights is None
+    assert result.masked_assoc.shape == (2, 4)
+    # the survival gate's weights take no part: moving them moves no hazard
+    for _, tensor in model.survival.gate.named_tensors():
+        tensor.assign_(tensor.values + 1.0)
+    moved = gm.model_forward(model, bag)
+    np.testing.assert_array_equal(moved.hazards.values, result.hazards.values)
 
 
 def test_gated_recon_variant_shapes():

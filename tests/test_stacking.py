@@ -15,7 +15,8 @@ from histodistill import training as tr
 from histodistill.blocks import BagStack, PatchLayout
 from histodistill.datasets import SynthConfig, discretize_survival, synth_generate
 from histodistill.errors import TrainingError
-from histodistill.model import build_model, nll_loss, stack_forward, topk_masked_softmax
+from histodistill.model import (build_model, fused_attention, nll_loss, stack_forward,
+                               topk_masked_softmax)
 from histodistill.training import (GeneStandardizer, TrainConfig, TrainEntry,
                                    gene_targets, pack_stacks, stack_loss,
                                    train_model)
@@ -87,10 +88,11 @@ def test_pad_positions_get_zero_attention_morphology_and_gradient():
     layout = PatchLayout.of([e.bag.shape[0] for e in entries])
     result = stack_forward(model, [e.bag for e in entries])
     pads = ~layout.mask
-    diag = result.diagnostics
-    assert (diag.morph_weights[pads] == 0.0).all()
-    assert (diag.masked_assoc.transpose(0, 2, 1)[pads] == 0.0).all()
-    assert (diag.fused.transpose(0, 2, 1)[pads] == 0.0).all()
+    assert (result.morph_weights[pads] == 0.0).all()
+    assert (result.masked_assoc.transpose(0, 2, 1)[pads] == 0.0).all()
+    # the rows the survival branch pools with: the mean of the two above
+    fused = fused_attention(ad.tensor(result.morph_weights[:, None]), result.masked_assoc)
+    assert (fused.values.transpose(0, 2, 1)[pads] == 0.0).all()
 
     loss = nll_loss(result.hazards, [0, 1, 2, 0], [0, 0, 1, 1])
     weights, pad_grads, padded = [], [], []
