@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from histodistill import autodiff as ad
-from histodistill import gradcheck
+from histodistill import blocks, gradcheck
 from histodistill import model as gm
 from histodistill.autodiff import backward, tensor
 from histodistill.errors import ConfigError
@@ -51,7 +51,6 @@ def test_assoc_duplicated_patches_leave_features_unchanged():
 
 
 def test_assoc_zeroed_first_round_reduces_to_plain_cross_attention():
-    from histodistill import blocks
     model = gm.build_model(small_config(), seed=2)
     params = model.assoc
     # silence round one: zero attention output projection and the ffn's
@@ -80,7 +79,6 @@ def test_assoc_score_columns_permute_with_patches():
 
 
 def test_shared_mhca_parameters_drive_both_rounds():
-    from histodistill import blocks
     model = gm.build_model(small_config(), seed=4)
     params = model.assoc
     stack = one_bag(np.random.default_rng(4).normal(size=(3, 8)))
